@@ -13,7 +13,13 @@ from . import __version__
 from .crypto import SeededRng, SystemRng, keygen, load_keys, save_keys
 from .encoding import GdbParseError, parse_gdb
 from .evaluation import BenchCase, run_grid, write_report_csv
-from .index import CorruptIndexError, build_egdb, build_inverted_index, serialize_egdb
+from .index import (
+    BloomFilter,
+    CorruptIndexError,
+    build_egdb,
+    build_inverted_index,
+    serialize_egdb,
+)
 from .services import ServiceError, parse_hostport, serve_data, serve_vetter, submit_query
 from .wire import MSG_ANSWER, MSG_DENIED
 
@@ -148,6 +154,16 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _fp_arg(text: str) -> float:
+    """--fp value: a rate in (0, 1) whose filter the format can store."""
+    try:
+        p_fp = float(text)
+        BloomFilter.geometry(1, p_fp)  # n = 1 needs the most hash functions
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return p_fp
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="privgendb",
@@ -160,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--input", required=True, help="cohort CSV path")
     b.add_argument("--keys", required=True, help="key file (created if missing)")
     b.add_argument("--egdb", required=True, help="output encrypted database path")
-    b.add_argument("--fp", type=float, default=1e-6, help="bloom false-positive target")
+    b.add_argument("--fp", type=_fp_arg, default=1e-6, help="bloom false-positive target")
     b.add_argument("--seed", type=int, default=None, help="deterministic build seed")
     b.set_defaults(func=_cmd_build)
 

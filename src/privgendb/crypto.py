@@ -3,9 +3,12 @@
 Five independent symmetric keys drive the scheme: k_s derives per-keyword
 record-encryption keys, k_x and k_i produce the exponents behind cross-tags,
 k_z produces the per-counter blinding exponents, and k_t keys the tuple-set
-labels. Group exponentiation lives on P-256 (prime order, cofactor 1); the
-fixed-base path goes through OpenSSL, the variable-base path through the
-Jacobian code in ``p256`` (each is validated against the other in tests).
+labels. Group exponentiation lives on P-256 (prime order, cofactor 1) and
+runs entirely inside OpenSSL: fixed-base ``h^e`` through key derivation, and
+the server's variable-base step through ECDH, which yields only the
+x-coordinate of ``X^y``. Cross-tags are therefore filed under their
+x-coordinate. The test suite checks both paths against an independent
+pure-Python ladder.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ ORDER = p256.N
 SUPPORTED_LAMBDA_BITS = (128, 256)
 
 _CURVE = ec.SECP256R1()
+_ECDH = ec.ECDH()
 _NONCE_LEN = 12
 _ID_LEN = 8
 _TAG_LEN = 16
@@ -70,22 +74,31 @@ class SeededRng:
 
 @dataclass(frozen=True, slots=True)
 class GroupElement:
-    """Point on P-256; ``point is None`` encodes the identity element."""
+    """Point on P-256, held as its 33-byte SEC1 compressed encoding.
 
-    point: "tuple[int, int] | None"
+    The encoding is canonical, so equal elements have equal bytes; the
+    all-zero string encodes the identity element.
+    """
+
+    data: bytes
 
     def encode(self) -> bytes:
-        return p256.encode_point(self.point)
+        return self.data
 
     @classmethod
     def decode(cls, data: bytes) -> "GroupElement":
-        return cls(p256.decode_point(data))
+        p256.decode_point(data)  # ValueError unless data encodes a group element
+        return cls(bytes(data))
 
     def is_identity(self) -> bool:
-        return self.point is None
+        return self.data == IDENTITY.data
+
+    def x_bytes(self) -> bytes:
+        """32-byte big-endian x-coordinate: the key a cross-tag is filed under."""
+        return self.data[1:]
 
 
-IDENTITY = GroupElement(None)
+IDENTITY = GroupElement(p256.encode_point(None))
 ELEMENT_LEN = p256.ENCODED_LEN
 
 
@@ -178,64 +191,23 @@ def base_pow(e: int) -> GroupElement:
     if e == 0:
         return IDENTITY
     pub = ec.derive_private_key(e, _CURVE).public_key().public_numbers()
-    return GroupElement((pub.x, pub.y))
+    return GroupElement(p256.encode_point((pub.x, pub.y)))
 
 
-def group_pow(elem: GroupElement, e: int) -> GroupElement:
-    """elem^e for arbitrary elem (pure-Python variable-base path)."""
-    return GroupElement(p256.mul(elem.point, e))
+def exponent_key(e: int) -> ec.EllipticCurvePrivateKey:
+    """OpenSSL key for the scalar e (1 <= e < ORDER), the exponent of ``pow_x``."""
+    return ec.derive_private_key(e, _CURVE)
 
 
-def _ecdh_x(point: "tuple[int, int]", e: int) -> int:
-    """x-coordinate of e * point computed entirely inside OpenSSL."""
-    peer = ec.EllipticCurvePublicNumbers(point[0], point[1], _CURVE).public_key()
-    shared = ec.derive_private_key(e, _CURVE).exchange(ec.ECDH(), peer)
-    return int.from_bytes(shared, "big")
+def pow_x(key: ec.EllipticCurvePrivateKey, encoded: bytes) -> bytes:
+    """32-byte big-endian x-coordinate of X^e, computed inside OpenSSL.
 
-
-def _affine_add(p1, p2):
-    # textbook affine chord-and-tangent addition; test-path only
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % p256.P == 0:
-            return None
-        lam = (3 * x1 * x1 + p256.A) * pow(2 * y1, -1, p256.P) % p256.P
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p256.P) % p256.P
-    x3 = (lam * lam - x1 - x2) % p256.P
-    return x3, (lam * (x1 - x3) - y1) % p256.P
-
-
-def group_pow_via_openssl(elem: GroupElement, e: int) -> GroupElement:
-    """Independent route for elem^e used to cross-check ``group_pow``.
-
-    ECDH exchanges yield the x-coordinates of e*elem and (e+1)*elem inside
-    OpenSSL; the sign of y is the choice under which e*elem + elem lands on
-    the second x (textbook affine addition, no shared ladder code). Too slow
-    for the hot path; kept so tests have a second, disjoint implementation.
+    ``encoded`` is the compressed encoding of X and ``key`` comes from
+    ``exponent_key(e)``; ECDH returns exactly x(X^e). Raises ValueError when
+    ``encoded`` is not a point on the curve; the identity is not one.
     """
-    e %= ORDER
-    if e == 0 or elem.is_identity():
-        return IDENTITY
-    if e == 1:
-        return elem
-    x, y = elem.point
-    if e == ORDER - 1:
-        return GroupElement((x, p256.P - y))  # the inverse of elem
-    sx = _ecdh_x((x, y), e)
-    sy = p256.sqrt_mod_p((sx * sx * sx + p256.A * sx + p256.B) % p256.P)
-    if sy is None:
-        raise ArithmeticError("ECDH x not on curve")
-    next_x = _ecdh_x((x, y), e + 1)
-    stepped = _affine_add((sx, sy), (x, y))
-    if stepped is None or stepped[0] != next_x:
-        sy = p256.P - sy
-    return GroupElement((sx, sy))
+    peer = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, encoded)
+    return key.exchange(_ECDH, peer)
 
 
 # --- authenticated record-id encryption --------------------------------------

@@ -2,10 +2,16 @@
 
 The anchor keyword's tuple chain drives the search: for the c-th tuple the
 server raises each supplied token to that tuple's blinding scalar y and tests
-membership in the cross-tag filter. Positive tokens must all be present,
-negative tokens must all be absent; threshold (match) queries instead count
-hits among a single token list and compare against k'. The server never
-learns which keywords are behind the tokens, only how many there are.
+the x-coordinate of the result against the cross-tag filter. Positive tokens
+must all be present, negative tokens must all be absent; threshold (match)
+queries instead count hits among a single token list and compare against k'.
+The server never learns which keywords are behind the tokens, only how many
+there are.
+
+``SearchCore`` is the only implementation of the server's side: the
+in-process ``search``/``run_query`` and the networked data server both feed
+it token batches in counter order. It decodes a token and raises it to y
+(both inside OpenSSL) only when the evaluation actually reaches that token.
 """
 
 from __future__ import annotations
@@ -16,18 +22,19 @@ from dataclasses import dataclass
 from .crypto import (
     ORDER,
     AuthenticationError,
-    GroupElement,
     KeySet,
     base_pow,
-    group_pow,
+    exponent_key,
     keyword_bytes,
     keyword_counter,
     prf_f,
     prf_fp,
+    pow_x,
     sym_decrypt,
 )
 from .encoding import GAMMA, EncodedQuery, Query, encode_query
 from .index import BloomFilter, Egdb, TSet, parse_tuple
+from .wire import WireError
 
 log = logging.getLogger("privgendb.engine")
 
@@ -87,13 +94,17 @@ def generate_token(eq: EncodedQuery, keys: KeySet, inv_len: int) -> SearchToken:
 
     ``inv_len`` is the anchor keyword's tuple count as reported by the server
     in round one; the token for counter c and cross-term keyword g is
-    h^(z_c * x_g) where z_c blinds the counter and x_g fingerprints g.
+    h^(z_c * x_g) where z_c blinds the counter and x_g fingerprints g. A
+    query without cross-terms still gets one (empty) entry per counter.
     """
     if inv_len < 0:
         raise ValueError("inv_len must be non-negative")
     stag = TSet.tag(keys.k_t, eq.sterm)
     pos_x = [prf_fp(keys.k_x, keyword_bytes(kw)) for kw in eq.positive_xterms]
     neg_x = [prf_fp(keys.k_x, keyword_bytes(kw)) for kw in eq.negative_xterms]
+    if not pos_x and not neg_x:
+        empty = ((),) * inv_len
+        return SearchToken(stag, eq.gamma, eq.k_prime, empty, empty)
     pos, neg = [], []
     for c in range(1, inv_len + 1):
         z = prf_fp(keys.k_z, keyword_counter(eq.sterm, c))
@@ -104,55 +115,103 @@ def generate_token(eq: EncodedQuery, keys: KeySet, inv_len: int) -> SearchToken:
 
 def evaluate_tuple(bloom: BloomFilter, y: int, pos, neg, gamma: int,
                    k_prime: "int | None") -> bool:
-    """Decide one tuple: raise each token to y and test filter membership."""
+    """Decide one tuple: raise tokens to y and test their x in the filter.
+
+    ``pos`` and ``neg`` hold 33-byte token encodings. The OpenSSL key for y
+    is built only if some token must be raised, and each token is decoded
+    only when the evaluation reaches it, so an early exit skips the rest.
+    Raises ValueError for a reached token that is not a curve point.
+    """
     if gamma == GAMMA_MATCH:
-        need = k_prime
         left = len(pos)
+        if left < k_prime:
+            return False
+        key = exponent_key(y)
         hits = 0
         for tok in pos:
-            if group_pow(tok, y).encode() in bloom:
-                hits += 1
-                if hits >= need:
-                    return True
             left -= 1
-            if hits + left < need:
+            if pow_x(key, tok) in bloom:
+                hits += 1
+                if hits >= k_prime:
+                    return True
+            elif hits + left < k_prime:
                 return False
-        return hits >= need
+        return hits >= k_prime
+    if not pos and not neg:
+        return True
+    key = exponent_key(y)
     for tok in pos:
-        if group_pow(tok, y).encode() not in bloom:
+        if pow_x(key, tok) not in bloom:
             return False
     for tok in neg:
-        if group_pow(tok, y).encode() in bloom:
+        if pow_x(key, tok) in bloom:
             return False
     return True
 
 
-def search(token: SearchToken, egdb: Egdb) -> ResultSet:
-    """Run one query over the encrypted database (the untrusted-server role).
+class SearchCore:
+    """The server's side of one search over one anchor chain.
 
-    An unknown anchor tag yields an empty result, indistinguishable from
-    a keyword with no matches. Tuples beyond the token's counter coverage
-    are excluded and logged as a protocol violation.
+    Opening it retrieves and parses the chain; ``feed`` evaluates the next
+    counters from a batch of per-counter tokens; ``finish`` returns the
+    ResultSet. An unknown anchor tag gives an empty chain, indistinguishable
+    from a keyword with no matches. Counters past the end of the chain are
+    ignored, and tuples no batch covered are excluded and logged as a
+    protocol violation.
     """
-    tuples = egdb.tset.retrieve(token.stag)
-    if len(tuples) > token.counters:
-        log.warning(
-            "token covers %d counters but %d tuples are stored; excess excluded",
-            token.counters, len(tuples),
-        )
-    bloom = egdb.xfilter
-    matched = []
-    count = 0
-    for c, payload in enumerate(tuples[: token.counters]):
-        y, enc_id = parse_tuple(payload)
-        if evaluate_tuple(bloom, y, token.pos[c], token.neg[c], token.gamma, token.k_prime):
-            if token.gamma == GAMMA_COUNT:
-                count += 1
-            else:
-                matched.append(enc_id)
-    if token.gamma == GAMMA_COUNT:
-        return ResultSet(token.gamma, count=count)
-    return ResultSet(token.gamma, enc_ids=tuple(matched))
+
+    __slots__ = ("bloom", "tuples", "gamma", "k_prime", "next_counter", "count", "matched")
+
+    def __init__(self, egdb: Egdb, stag: bytes, gamma: int, k_prime: "int | None" = None):
+        self.bloom = egdb.xfilter
+        self.tuples = [parse_tuple(p) for p in egdb.tset.retrieve(stag)]
+        self.gamma = gamma
+        self.k_prime = k_prime
+        self.next_counter = 1
+        self.count = 0
+        self.matched: list = []
+
+    def feed(self, pos, neg) -> None:
+        """Evaluate counters ``next_counter`` onwards, one per entry of pos.
+
+        ``pos[i]`` and ``neg[i]`` hold the 33-byte token encodings for one
+        counter. A reached token that is not a curve point (the identity
+        included) raises WireError.
+        """
+        first = self.next_counter - 1
+        self.next_counter += len(pos)
+        bloom, gamma, k_prime = self.bloom, self.gamma, self.k_prime
+        for i, (y, enc_id) in enumerate(self.tuples[first : first + len(pos)]):
+            try:
+                hit = evaluate_tuple(bloom, y, pos[i], neg[i], gamma, k_prime)
+            except ValueError as exc:
+                raise WireError(f"malformed group element at counter {first + i + 1}: "
+                                f"{exc}") from None
+            if hit:
+                if gamma == GAMMA_COUNT:
+                    self.count += 1
+                else:
+                    self.matched.append(enc_id)
+
+    def finish(self) -> ResultSet:
+        covered = self.next_counter - 1
+        if covered < len(self.tuples):
+            log.warning("token stream covered %d of %d tuples; excess excluded",
+                        covered, len(self.tuples))
+        if self.gamma == GAMMA_COUNT:
+            return ResultSet(self.gamma, count=self.count)
+        return ResultSet(self.gamma, enc_ids=tuple(self.matched))
+
+
+def _complete(core: SearchCore, token: SearchToken) -> ResultSet:
+    core.feed([[e.encode() for e in row] for row in token.pos],
+              [[e.encode() for e in row] for row in token.neg])
+    return core.finish()
+
+
+def search(token: SearchToken, egdb: Egdb) -> ResultSet:
+    """Run one query over the encrypted database (the untrusted-server role)."""
+    return _complete(SearchCore(egdb, token.stag, token.gamma, token.k_prime), token)
 
 
 def decrypt_ids(enc_ids, sterm: str, keys: KeySet) -> list:
@@ -170,14 +229,13 @@ def decrypt_ids(enc_ids, sterm: str, keys: KeySet) -> list:
 def run_query(keys: KeySet, egdb: Egdb, query: Query, freq: "dict | None" = None):
     """Full in-process pipeline; returns a count or a sorted id list.
 
-    Mirrors the networked flow exactly: round one retrieves the anchor
-    chain length, round two generates tokens and searches.
+    Mirrors the networked flow exactly: round one opens the search and
+    learns the anchor chain length, round two generates tokens and feeds them.
     """
     eq = encode_query(query, freq)
-    stag = TSet.tag(keys.k_t, eq.sterm)
-    inv_len = len(egdb.tset.retrieve(stag))
-    token = generate_token(eq, keys, inv_len)
-    res = search(token, egdb)
+    core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma, eq.k_prime)
+    token = generate_token(eq, keys, len(core.tuples))
+    res = _complete(core, token)
     if eq.gamma == GAMMA_COUNT:
         return res.count
     return decrypt_ids(res.enc_ids, eq.sterm, keys)

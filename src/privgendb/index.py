@@ -2,10 +2,10 @@
 
 The server-visible database has two halves: a tuple set (label -> masked
 payload) holding, per keyword, the chain of (blinding scalar, encrypted
-record id) tuples addressed by per-counter labels, and a Bloom filter of
-cross-tag group elements that lets conjunctions be tested without revealing
-which keyword matched. Cross-tags themselves are discarded after insertion;
-only the filter ships to the server.
+record id) tuples addressed by per-counter labels, and a Bloom filter keyed
+on the x-coordinates of the cross-tag group elements that lets conjunctions
+be tested without revealing which keyword matched. Cross-tags themselves are
+discarded after insertion; only the filter ships to the server.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .crypto import (
     ENC_ID_LEN,
     ORDER,
+    SUPPORTED_LAMBDA_BITS,
     KeySet,
     Rng,
     SystemRng,
@@ -98,6 +99,8 @@ class BloomFilter:
 
     __slots__ = ("m", "k", "bits")
 
+    MAX_K = 255  # the on-disk format stores k in one byte
+
     def __init__(self, m: int, k: int, bits: "np.ndarray | None" = None):
         if m < 8 or k < 1:
             raise ValueError(f"bad bloom geometry m={m} k={k}")
@@ -111,14 +114,27 @@ class BloomFilter:
         self.bits = bits
 
     @classmethod
-    def with_capacity(cls, n: int, p_fp: float) -> "BloomFilter":
-        """Geometry for n elements at target false-positive rate p_fp."""
+    def geometry(cls, n: int, p_fp: float) -> "tuple[int, int]":
+        """(m, k) for n elements at target false-positive rate p_fp.
+
+        Raises ValueError for a p_fp outside (0, 1) or one so small that k
+        would not fit the format. k never grows with n, so n = 1 gives the
+        most hash functions any filter at this p_fp can need.
+        """
         if not (0.0 < p_fp < 1.0):
             raise ValueError(f"p_fp must be in (0,1), got {p_fp}")
         n = max(1, n)
         m = max(64, math.ceil(-n * math.log(p_fp) / math.log(2) ** 2))
         k = max(1, math.ceil(m / n * math.log(2)))
-        return cls(m, k)
+        if k > cls.MAX_K:
+            raise ValueError(f"p_fp {p_fp} needs {k} hash functions; the format stores "
+                             f"at most {cls.MAX_K}")
+        return m, k
+
+    @classmethod
+    def with_capacity(cls, n: int, p_fp: float) -> "BloomFilter":
+        """Empty filter for n elements at target false-positive rate p_fp."""
+        return cls(*cls.geometry(n, p_fp))
 
     @staticmethod
     def _hash_pair(data: bytes) -> "tuple[int, int]":
@@ -165,7 +181,10 @@ class BloomFilter:
         body = blob[9:]
         if len(body) != (m + 7) // 8:
             raise CorruptIndexError("bloom bit array truncated")
-        return cls(m, k, np.frombuffer(body, dtype=np.uint8).copy())
+        try:
+            return cls(m, k, np.frombuffer(body, dtype=np.uint8).copy())
+        except ValueError as exc:
+            raise CorruptIndexError(str(exc)) from None
 
 
 # --- tuple set --------------------------------------------------------------------
@@ -252,7 +271,7 @@ class TSet:
 
 GROUP_P256 = 1
 EGDB_MAGIC = b"PGDBEDB1"
-EGDB_VERSION = 1
+EGDB_VERSION = 2  # 2: the Bloom filter is keyed on cross-tag x-coordinates
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,7 +327,7 @@ def build_egdb(keys: KeySet, iinx: dict, rng: "Rng | None" = None,
                 y = xid * z_inv[c - 1] % ORDER
                 nonce = rng.bytes(12)  # same bytes sym_encrypt would produce
                 enc_id = nonce + aes.encrypt(nonce, rid.to_bytes(8, "big"), None)
-                pending.append(base_pow(x_g * xid % ORDER).encode())
+                pending.append(base_pow(x_g * xid % ORDER).x_bytes())
                 if len(pending) >= _BLOOM_FLUSH:
                     bloom.insert_many(pending)
                     pending.clear()
@@ -398,6 +417,10 @@ def load_egdb(source) -> Egdb:
     off += 9 + bloom_bytes
     n_entries, label_w, payload_w, p_fp = struct.unpack_from("<QBHd", blob, off)
     off += 19
+    if label_w * 8 not in SUPPORTED_LAMBDA_BITS:
+        raise CorruptIndexError(f"unsupported label width {label_w}")
+    if payload_w != 1 + TUPLE_LEN:
+        raise CorruptIndexError(f"payload width {payload_w}, want {1 + TUPLE_LEN}")
     pair_w = label_w + payload_w
     body = memoryview(blob)[off : len(blob) - 4]
     if len(body) != n_entries * pair_w:

@@ -18,23 +18,23 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .crypto import GroupElement, KeySet, load_keys
+from .crypto import ELEMENT_LEN, KeySet, load_keys
 from .encoding import QueryError, encode_query, parse_query
 from .engine import (
     GAMMA_COUNT,
     GAMMA_MATCH,
     Policy,
     ResultSet,
+    SearchCore,
     TamperingError,
     decrypt_ids,
-    evaluate_tuple,
     generate_token,
     parse_policy,
     vet_count,
     vet_ids,
     vet_request,
 )
-from .index import CorruptIndexError, Egdb, TSet, load_egdb, parse_tuple
+from .index import CorruptIndexError, Egdb, TSet, load_egdb
 from .wire import (
     MSG_ANSWER,
     MSG_DENIED,
@@ -71,12 +71,7 @@ def parse_hostport(text: str) -> "tuple[str, int]":
 
 @dataclass
 class _Session:
-    gamma: int
-    k_prime: "int | None"
-    tuples: list  # [(y, enc_id), ...] in counter order
-    next_counter: int = 1
-    count: int = 0
-    matched: list = field(default_factory=list)
+    core: SearchCore
     last_active: float = field(default_factory=time.monotonic)
 
 
@@ -149,12 +144,12 @@ class _DataHandler(socketserver.StreamRequestHandler):
                 raise WireError("match searches need integer k_prime >= 1")
         elif k_prime is not None:
             raise WireError("k_prime only applies to match searches")
-        stag = b64d(obj.get("stag"))
-        tuples = [parse_tuple(p) for p in srv.egdb.tset.retrieve(stag)]
+        core = SearchCore(srv.egdb, b64d(obj.get("stag")), gamma, k_prime)
         sid = secrets.token_hex(16)
         with srv.sessions_lock:
-            srv.sessions[sid] = _Session(gamma, k_prime, tuples)
-        send_frame(self.connection, MSG_STERM_COUNT, {"session": sid, "count": len(tuples)})
+            srv.sessions[sid] = _Session(core)
+        send_frame(self.connection, MSG_STERM_COUNT,
+                   {"session": sid, "count": len(core.tuples)})
 
     def _tokens(self, srv: DataServer, obj: dict):
         srv.purge_expired()
@@ -165,54 +160,49 @@ class _DataHandler(socketserver.StreamRequestHandler):
                 sess.last_active = time.monotonic()
         if sess is None:
             raise WireError("unknown or expired session")
+        core = sess.core
         start = obj.get("start")
         pos = obj.get("pos")
         neg = obj.get("neg")
         final = obj.get("final")
-        if not isinstance(start, int) or start != sess.next_counter:
-            raise WireError(f"out-of-order token batch (expected {sess.next_counter})")
+        if not isinstance(start, int) or start != core.next_counter:
+            raise WireError(f"out-of-order token batch (expected {core.next_counter})")
         if not isinstance(pos, list) or not isinstance(neg, list) or len(pos) != len(neg):
             raise WireError("token arrays must be equal-length lists")
         if not isinstance(final, bool):
             raise WireError("final flag must be a boolean")
-        if sess.gamma == GAMMA_MATCH and any(neg):
+        if core.gamma == GAMMA_MATCH and any(neg):
             raise WireError("match searches cannot carry negative tokens")
-        bloom = srv.egdb.xfilter
-        for i in range(len(pos)):
-            idx = start - 1 + i  # 0-based tuple index for this counter
-            if idx >= len(sess.tuples):
-                continue  # counters beyond the stored chain are ignored
-            ptoks = [self._element(t) for t in pos[i]]
-            ntoks = [self._element(t) for t in neg[i]]
-            y, enc_id = sess.tuples[idx]
-            if evaluate_tuple(bloom, y, ptoks, ntoks, sess.gamma, sess.k_prime):
-                if sess.gamma == GAMMA_COUNT:
-                    sess.count += 1
-                else:
-                    sess.matched.append(enc_id)
-        sess.next_counter += len(pos)
+        core.feed(self._elements(pos), self._elements(neg))
         if final:
-            covered = sess.next_counter - 1
-            if covered < len(sess.tuples):
-                log.warning(
-                    "token stream covered %d of %d tuples; excess tuples excluded",
-                    covered, len(sess.tuples),
-                )
             with srv.sessions_lock:
                 srv.sessions.pop(sid, None)
-            if sess.gamma == GAMMA_COUNT:
-                send_frame(self.connection, MSG_RESULT,
-                           {"session": sid, "count": sess.count})
+            res = core.finish()
+            if res.gamma == GAMMA_COUNT:
+                send_frame(self.connection, MSG_RESULT, {"session": sid, "count": res.count})
             else:
                 send_frame(self.connection, MSG_RESULT,
-                           {"session": sid, "enc_ids": [b64e(e) for e in sess.matched]})
+                           {"session": sid, "enc_ids": [b64e(e) for e in res.enc_ids]})
 
     @staticmethod
-    def _element(text) -> GroupElement:
-        try:
-            return GroupElement.decode(b64d(text))
-        except ValueError as exc:
-            raise WireError(f"malformed group element: {exc}") from None
+    def _elements(rows) -> list:
+        """Per-counter token lists, each token checked for shape on arrival.
+
+        Only the structure is checked here (base64, 33 bytes, compressed
+        prefix); whether a token is a curve point is checked by the search
+        core if and when it uses the token.
+        """
+        out = []
+        for row in rows:
+            if not isinstance(row, list):
+                raise WireError("token rows must be lists")
+            toks = [b64d(text) for text in row]
+            for tok in toks:
+                if len(tok) != ELEMENT_LEN or tok[0] not in (2, 3):
+                    raise WireError(f"malformed group element: want {ELEMENT_LEN} bytes "
+                                    "starting 0x02 or 0x03")
+            out.append(toks)
+        return out
 
 
 # --- vetter-side search client ------------------------------------------------------

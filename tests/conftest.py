@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from privgendb.crypto import SeededRng, keygen
+from privgendb import p256
+from privgendb.crypto import (
+    ORDER,
+    SeededRng,
+    base_pow,
+    keygen,
+    keyword_bytes,
+    keyword_counter,
+    prf_fp,
+)
 from privgendb.encoding import keyword_frequencies, parse_gdb
 from privgendb.fixtures import load_demo_cohort
 from privgendb.index import build_egdb, build_inverted_index
@@ -33,6 +42,48 @@ def demo_egdb(demo_keys, demo_iinx):
 @pytest.fixture(scope="session")
 def demo_freq(demo_gdb):
     return keyword_frequencies(demo_gdb)
+
+
+def _off_curve_encoding() -> bytes:
+    """A well-formed compressed encoding whose x has no point on P-256."""
+    for x in range(1, 100):
+        if p256.sqrt_mod_p((x * x * x + p256.A * x + p256.B) % p256.P) is None:
+            return b"\x02" + x.to_bytes(32, "big")
+    raise AssertionError("no off-curve x below 100")
+
+
+OFF_CURVE = _off_curve_encoding()
+
+
+def probe_tokens(keys, anchor, counters, keyword):
+    """Encoded tokens for (anchor counter c, keyword) for c = 1..counters."""
+    x = prf_fp(keys.k_x, keyword_bytes(keyword))
+    return [base_pow(prf_fp(keys.k_z, keyword_counter(anchor, c)) * x % ORDER).encode()
+            for c in range(1, counters + 1)]
+
+
+# golden answers over the demo cohort, with its keyword-frequency hint
+GOLDEN_COUNTS = [
+    ("phenotype=Cancer B, SNP2=CC, SNP4=AG", 2),
+    ("phenotype=Cancer B, SNP2!=CC, SNP4=AG", 1),
+    ("phenotype=Cancer B", 3),
+    ("SNP2=CC", 5),
+    ("phenotype=Cancer Z", 0),
+    ("SNP1=AG, SNP2=CT", 2),
+    ("gender=female, phenotype=Cancer A", 0),
+]
+
+GOLDEN_IDS = [
+    ("boolean", "phenotype=Cancer B, SNP2=CC, SNP4=AG", None, [2, 5]),
+    ("boolean", "phenotype=Cancer B, SNP2!=CC", None, [7]),
+    ("boolean", "phenotype=Cancer A, SNP1!=AG", None, [6]),
+    ("boolean", "id=4, SNP2=CC", None, [4]),
+    ("boolean", "id=4, SNP2=CT", None, []),
+    ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 1, [2, 5, 7]),
+    ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 2, [2, 5]),
+    ("match", "id=7, SNP2=CC, SNP3=CT, SNP4=AG", 2, [7]),
+    ("match", "id=7, SNP2=CC, SNP3=CT, SNP4=AG", 3, []),
+]
 
 
 GENOTYPE_CHOICES = ("AA", "AG", "GG", "CC", "CT", "TT")

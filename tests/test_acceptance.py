@@ -21,12 +21,13 @@ from privgendb.crypto import (
     ORDER,
     SeededRng,
     base_pow,
-    group_pow,
+    exponent_key,
     id_bytes,
     keygen,
     keyword_bytes,
     keyword_counter,
     prf_fp,
+    pow_x,
     scalar_inverse,
 )
 from privgendb.encoding import (
@@ -64,6 +65,8 @@ from conftest import (
     PHENOTYPE_POOL,
     random_cohort,
 )
+
+import ref_p256 as ref
 
 
 def _report(n: int, detail: str) -> None:
@@ -175,13 +178,16 @@ def test_criterion_3_cross_tag_identity_exhaustive():
             z = prf_fp(keys.k_z, keyword_counter(anchor, c))
             xid = prf_fp(keys.k_i, id_bytes(rid))
             y = xid * scalar_inverse(z) % ORDER
+            key = exponent_key(y)
             for probe in keywords:
                 token = base_pow(z * x_exp[probe] % ORDER)
-                recovered = group_pow(token, y)
+                recovered = pow_x(key, token.encode())  # the production route
                 expected_xtag = base_pow(x_exp[probe] * xid % ORDER)
-                assert recovered == expected_xtag  # algebraic identity, exact
+                assert recovered == expected_xtag.x_bytes()  # algebraic identity, exact
+                # the independent reference ladder recovers the whole point
+                assert ref.mul(ref.point_of(token), y) == ref.point_of(expected_xtag)
                 stored = rid in iinx[probe]
-                assert (recovered.encode() in egdb.xfilter) == stored
+                assert (recovered in egdb.xfilter) == stored
                 checks += 1
     assert checks == 42 * len(keywords)  # every (anchor, counter, probe) triple
     _report(3, f"{checks} recovered tokens, 100% equal to stored cross-tags")
@@ -206,14 +212,14 @@ def test_criterion_4_bloom_false_positive_budget():
     for g, ids in iinx.items():
         x = prf_fp(keys.k_x, keyword_bytes(g))
         for rid in ids:
-            xtag = base_pow(x * prf_fp(keys.k_i, id_bytes(rid)) % ORDER).encode()
+            xtag = base_pow(x * prf_fp(keys.k_i, id_bytes(rid)) % ORDER).x_bytes()
             assert xtag in bloom
             inserted += 1
     assert inserted == egdb.params.n_entries
 
     # empirical false-positive rate over 10^6 random probes
     probe_rng = SeededRng(44)
-    hits = sum((probe_rng.bytes(33) in bloom) for _ in range(1_000_000))
+    hits = sum((probe_rng.bytes(32) in bloom) for _ in range(1_000_000))
     assert hits <= 10  # <= 1e-5 at the 1e-6 design point
     _report(4, f"{inserted} cross-tags all present; {hits}/1e6 random probes hit")
 

@@ -51,6 +51,19 @@ def test_build_rejects_bad_csv(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fp", ["1e-80", "0", "1.5", "often"])
+def test_build_rejects_fp_up_front(tmp_path, capsys, fp):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(DEMO_COHORT_CSV)
+    keys = tmp_path / "k.keys"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--input", str(cohort), "--keys", str(keys),
+              "--egdb", str(tmp_path / "e.egdb"), "--fp", fp])
+    assert exc.value.code == 2
+    assert "argument --fp" in capsys.readouterr().err
+    assert not keys.exists()  # rejected before any build work
+
+
 def test_build_deterministic_with_seed(built, tmp_path):
     d, _, egdb_path = built
     # a fresh build (keys generated from the same seed) replays byte-for-byte

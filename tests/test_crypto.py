@@ -6,7 +6,7 @@ import stat
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privgendb import crypto
+from privgendb import crypto, p256
 from privgendb.crypto import (
     ORDER,
     AuthenticationError,
@@ -15,20 +15,23 @@ from privgendb.crypto import (
     SystemRng,
     base_pow,
     batch_inverse,
+    exponent_key,
     frame,
-    group_pow,
-    group_pow_via_openssl,
     id_bytes,
     keygen,
     keyword_counter,
     load_keys,
     prf_f,
     prf_fp,
+    pow_x,
     save_keys,
     scalar_inverse,
     sym_decrypt,
     sym_encrypt,
 )
+
+import ref_p256 as ref
+from conftest import OFF_CURVE
 
 
 def test_keygen_widths_and_independence():
@@ -128,23 +131,46 @@ def test_base_pow_identity_and_homomorphism():
     assert base_pow(ORDER).is_identity()
     a, b = 1234567, 89012345
     # h^(a*b) computed two ways
-    assert group_pow(base_pow(a), b) == base_pow(a * b % ORDER)
+    assert ref.mul(ref.point_of(base_pow(a)), b) == ref.point_of(base_pow(a * b % ORDER))
+
+
+def test_base_pow_matches_reference_ladder():
+    rng = SeededRng(19)
+    for _ in range(12):
+        e = prf_fp(rng.bytes(16), b"e")
+        assert ref.point_of(base_pow(e)) == ref.base_mul(e)
+    for e in (1, 2, ORDER - 1, ORDER - 2):
+        assert ref.point_of(base_pow(e)) == ref.base_mul(e)
 
 
 def test_group_pow_dual_route_agreement():
-    """Pure-Python ladder vs OpenSSL ECDH route on random cases."""
+    """Reference ladder vs the production OpenSSL ECDH route on random cases."""
     rng = SeededRng(9)
     for _ in range(12):
         e1 = prf_fp(rng.bytes(16), b"a")
         e2 = prf_fp(rng.bytes(16), b"b")
         elem = base_pow(e1)
-        assert group_pow(elem, e2) == group_pow_via_openssl(elem, e2)
+        expected = ref.mul(ref.point_of(elem), e2)
+        assert pow_x(exponent_key(e2), elem.encode()) == ref.x_bytes(expected)
+        assert expected == ref.point_of(base_pow(e1 * e2 % ORDER))
     # edge scalars through both routes
     elem = base_pow(4242)
     for e in (1, 2, ORDER - 1, ORDER - 2):
-        assert group_pow(elem, e) == group_pow_via_openssl(elem, e)
-    assert group_pow(elem, 0).is_identity()
-    assert group_pow_via_openssl(elem, 0).is_identity()
+        expected = ref.mul(ref.point_of(elem), e)
+        assert pow_x(exponent_key(e), elem.encode()) == ref.x_bytes(expected)
+    assert ref.mul(ref.point_of(elem), 0) is None
+    with pytest.raises(ValueError):
+        exponent_key(0)
+
+
+def test_pow_x_rejects_non_points():
+    key = exponent_key(7)
+    with pytest.raises(ValueError):
+        pow_x(key, crypto.IDENTITY.encode())
+    with pytest.raises(ValueError):
+        pow_x(key, OFF_CURVE)
+    with pytest.raises(ValueError):
+        pow_x(key, b"\x02" + p256.P.to_bytes(32, "big"))  # x >= p
 
 
 def test_group_element_encoding():
@@ -152,12 +178,15 @@ def test_group_element_encoding():
     enc = elem.encode()
     assert len(enc) == 33
     assert GroupElement.decode(enc) == elem
+    assert elem.x_bytes() == enc[1:] == ref.x_bytes(ref.base_mul(31337))
+    assert GroupElement.decode(crypto.IDENTITY.encode()).is_identity()
     with pytest.raises(ValueError):
         GroupElement.decode(b"\xff" * 33)
 
 
 def test_blinding_identity():
-    """The protocol's core algebra: (h^(z*x))^(xid * z^-1) == h^(x*xid)."""
+    """The protocol's core algebra: (h^(z*x))^(xid * z^-1) == h^(x*xid),
+    via the production OpenSSL route (x only) and the reference ladder."""
     rng = SeededRng(10)
     for _ in range(8):
         z = prf_fp(rng.bytes(16), b"z")
@@ -165,7 +194,9 @@ def test_blinding_identity():
         xid = prf_fp(rng.bytes(16), b"i")
         y = xid * scalar_inverse(z) % ORDER
         token = base_pow(z * x % ORDER)
-        assert group_pow(token, y) == base_pow(x * xid % ORDER)
+        xtag = base_pow(x * xid % ORDER)
+        assert pow_x(exponent_key(y), token.encode()) == xtag.x_bytes()
+        assert ref.mul(ref.point_of(token), y) == ref.point_of(xtag)
 
 
 def test_sym_encrypt_roundtrip_and_width():

@@ -4,10 +4,13 @@ import logging
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings, strategies as st
 
+from privgendb import engine
 from privgendb.crypto import (
     ORDER,
+    IDENTITY,
     SeededRng,
     base_pow,
     keygen,
@@ -17,8 +20,11 @@ from privgendb.crypto import (
 )
 from privgendb.encoding import QueryError, encode_query, parse_query
 from privgendb.engine import (
+    GAMMA_BOOLEAN,
+    GAMMA_MATCH,
     Policy,
     ResultSet,
+    SearchCore,
     SearchToken,
     TamperingError,
     decrypt_ids,
@@ -32,8 +38,9 @@ from privgendb.engine import (
 )
 from privgendb.evaluation import evaluate_plain
 from privgendb.index import TSet, build_egdb, build_inverted_index
+from privgendb.wire import WireError
 
-from conftest import random_cohort
+from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, probe_tokens, random_cohort
 
 
 # --- token generation ------------------------------------------------------------
@@ -59,6 +66,16 @@ def test_token_negation_split(demo_keys):
     assert [len(p) for p in token.pos] == [1, 1, 1]
     assert [len(n) for n in token.neg] == [1, 1, 1]
     assert token.gamma == 2
+
+
+def test_token_without_cross_terms_skips_blinding(demo_keys, monkeypatch):
+    eq = encode_query(parse_query("SNP2=CC", "count"))
+    calls = []
+    real = engine.prf_fp
+    monkeypatch.setattr(engine, "prf_fp", lambda k, d: calls.append(k) or real(k, d))
+    token = generate_token(eq, demo_keys, inv_len=5)
+    assert demo_keys.k_z not in calls  # no z_c derived for an empty token list
+    assert token.pos == token.neg == ((),) * 5  # the per-counter shape stays
 
 
 def test_token_zero_counters(demo_keys):
@@ -93,34 +110,10 @@ def test_result_set_invariants():
 
 # --- golden query answers over the encrypted pipeline -------------------------------
 
-GOLDEN_COUNTS = [
-    ("phenotype=Cancer B, SNP2=CC, SNP4=AG", 2),
-    ("phenotype=Cancer B, SNP2!=CC, SNP4=AG", 1),
-    ("phenotype=Cancer B", 3),
-    ("SNP2=CC", 5),
-    ("phenotype=Cancer Z", 0),
-    ("SNP1=AG, SNP2=CT", 2),
-    ("gender=female, phenotype=Cancer A", 0),
-]
-
-
 @pytest.mark.parametrize("where,expected", GOLDEN_COUNTS)
 def test_count_goldens(demo_keys, demo_egdb, demo_freq, where, expected):
     query = parse_query(where, "count")
     assert run_query(demo_keys, demo_egdb, query, demo_freq) == expected
-
-
-GOLDEN_IDS = [
-    ("boolean", "phenotype=Cancer B, SNP2=CC, SNP4=AG", None, [2, 5]),
-    ("boolean", "phenotype=Cancer B, SNP2!=CC", None, [7]),
-    ("boolean", "phenotype=Cancer A, SNP1!=AG", None, [6]),
-    ("boolean", "id=4, SNP2=CC", None, [4]),
-    ("boolean", "id=4, SNP2=CT", None, []),
-    ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 1, [2, 5, 7]),
-    ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 2, [2, 5]),
-    ("match", "id=7, SNP2=CC, SNP3=CT, SNP4=AG", 2, [7]),
-    ("match", "id=7, SNP2=CC, SNP3=CT, SNP4=AG", 3, []),
-]
 
 
 @pytest.mark.parametrize("qtype,where,k_prime,expected", GOLDEN_IDS)
@@ -187,6 +180,69 @@ def test_search_unknown_anchor_is_empty(demo_keys, demo_egdb):
     eq = encode_query(parse_query("phenotype=Nope, SNP2=CC", "boolean"))
     token = generate_token(eq, demo_keys, inv_len=0)
     assert search(token, demo_egdb).enc_ids == ()
+
+
+# --- the search core ----------------------------------------------------------------
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_tokenless_chain_builds_no_key(demo_keys, demo_egdb, monkeypatch):
+    keys_made = _count_calls(monkeypatch, ec, "derive_private_key")
+    assert run_query(demo_keys, demo_egdb, parse_query("SNP2=CC", "count")) == 5
+    assert keys_made == []
+    # with cross-terms: one key per tuple, however many tokens it has
+    eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"))
+    token = generate_token(eq, demo_keys, inv_len=3)
+    keys_made.clear()
+    assert len(search(token, demo_egdb).enc_ids) == 2
+    assert len(keys_made) == 3
+
+
+def test_boolean_early_exit_leaves_tokens_undecoded(demo_keys, demo_egdb, monkeypatch):
+    decoded = _count_calls(monkeypatch, engine, "pow_x")
+    # no Cancer B record is Cancer A: the first token misses on every tuple
+    misses = probe_tokens(demo_keys, "Cancer B", 3, "Cancer A")
+    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN)
+    core.feed([[miss, OFF_CURVE, IDENTITY.encode()] for miss in misses], [[]] * 3)
+    assert core.finish().enc_ids == ()
+    assert [args[1] for args in decoded] == misses  # one decode per tuple
+
+
+def test_match_early_exits_leave_tokens_undecoded(demo_keys, demo_egdb, monkeypatch):
+    decoded = _count_calls(monkeypatch, engine, "pow_x")
+    stag = TSet.tag(demo_keys.k_t, "Cancer B")
+    misses = probe_tokens(demo_keys, "Cancer B", 3, "Cancer A")
+    hits = probe_tokens(demo_keys, "Cancer B", 3, "Cancer B")
+    # k' = 3 of 3: the first miss already decides
+    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 3)
+    core.feed([[m, OFF_CURVE, OFF_CURVE] for m in misses], [[]] * 3)
+    assert core.finish().enc_ids == ()
+    # k' = 1: the first hit already decides
+    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 1)
+    core.feed([[h, OFF_CURVE] for h in hits], [[]] * 3)
+    assert len(core.finish().enc_ids) == 3
+    assert len(decoded) == 6
+    # k' above the token count: decided before any key or decode
+    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 2)
+    core.feed([[OFF_CURVE]] * 3, [[]] * 3)
+    assert core.finish().enc_ids == () and len(decoded) == 6
+
+
+@pytest.mark.parametrize("bad", [OFF_CURVE, IDENTITY.encode()], ids=["off-curve", "identity"])
+def test_core_rejects_a_used_non_point(demo_keys, demo_egdb, bad):
+    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN)
+    with pytest.raises(WireError, match="group element at counter 1"):
+        core.feed([[bad]], [[]])
 
 
 def test_decrypt_ids_detects_tampering(demo_keys, demo_egdb):

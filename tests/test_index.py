@@ -2,6 +2,8 @@
 
 import io
 import random
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,16 +12,20 @@ from privgendb.crypto import (
     ORDER,
     SeededRng,
     base_pow,
-    group_pow,
-    group_pow_via_openssl,
+    exponent_key,
     id_bytes,
     keygen,
     keyword_bytes,
     keyword_counter,
     prf_fp,
+    pow_x,
     scalar_inverse,
 )
 from privgendb.index import (
+    EGDB_MAGIC,
+    EGDB_VERSION,
+    GROUP_P256,
+    TUPLE_LEN,
     BloomFilter,
     CorruptIndexError,
     IndexBuildError,
@@ -33,6 +39,8 @@ from privgendb.index import (
 )
 
 from conftest import random_cohort
+
+import ref_p256 as ref
 
 
 # --- inverted index -----------------------------------------------------------
@@ -78,6 +86,17 @@ def test_bloom_geometry_bounds():
         BloomFilter.with_capacity(10, 0.0)
     with pytest.raises(ValueError):
         BloomFilter.with_capacity(10, 1.5)
+
+
+def test_bloom_rejects_more_hash_functions_than_the_format_stores():
+    # k is stored as a u8: 1e-80 needs 266 hash functions
+    with pytest.raises(ValueError, match="266 hash functions"):
+        BloomFilter.with_capacity(1000, 1e-80)
+    assert BloomFilter.geometry(1000, 1e-76)[1] <= BloomFilter.MAX_K
+    # n = 1 bounds k for every n at the same p_fp
+    for p_fp in (1e-3, 1e-30, 1e-76):
+        k1 = BloomFilter.geometry(1, p_fp)[1]
+        assert all(BloomFilter.geometry(n, p_fp)[1] <= k1 for n in (2, 3, 7, 1000, 10**6))
 
 
 def test_bloom_no_false_negatives_small():
@@ -206,8 +225,9 @@ def test_egdb_parameters(demo_egdb, demo_iinx):
 
 
 def test_cross_tag_identity_exhaustive(demo_keys, demo_iinx, demo_egdb):
-    """For every (anchor counter, probe keyword) pair, filter membership must
-    equal plaintext co-occurrence. This is the correctness core of the scheme."""
+    """For every (anchor counter, probe keyword) pair, filter membership of
+    the production x(token^y) must equal plaintext co-occurrence. This is the
+    correctness core of the scheme."""
     keys = demo_keys
     bloom = demo_egdb.xfilter
     keywords = sorted(demo_iinx)
@@ -217,10 +237,10 @@ def test_cross_tag_identity_exhaustive(demo_keys, demo_iinx, demo_egdb):
         for c, rid in enumerate(demo_iinx[g1], 1):
             z = prf_fp(keys.k_z, keyword_counter(g1, c))
             xid = prf_fp(keys.k_i, id_bytes(rid))
-            y = xid * scalar_inverse(z) % ORDER
+            key = exponent_key(xid * scalar_inverse(z) % ORDER)
             for g2 in keywords:
                 token = base_pow(z * x_exp[g2] % ORDER)
-                present = group_pow(token, y).encode() in bloom
+                present = pow_x(key, token.encode()) in bloom
                 expected = rid in demo_iinx[g2]
                 checks += 1
                 if present != expected:
@@ -230,7 +250,7 @@ def test_cross_tag_identity_exhaustive(demo_keys, demo_iinx, demo_egdb):
 
 
 def test_cross_tag_identity_via_independent_route(demo_keys, demo_iinx, demo_egdb):
-    """Same identity, but the exponentiation goes through OpenSSL ECDH."""
+    """Same identity, but the exponentiation goes through the reference ladder."""
     keys = demo_keys
     g1, g2 = "Cancer B", "2CC"
     x2 = prf_fp(keys.k_x, keyword_bytes(g2))
@@ -239,8 +259,9 @@ def test_cross_tag_identity_via_independent_route(demo_keys, demo_iinx, demo_egd
         xid = prf_fp(keys.k_i, id_bytes(rid))
         y = xid * scalar_inverse(z) % ORDER
         token = base_pow(z * x2 % ORDER)
-        present = group_pow_via_openssl(token, y).encode() in demo_egdb.xfilter
-        assert present == (rid in demo_iinx[g2])
+        recovered = ref.x_bytes(ref.mul(ref.point_of(token), y))
+        assert recovered == pow_x(exponent_key(y), token.encode())
+        assert (recovered in demo_egdb.xfilter) == (rid in demo_iinx[g2])
 
 
 def test_parse_tuple_validation(demo_keys, demo_egdb, demo_iinx):
@@ -296,3 +317,49 @@ def test_egdb_size_accounting(demo_egdb):
     bloom_bytes = 9 + (demo_egdb.xfilter.m + 7) // 8
     header = 8 + 3 + 19
     assert len(blob) == header + bloom_bytes + pair_bytes + 4
+
+
+def _egdb_blob(version=EGDB_VERSION, m=64, k=3, n_entries=0, label_w=16,
+               payload_w=1 + TUPLE_LEN, body=b"") -> bytes:
+    """A hand-built database file with a correct CRC over whatever it claims."""
+    blob = (EGDB_MAGIC + struct.pack("<HB", version, GROUP_P256)
+            + struct.pack("<QB", m, k) + bytes((m + 7) // 8)
+            + struct.pack("<QBHd", n_entries, label_w, payload_w, 1e-6) + body)
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+def test_hand_built_header_is_well_formed():
+    egdb = load_egdb(_egdb_blob())
+    assert egdb.params.n_entries == 0 and len(egdb.tset) == 0
+
+
+def test_egdb_version_1_rejected(demo_egdb):
+    assert EGDB_VERSION == 2
+    with pytest.raises(CorruptIndexError, match="version 1"):
+        load_egdb(_egdb_blob(version=1))
+    # a real database relabelled as version 1, CRC recomputed
+    blob = bytearray(egdb_to_bytes(demo_egdb)[:-4])
+    struct.pack_into("<H", blob, len(EGDB_MAGIC), 1)
+    with pytest.raises(CorruptIndexError, match="version 1"):
+        load_egdb(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+
+
+@pytest.mark.parametrize("fields,match", [
+    ({"label_w": 0, "payload_w": 0, "n_entries": 4_000_000}, "label width"),
+    ({"label_w": 0}, "label width"),
+    ({"label_w": 20}, "label width"),
+    ({"payload_w": 0}, "payload width"),
+    ({"payload_w": TUPLE_LEN}, "payload width"),
+    ({"label_w": 32, "payload_w": 2 + TUPLE_LEN}, "payload width"),
+    ({"m": 7}, "geometry"),
+    ({"k": 0}, "geometry"),
+])
+def test_egdb_header_sanity(fields, match):
+    with pytest.raises(CorruptIndexError, match=match):
+        load_egdb(_egdb_blob(**fields))
+
+
+def test_egdb_accepts_256_bit_labels():
+    label, payload = b"\x01" * 32, b"\x02" * (1 + TUPLE_LEN)
+    egdb = load_egdb(_egdb_blob(label_w=32, n_entries=1, body=label + payload))
+    assert egdb.tset.table == {label: payload}

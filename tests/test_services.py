@@ -10,7 +10,8 @@ import time
 import pytest
 
 from privgendb.encoding import encode_query, parse_query
-from privgendb.engine import Policy, run_query
+from privgendb.crypto import IDENTITY
+from privgendb.engine import Policy, decrypt_ids, run_query
 from privgendb.index import TSet
 from privgendb.services import (
     DataServer,
@@ -37,6 +38,8 @@ from privgendb.wire import (
     read_frame,
     send_frame,
 )
+
+from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, probe_tokens
 
 
 # --- framed JSON codec -------------------------------------------------------------
@@ -155,6 +158,20 @@ def test_tcp_matches_in_process(vetter, demo_keys, demo_egdb, demo_freq,
             assert (mtype, body["count"]) == (MSG_ANSWER, expected)
     else:
         assert (mtype, body["ids"]) == (MSG_ANSWER, expected)
+
+
+def test_networked_search_matches_in_process_goldens(data_server, demo_keys, demo_egdb,
+                                                    demo_freq):
+    cases = [("count", where, None, n) for where, n in GOLDEN_COUNTS] + GOLDEN_IDS
+    for qtype, where, k_prime, expected in cases:
+        query = parse_query(where, qtype, k_prime)
+        eq = encode_query(query, demo_freq)
+        res = execute_search(data_server.server_address, demo_keys, eq)
+        if qtype == "count":
+            networked = res.count
+        else:
+            networked = decrypt_ids(res.enc_ids, eq.sterm, demo_keys)
+        assert networked == run_query(demo_keys, demo_egdb, query, demo_freq) == expected
 
 
 def test_threshold_denial(vetter):
@@ -365,6 +382,41 @@ def test_server_rejects_malformed_group_element(data_server, demo_keys):
                                        "pos": [[junk]], "neg": [[]], "final": True})
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_ERROR and "group element" in obj["error"]
+
+
+def _send_tokens(addr, demo_keys, pos, neg):
+    """Open a boolean search on the 3-tuple Cancer B chain and send one batch."""
+    with socket.create_connection(addr, timeout=10) as sock:
+        rd = sock.makefile("rb")
+        sock.sendall(_init_frame(demo_keys))
+        mtype, obj, _ = read_frame(rd)
+        assert mtype == MSG_STERM_COUNT and obj["count"] == 3
+        send_frame(sock, MSG_XTOKENS, {"session": obj["session"], "start": 1,
+                                       "pos": pos, "neg": neg, "final": True})
+        return read_frame(rd)[:2]
+
+
+def test_server_rejects_unused_malformed_token_on_arrival(data_server, demo_keys):
+    junk = b64e(b"\x07" * 33)
+    # no Cancer B record is Cancer A, so the core stops at the first token
+    miss = b64e(probe_tokens(demo_keys, "Cancer B", 1, "Cancer A")[0])
+    mtype, obj = _send_tokens(data_server.server_address, demo_keys,
+                              [[miss, junk], [], []], [[], [], []])
+    assert mtype == MSG_ERROR and "group element" in obj["error"]
+    # counter 4 is past the chain, so the core would never use this token
+    mtype, obj = _send_tokens(data_server.server_address, demo_keys,
+                              [[], [], [], [junk]], [[], [], [], []])
+    assert mtype == MSG_ERROR and "group element" in obj["error"]
+    mtype, obj = _send_tokens(data_server.server_address, demo_keys,
+                              [[], [], []], [[b64e(b"\x02" * 32)], [], []])  # 32 bytes
+    assert mtype == MSG_ERROR and "group element" in obj["error"]
+
+
+@pytest.mark.parametrize("bad", [OFF_CURVE, IDENTITY.encode()], ids=["off-curve", "identity"])
+def test_server_rejects_used_non_point(data_server, demo_keys, bad):
+    mtype, obj = _send_tokens(data_server.server_address, demo_keys,
+                              [[b64e(bad)], [], []], [[], [], []])
+    assert mtype == MSG_ERROR and "group element" in obj["error"]
 
 
 def test_session_expiry(demo_egdb, demo_keys):
