@@ -30,10 +30,10 @@ SUPPORTED_LAMBDA_BITS = (128, 256)
 
 _CURVE = ec.SECP256R1()
 _ECDH = ec.ECDH()
-_NONCE_LEN = 12
+NONCE_LEN = 12
 _ID_LEN = 8
 _TAG_LEN = 16
-ENC_ID_LEN = _NONCE_LEN + _ID_LEN + _TAG_LEN  # fixed-width ciphertexts
+ENC_ID_LEN = NONCE_LEN + _ID_LEN + _TAG_LEN  # fixed-width ciphertexts
 
 MAX_RECORD_ID = 2**64 - 1
 
@@ -58,6 +58,9 @@ class SeededRng:
 
     Draws SHAKE-256(seed || call_counter); the stream therefore depends on
     the sequence of request sizes, which is stable for a fixed code path.
+    The index build draws every nonce in one process, in sorted-keyword then
+    counter order, so a seeded build does not depend on how many worker
+    processes encrypt it.
     """
 
     def __init__(self, seed: int | bytes):
@@ -212,21 +215,24 @@ def pow_x(key: ec.EllipticCurvePrivateKey, encoded: bytes) -> bytes:
 
 # --- authenticated record-id encryption --------------------------------------
 
+def seal_record_id(aead: AESGCM, nonce: bytes, record_id: int) -> bytes:
+    """AES-GCM over the 8-byte record id under a prepared key: nonce || ct || tag."""
+    return nonce + aead.encrypt(nonce, record_id.to_bytes(_ID_LEN, "big"), None)
+
+
 def sym_encrypt(key: bytes, record_id: int, rng: Rng | None = None) -> bytes:
-    """AES-GCM over the 8-byte record id; output is nonce || ct || tag."""
+    """``seal_record_id`` under ``key`` with a fresh nonce drawn from ``rng``."""
     if not (1 <= record_id <= MAX_RECORD_ID):
         raise ValueError(f"record id out of range: {record_id}")
     rng = rng or SystemRng()
-    nonce = rng.bytes(_NONCE_LEN)
-    ct = AESGCM(key).encrypt(nonce, record_id.to_bytes(_ID_LEN, "big"), None)
-    return nonce + ct
+    return seal_record_id(AESGCM(key), rng.bytes(NONCE_LEN), record_id)
 
 
 def sym_decrypt(key: bytes, blob: bytes) -> int:
     if len(blob) != ENC_ID_LEN:
         raise AuthenticationError(f"ciphertext must be {ENC_ID_LEN} bytes")
     try:
-        pt = AESGCM(key).decrypt(blob[:_NONCE_LEN], blob[_NONCE_LEN:], None)
+        pt = AESGCM(key).decrypt(blob[:NONCE_LEN], blob[NONCE_LEN:], None)
     except InvalidTag as exc:
         raise AuthenticationError("record-id ciphertext failed authentication") from exc
     return int.from_bytes(pt, "big")

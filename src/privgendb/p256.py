@@ -23,14 +23,6 @@ N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 
-def is_on_curve(pt) -> bool:
-    if pt is None:
-        return True
-    x, y = pt
-    if not (0 <= x < P and 0 <= y < P):
-        return False
-    return (y * y - (x * x * x + A * x + B)) % P == 0
-
 
 def sqrt_mod_p(v: int) -> "int | None":
     # p = 3 mod 4, so a square root (if any) is v^((p+1)/4)

@@ -152,12 +152,13 @@ class _DataHandler(socketserver.StreamRequestHandler):
                    {"session": sid, "count": len(core.tuples)})
 
     def _tokens(self, srv: DataServer, obj: dict):
+        """One token batch. The session is taken out of the map while the
+        batch runs and goes back only if the batch succeeds without being
+        final, so a batch that fails drops its session with the error."""
         srv.purge_expired()
         sid = obj.get("session")
         with srv.sessions_lock:
-            sess = srv.sessions.get(sid)
-            if sess is not None:
-                sess.last_active = time.monotonic()
+            sess = srv.sessions.pop(sid, None) if isinstance(sid, str) else None
         if sess is None:
             raise WireError("unknown or expired session")
         core = sess.core
@@ -174,15 +175,17 @@ class _DataHandler(socketserver.StreamRequestHandler):
         if core.gamma == GAMMA_MATCH and any(neg):
             raise WireError("match searches cannot carry negative tokens")
         core.feed(self._elements(pos), self._elements(neg))
-        if final:
+        if not final:
+            sess.last_active = time.monotonic()
             with srv.sessions_lock:
-                srv.sessions.pop(sid, None)
-            res = core.finish()
-            if res.gamma == GAMMA_COUNT:
-                send_frame(self.connection, MSG_RESULT, {"session": sid, "count": res.count})
-            else:
-                send_frame(self.connection, MSG_RESULT,
-                           {"session": sid, "enc_ids": [b64e(e) for e in res.enc_ids]})
+                srv.sessions[sid] = sess
+            return
+        res = core.finish()
+        if res.gamma == GAMMA_COUNT:
+            send_frame(self.connection, MSG_RESULT, {"session": sid, "count": res.count})
+        else:
+            send_frame(self.connection, MSG_RESULT,
+                       {"session": sid, "enc_ids": [b64e(e) for e in res.enc_ids]})
 
     @staticmethod
     def _elements(rows) -> list:

@@ -8,7 +8,16 @@ for the search path: about 4 ms per multiplication.
 Points are affine ``(x, y)`` int tuples; ``None`` is the point at infinity.
 """
 
-from privgendb.p256 import A, GX, GY, N, P, decode_point
+from privgendb.p256 import A, B, GX, GY, N, P, decode_point
+
+
+def is_on_curve(pt) -> bool:
+    if pt is None:
+        return True
+    x, y = pt
+    if not (0 <= x < P and 0 <= y < P):
+        return False
+    return (y * y - (x * x * x + A * x + B)) % P == 0
 
 
 def _jdbl(X1, Y1, Z1):

@@ -1,6 +1,9 @@
 """Bloom filter, tuple set, database build, and the serialized format."""
 
+import concurrent.futures
+import hashlib
 import io
+import os
 import random
 import struct
 import zlib
@@ -21,6 +24,10 @@ from privgendb.crypto import (
     pow_x,
     scalar_inverse,
 )
+import privgendb.index as index_mod
+from privgendb.encoding import parse_gdb, parse_query
+from privgendb.engine import run_query
+from privgendb.evaluation import SyntheticSpec, gen_synthetic
 from privgendb.index import (
     EGDB_MAGIC,
     EGDB_VERSION,
@@ -38,7 +45,7 @@ from privgendb.index import (
     parse_tuple,
 )
 
-from conftest import random_cohort
+from conftest import GOLDEN_COUNTS, GOLDEN_IDS, random_cohort
 
 import ref_p256 as ref
 
@@ -74,6 +81,15 @@ def test_inverted_index_ascending_and_consistent():
 
 # --- bloom filter ----------------------------------------------------------------
 
+def bloom_insert(bf: BloomFilter, data: bytes) -> None:
+    """Scalar reference for BloomFilter.insert_many: one item, bit by bit."""
+    d = hashlib.sha256(data).digest()
+    h1, h2 = int.from_bytes(d[:8], "little"), int.from_bytes(d[8:16], "little") | 1
+    for i in range(bf.k):
+        pos = ((h1 + i * h2) % 2**64) % bf.m
+        bf.bits[pos >> 3] |= 1 << (pos & 7)
+
+
 def test_bloom_geometry_golden():
     bf = BloomFilter.with_capacity(1000, 1e-6)
     assert bf.m == 28756
@@ -104,7 +120,7 @@ def test_bloom_no_false_negatives_small():
     rng = SeededRng(31)
     items = [rng.bytes(33) for _ in range(500)]
     for it in items:
-        bf.insert(it)
+        bloom_insert(bf, it)
     assert all(it in bf for it in items)
 
 
@@ -114,7 +130,7 @@ def test_bloom_insert_many_matches_scalar():
     a = BloomFilter.with_capacity(300, 1e-5)
     b = BloomFilter.with_capacity(300, 1e-5)
     for it in items:
-        a.insert(it)
+        bloom_insert(a, it)
     b.insert_many(items)
     assert a.bits.tobytes() == b.bits.tobytes()
     b.insert_many([])  # no-op
@@ -122,7 +138,7 @@ def test_bloom_insert_many_matches_scalar():
 
 def test_bloom_serialization_roundtrip():
     bf = BloomFilter.with_capacity(100, 1e-3)
-    bf.insert(b"hello")
+    bloom_insert(bf, b"hello")
     blob = bf.to_bytes()
     bf2 = BloomFilter.from_bytes(blob)
     assert bf2.m == bf.m and bf2.k == bf.k
@@ -141,9 +157,22 @@ def test_bloom_membership_property(items):
 
 # --- tuple set --------------------------------------------------------------------
 
+def tset_setup(chains: dict, k_t: bytes, payload_len: int) -> TSet:
+    """A TSet holding each keyword's payloads as its chain, built entry by entry."""
+    table = {}
+    for kw, payloads in chains.items():
+        stag = TSet.tag(k_t, kw)
+        for c, payload in enumerate(payloads, 1):
+            if len(payload) != payload_len:
+                raise IndexBuildError(f"payload for {kw!r} has {len(payload)} bytes")
+            label, masked = TSet.entry(stag, c, c == len(payloads), payload)
+            assert label not in table
+            table[label] = masked
+    return TSet(table, len(k_t), 1 + payload_len)
+
+
 def _mini_tset(k_t, chains):
-    return TSet.setup(((kw, [p for p in ps]) for kw, ps in chains.items()), k_t,
-                      payload_len=8)
+    return tset_setup(chains, k_t, payload_len=8)
 
 
 def test_tset_roundtrip():
@@ -160,10 +189,14 @@ def test_tset_roundtrip():
     assert ts.retrieve(b"\x00" * 16) == []
 
 
-def test_tset_payload_width_enforced():
+def test_tset_payload_width_enforced(demo_egdb):
     k_t = SeededRng(34).bytes(16)
     with pytest.raises(IndexBuildError):
-        TSet.setup([("kw", [b"short"])], k_t, payload_len=8)
+        tset_setup({"kw": [b"short"]}, k_t, payload_len=8)
+    # the build stores every entry at the widths its header declares
+    p = demo_egdb.params
+    assert {len(label) for label in demo_egdb.tset.table} == {p.label_width}
+    assert {len(body) for body in demo_egdb.tset.table.values()} == {p.payload_width}
 
 
 def test_tset_detects_truncated_chain():
@@ -213,6 +246,79 @@ def test_build_deterministic_with_seeded_rng(demo_keys, demo_iinx):
     assert egdb_to_bytes(a) == egdb_to_bytes(b)
     c = build_egdb(demo_keys, demo_iinx, SeededRng(41))
     assert egdb_to_bytes(a) != egdb_to_bytes(c)  # fresh nonces move ciphertexts
+
+
+# SHA-256 of egdb_to_bytes for two seeded builds, recorded before the build
+# was split across worker processes: the demo cohort (below the pool
+# threshold) and a synthetic cohort of 8,800 entries (above it).
+GOLDEN_DEMO_SHA256 = "b88d5502089dee8efb986ce0ccdd4caf408cbe20dcc104d792a036c504925330"
+GOLDEN_SYNTH_SHA256 = "bda0a73716fd31100d6a0119c0e3e6584528aa16e7497727ee44f813b580db45"
+
+
+@pytest.fixture(scope="module")
+def synth_iinx():
+    spec = SyntheticSpec.uniform(400, 20, [("Cohort", 60), ("Background", 340)], seed=5)
+    iinx = build_inverted_index(parse_gdb(gen_synthetic(spec)))
+    assert index_entry_count(iinx) == 8800 > index_mod._POOL_MIN_ENTRIES
+    return iinx
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Force a two-process pool whatever the machine; counts the pools made."""
+    made = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return made
+
+
+def _sha(egdb) -> str:
+    return hashlib.sha256(egdb_to_bytes(egdb)).hexdigest()
+
+
+def test_build_matches_golden_bytes(demo_egdb, synth_iinx, pool_spy):
+    assert _sha(demo_egdb) == GOLDEN_DEMO_SHA256
+    egdb = build_egdb(keygen(rng=SeededRng(51)), synth_iinx, SeededRng(52))
+    assert pool_spy == [(2,)]
+    assert _sha(egdb) == GOLDEN_SYNTH_SHA256
+
+
+def test_pooled_and_in_process_builds_are_identical(synth_iinx, pool_spy, monkeypatch):
+    keys = keygen(rng=SeededRng(53))
+    pooled = egdb_to_bytes(build_egdb(keys, synth_iinx, SeededRng(54)))
+    assert len(pool_spy) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert egdb_to_bytes(build_egdb(keys, synth_iinx, SeededRng(54))) == pooled
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(index_mod, "_POOL_MIN_ENTRIES", 10**9)
+    assert egdb_to_bytes(build_egdb(keys, synth_iinx, SeededRng(54))) == pooled
+    assert len(pool_spy) == 1
+
+
+def test_label_collision_in_a_worker_raises(synth_iinx, pool_spy, monkeypatch):
+    # labels that ignore the keyword: every chain's counter c lands on one label
+    monkeypatch.setattr(TSet, "_label", staticmethod(lambda stag, c: c.to_bytes(16, "little")))
+    with pytest.raises(IndexBuildError, match="collision"):
+        build_egdb(keygen(rng=SeededRng(55)), synth_iinx, SeededRng(56))
+    assert len(pool_spy) == 1
+
+
+def test_pooled_system_rng_build_answers_goldens(demo_keys, demo_iinx, demo_freq,
+                                                 pool_spy, monkeypatch):
+    monkeypatch.setattr(index_mod, "_POOL_MIN_ENTRIES", 1)
+    egdb = build_egdb(demo_keys, demo_iinx)
+    assert len(pool_spy) == 1
+    for where, expected in GOLDEN_COUNTS:
+        assert run_query(demo_keys, egdb, parse_query(where, "count"), demo_freq) == expected
+    for qtype, where, k_prime, expected in GOLDEN_IDS:
+        query = parse_query(where, qtype, k_prime)
+        assert run_query(demo_keys, egdb, query, demo_freq) == expected
 
 
 def test_egdb_parameters(demo_egdb, demo_iinx):
@@ -290,8 +396,6 @@ def test_egdb_serialization_roundtrip(demo_egdb):
 
 def test_egdb_file_roundtrip(tmp_path, demo_egdb):
     path = tmp_path / "demo.egdb"
-    import privgendb.index as index_mod
-
     with open(path, "wb") as fh:
         written = index_mod.serialize_egdb(demo_egdb, fh)
     assert path.stat().st_size == written

@@ -20,7 +20,7 @@ def _openssl_base_mul(k: int):
 
 
 def test_curve_constants_consistent():
-    assert p256.is_on_curve((p256.GX, p256.GY))
+    assert ref.is_on_curve((p256.GX, p256.GY))
     assert (p256.P + 1) % 4 == 0  # sqrt via the (p+1)/4 exponent is valid
     assert ref.mul((p256.GX, p256.GY), p256.N) is None  # generator order
 
@@ -41,7 +41,7 @@ def test_variable_mul_matches_openssl_ecdh():
         peer = ec.EllipticCurvePublicNumbers(*point, _CURVE).public_key()
         shared = ec.derive_private_key(e, _CURVE).exchange(ec.ECDH(), peer)
         assert ours[0] == int.from_bytes(shared, "big")
-        assert p256.is_on_curve(ours)
+        assert ref.is_on_curve(ours)
 
 
 def test_mul_edge_cases():

@@ -384,7 +384,34 @@ def test_server_rejects_malformed_group_element(data_server, demo_keys):
         assert mtype == MSG_ERROR and "group element" in obj["error"]
 
 
-def _send_tokens(addr, demo_keys, pos, neg):
+def test_protocol_error_drops_the_session(demo_egdb, demo_keys):
+    srv = DataServer(("127.0.0.1", 0), demo_egdb)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        junk = b64e(b"\x07" * 33)
+        for final in (True, False):
+            mtype, obj = _send_tokens(srv.server_address, demo_keys,
+                                      [[junk], [], []], [[], [], []], final)
+            assert mtype == MSG_ERROR and "group element" in obj["error"]
+            assert len(srv.sessions) == 0
+        # a good batch that is not final keeps its session for the next one
+        with socket.create_connection(srv.server_address, timeout=10) as sock:
+            rd = sock.makefile("rb")
+            sock.sendall(_init_frame(demo_keys))
+            sid = read_frame(rd)[1]["session"]
+            send_frame(sock, MSG_XTOKENS, {"session": sid, "start": 1,
+                                           "pos": [[]], "neg": [[]], "final": False})
+            send_frame(sock, MSG_XTOKENS, {"session": [sid], "start": 2,
+                                           "pos": [[]], "neg": [[]], "final": False})
+            mtype, obj, _ = read_frame(rd)
+            assert mtype == MSG_ERROR and "session" in obj["error"]
+        assert list(srv.sessions) == [sid]
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+def _send_tokens(addr, demo_keys, pos, neg, final=True):
     """Open a boolean search on the 3-tuple Cancer B chain and send one batch."""
     with socket.create_connection(addr, timeout=10) as sock:
         rd = sock.makefile("rb")
@@ -392,7 +419,7 @@ def _send_tokens(addr, demo_keys, pos, neg):
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_STERM_COUNT and obj["count"] == 3
         send_frame(sock, MSG_XTOKENS, {"session": obj["session"], "start": 1,
-                                       "pos": pos, "neg": neg, "final": True})
+                                       "pos": pos, "neg": neg, "final": final})
         return read_frame(rd)[:2]
 
 
