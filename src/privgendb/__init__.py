@@ -23,13 +23,11 @@ from .encoding import (
     Gdb,
     GdbParseError,
     GdbRecord,
-    KeywordUniverse,
     Predicate,
     Query,
     QueryError,
     encode_query,
     keyword_frequencies,
-    keyword_universe,
     parse_gdb,
     parse_query,
     record_keywords,

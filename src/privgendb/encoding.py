@@ -53,23 +53,6 @@ class Gdb:
 
 
 @dataclass(frozen=True, slots=True)
-class KeywordUniverse:
-    """Distinct keywords per column, in keyword space (so "2CC", not "CC")."""
-
-    snp: tuple  # snp[i] = frozenset of keywords for column i+1
-    phenotypes: frozenset
-    metadata: dict  # column name -> frozenset of value keywords
-
-    def all_keywords(self) -> set:
-        out = set(self.phenotypes)
-        for s in self.snp:
-            out |= s
-        for vals in self.metadata.values():
-            out |= vals
-        return out
-
-
-@dataclass(frozen=True, slots=True)
 class Predicate:
     kind: str  # "snp" | "phenotype" | "gender" | "ethnicity" | "id"
     value: str
@@ -198,24 +181,6 @@ def parse_gdb(source) -> Gdb:
             meta.append((name, v))
         records.append(GdbRecord(rid, tuple(genos), phenotype, tuple(meta)))
     return Gdb(tuple(records), snp_count, meta_cols)
-
-
-def keyword_universe(gdb: Gdb) -> KeywordUniverse:
-    """Distinct keyword sets per column (ID keywords are structural, excluded)."""
-    snp_sets = [set() for _ in range(gdb.snp_count)]
-    phenos = set()
-    meta = {name: set() for name in gdb.metadata_columns}
-    for rec in gdb.records:
-        for i, g in enumerate(rec.genotypes):
-            snp_sets[i].add(f"{i + 1}{g}")
-        phenos.add(rec.phenotype)
-        for name, v in rec.metadata:
-            meta[name].add(v)
-    return KeywordUniverse(
-        tuple(frozenset(s) for s in snp_sets),
-        frozenset(phenos),
-        {k: frozenset(v) for k, v in meta.items()},
-    )
 
 
 def record_keywords(rec: GdbRecord) -> set:

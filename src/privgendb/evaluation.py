@@ -23,7 +23,7 @@ from .encoding import (
     parse_gdb,
     select_sterm,
 )
-from .engine import generate_token, run_query, search
+from .engine import generate_token, search
 from .index import TSet, build_egdb, build_inverted_index, egdb_to_bytes
 
 
@@ -260,8 +260,3 @@ def run_grid(cases, runs: int = 5, progress=None) -> list:
         if progress:
             progress(rep)
     return reports
-
-
-def sanity_check_pipeline(gdb: Gdb, keys, egdb, query: Query, freq=None) -> bool:
-    """Cross-check one query: encrypted pipeline against the oracle."""
-    return run_query(keys, egdb, query, freq) == evaluate_plain(gdb, query, freq)

@@ -49,11 +49,15 @@ from .wire import (
     b64e,
     read_frame,
     send_frame,
+    send_frames,
 )
 
 log = logging.getLogger("privgendb.services")
 
 DEFAULT_BATCH = 256
+# Live search sessions a data server holds at once; each keeps its parsed
+# anchor chain until its final batch, a failed batch or the idle timeout.
+MAX_SESSIONS = 256
 
 
 class ServiceError(Exception):
@@ -100,6 +104,7 @@ class DataServer(socketserver.ThreadingTCPServer):
 
 class _DataHandler(socketserver.StreamRequestHandler):
     timeout = 120
+    disable_nagle_algorithm = True
 
     def handle(self):
         srv: DataServer = self.server
@@ -147,6 +152,8 @@ class _DataHandler(socketserver.StreamRequestHandler):
         core = SearchCore(srv.egdb, b64d(obj.get("stag")), gamma, k_prime)
         sid = secrets.token_hex(16)
         with srv.sessions_lock:
+            if len(srv.sessions) >= MAX_SESSIONS:
+                raise WireError(f"too many open sessions (limit {MAX_SESSIONS})")
             srv.sessions[sid] = _Session(core)
         send_frame(self.connection, MSG_STERM_COUNT,
                    {"session": sid, "count": len(core.tuples)})
@@ -214,18 +221,25 @@ def execute_search(server_addr, keys: KeySet, eq, batch: int = DEFAULT_BATCH,
                    on_frame=None, timeout: float = 60.0) -> ResultSet:
     """Drive the two-round protocol against a data server.
 
+    Each round goes out in one write on a socket with Nagle's algorithm off:
+    the server answers only the final token batch, so a batch held back for
+    an ACK would stall the search by the peer's delayed-ACK timer. ``batch``
+    sets the counters per token frame, not the number of writes.
+
     ``on_frame(direction, msg_type, body_bytes)`` observes every frame; the
     transcript tests use it to audit exactly what a network eavesdropper (or
     the server itself) gets to see.
     """
     with socket.create_connection(server_addr, timeout=timeout) as sock:
         sock.settimeout(timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         rd = sock.makefile("rb")
 
-        def send(mtype, obj):
-            raw = send_frame(sock, mtype, obj)
+        def send(frames):
+            raw = send_frames(sock, frames)
             if on_frame:
-                on_frame("send", mtype, raw[5:])
+                for (mtype, _), frame in zip(frames, raw):
+                    on_frame("send", mtype, frame[5:])
 
         def recv():
             mtype, obj, body = read_frame(rd)
@@ -240,7 +254,7 @@ def execute_search(server_addr, keys: KeySet, eq, batch: int = DEFAULT_BATCH,
         init = {"stag": b64e(TSet.tag(keys.k_t, eq.sterm)), "gamma": eq.gamma}
         if eq.gamma == GAMMA_MATCH:
             init["k_prime"] = eq.k_prime
-        send(MSG_SEARCH_INIT, init)
+        send([(MSG_SEARCH_INIT, init)])
         mtype, obj = recv()
         if mtype != MSG_STERM_COUNT:
             raise ServiceError(f"expected tuple count, got message type {mtype}")
@@ -250,20 +264,22 @@ def execute_search(server_addr, keys: KeySet, eq, batch: int = DEFAULT_BATCH,
             raise ServiceError("malformed tuple-count response")
 
         token = generate_token(eq, keys, inv_len)
+        frames = []
         start = 1
         while True:
             hi = min(start - 1 + batch, token.counters)
-            frame = {
+            final = hi >= token.counters
+            frames.append((MSG_XTOKENS, {
                 "session": sid,
                 "start": start,
                 "pos": [[b64e(e.encode()) for e in token.pos[c]] for c in range(start - 1, hi)],
                 "neg": [[b64e(e.encode()) for e in token.neg[c]] for c in range(start - 1, hi)],
-                "final": hi >= token.counters,
-            }
-            send(MSG_XTOKENS, frame)
-            if frame["final"]:
+                "final": final,
+            }))
+            if final:
                 break
             start = hi + 1
+        send(frames)
         mtype, obj = recv()
         if mtype != MSG_RESULT:
             raise ServiceError(f"expected result, got message type {mtype}")
@@ -311,6 +327,7 @@ class Vetter(socketserver.ThreadingTCPServer):
 
 class _VetterHandler(socketserver.StreamRequestHandler):
     timeout = 300
+    disable_nagle_algorithm = True
 
     def handle(self):
         while True:
@@ -333,6 +350,7 @@ class _VetterHandler(socketserver.StreamRequestHandler):
             pass
 
     def _query(self, obj: dict):
+        t_request = time.perf_counter()
         srv: Vetter = self.server
         user = obj.get("user", "")
         qtype = obj.get("type", "")
@@ -355,32 +373,43 @@ class _VetterHandler(socketserver.StreamRequestHandler):
             srv.audit(user, qtype, where, "denied:parse")
             self._send(MSG_DENIED, {"reason": "parse", "detail": str(exc)})
             return
+        t_upstream = time.perf_counter()
         try:
             res = execute_search(srv.server_addr, srv.keys, eq, batch=srv.batch)
+            failure = None
         except (OSError, WireError, ServiceError) as exc:
-            srv.audit(user, qtype, where, "error:upstream")
-            self._send(MSG_ERROR, {"error": f"data server unavailable: {exc}"})
+            failure = exc
+        ms_upstream = (time.perf_counter() - t_upstream) * 1e3
+
+        def audit(outcome: str) -> None:
+            ms_total = (time.perf_counter() - t_request) * 1e3
+            srv.audit(user, qtype, where,
+                      f"{outcome} ms_total={ms_total:.3f} ms_upstream={ms_upstream:.3f}")
+
+        if failure is not None:
+            audit("error:upstream")
+            self._send(MSG_ERROR, {"error": f"data server unavailable: {failure}"})
             return
         if eq.gamma == GAMMA_COUNT:
             released = vet_count(res.count, srv.policy)
             if released is None:
-                srv.audit(user, qtype, where, "denied:threshold")
+                audit("denied:threshold")
                 self._send(MSG_DENIED, {
                     "reason": "threshold",
                     "detail": f"count below release threshold {srv.policy.threshold}",
                 })
                 return
-            srv.audit(user, qtype, where, f"answered:count={released}")
+            audit(f"answered:count={released}")
             self._send(MSG_ANSWER, {"count": released})
             return
         try:
             ids = decrypt_ids(res.enc_ids, eq.sterm, srv.keys)
         except TamperingError as exc:
-            srv.audit(user, qtype, where, "error:tampering")
+            audit("error:tampering")
             self._send(MSG_ERROR, {"error": str(exc)})
             return
         ids = vet_ids(ids)
-        srv.audit(user, qtype, where, f"answered:ids={len(ids)}")
+        audit(f"answered:ids={len(ids)}")
         self._send(MSG_ANSWER, {"ids": ids})
 
 
@@ -394,6 +423,7 @@ def submit_query(vetter_addr, user: str, query_type: str, where: str,
         obj["k_prime"] = k_prime
     with socket.create_connection(vetter_addr, timeout=timeout) as sock:
         sock.settimeout(timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         send_frame(sock, MSG_QUERY, obj)
         rd = sock.makefile("rb")
         mtype, body, _ = read_frame(rd)

@@ -1,6 +1,7 @@
 """Cohort parsing, keyword mapping, and the query grammar."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from privgendb.encoding import (
     encode_query,
     keyword_for_predicate,
     keyword_frequencies,
-    keyword_universe,
     parse_gdb,
     parse_query,
     record_keywords,
@@ -20,6 +20,41 @@ from privgendb.encoding import (
 from privgendb.fixtures import DEMO_COHORT_CSV
 
 from conftest import random_cohort
+
+
+@dataclass(frozen=True, slots=True)
+class KeywordUniverse:
+    """Distinct keywords per column, in keyword space (so "2CC", not "CC")."""
+
+    snp: tuple  # snp[i] = frozenset of keywords for column i+1
+    phenotypes: frozenset
+    metadata: dict  # column name -> frozenset of value keywords
+
+    def all_keywords(self) -> set:
+        out = set(self.phenotypes)
+        for s in self.snp:
+            out |= s
+        for vals in self.metadata.values():
+            out |= vals
+        return out
+
+
+def keyword_universe(gdb) -> KeywordUniverse:
+    """Distinct keyword sets per column (ID keywords are structural, excluded)."""
+    snp_sets = [set() for _ in range(gdb.snp_count)]
+    phenos = set()
+    meta = {name: set() for name in gdb.metadata_columns}
+    for rec in gdb.records:
+        for i, g in enumerate(rec.genotypes):
+            snp_sets[i].add(f"{i + 1}{g}")
+        phenos.add(rec.phenotype)
+        for name, v in rec.metadata:
+            meta[name].add(v)
+    return KeywordUniverse(
+        tuple(frozenset(s) for s in snp_sets),
+        frozenset(phenos),
+        {k: frozenset(v) for k, v in meta.items()},
+    )
 
 
 def test_demo_parse_shape(demo_gdb):

@@ -12,6 +12,7 @@ from privgendb.encoding import (
     parse_query,
     record_keywords,
 )
+from privgendb.engine import run_query
 from privgendb.evaluation import (
     BenchCase,
     SyntheticSpec,
@@ -21,7 +22,6 @@ from privgendb.evaluation import (
     predicate_matches,
     run_case,
     run_grid,
-    sanity_check_pipeline,
     write_report_csv,
     REPORT_COLUMNS,
 )
@@ -181,4 +181,4 @@ def test_grid_report_csv():
 
 def test_sanity_check_pipeline(demo_gdb, demo_keys, demo_egdb, demo_freq):
     q = parse_query("phenotype=Cancer B, SNP2=CC", "boolean")
-    assert sanity_check_pipeline(demo_gdb, demo_keys, demo_egdb, q, demo_freq)
+    assert run_query(demo_keys, demo_egdb, q, demo_freq) == evaluate_plain(demo_gdb, q, demo_freq)

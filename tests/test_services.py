@@ -1,11 +1,16 @@
 """Wire protocol and the networked data-server / vetter deployment."""
 
+import dataclasses
+import hashlib
 import io
 import json
+import re
+import secrets
 import socket
 import struct
 import threading
 import time
+import types
 
 import pytest
 
@@ -13,6 +18,7 @@ from privgendb.encoding import encode_query, parse_query
 from privgendb.crypto import IDENTITY
 from privgendb.engine import Policy, decrypt_ids, run_query
 from privgendb.index import TSet
+from privgendb import services
 from privgendb.services import (
     DataServer,
     ServiceError,
@@ -216,6 +222,13 @@ def test_audit_log_written(vetter, audit_file):
     text = audit_file.read_text()
     assert "user='bob' type=count" in text and "answered:count=5" in text
     assert "denied:auth" in text
+    answered = [line for line in text.splitlines() if "outcome=answered:" in line]
+    assert answered
+    for line in answered:
+        m = re.search(r" ms_total=(\S+) ms_upstream=(\S+)$", line)
+        assert m, line
+        ms_total, ms_upstream = float(m[1]), float(m[2])
+        assert 0 <= ms_upstream <= ms_total
 
 
 def test_vetter_upstream_unavailable(demo_keys, tmp_path):
@@ -268,14 +281,124 @@ def test_transcript_shape_and_leakage(data_server, demo_keys, demo_freq):
     assert len(res.enc_ids) == 2
 
 
-def test_small_batches_equal_one_shot(data_server, demo_keys, demo_egdb, demo_freq):
+@pytest.fixture
+def upstream_writes(monkeypatch, data_server):
+    """Every sendall on a connection to the shared data server, as bytes."""
+    writes = []
+    real = socket.socket.sendall
+
+    def spy(sock, data, *args):
+        if sock.getpeername() == data_server.server_address:
+            writes.append(bytes(data))
+        return real(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", spy)
+    return writes
+
+
+def test_small_batches_equal_one_shot(data_server, demo_keys, demo_egdb, demo_freq,
+                                     upstream_writes):
     eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
     one = execute_search(data_server.server_address, demo_keys, eq)
+    upstream_writes.clear()
     trickle_frames = []
     trickle = execute_search(data_server.server_address, demo_keys, eq, batch=1,
                              on_frame=lambda d, t, b: trickle_frames.append(t))
     assert one.enc_ids == trickle.enc_ids
     assert trickle_frames.count(MSG_XTOKENS) == 5  # 5 tuples, one per batch
+    assert len(upstream_writes) == 2  # yet one write per round
+
+
+# SHA-256 of the bytes the vetter side wrote, and of the on_frame transcript
+# (direction, type, u32 length, body per frame), with the session id fixed.
+# Recorded when every frame was its own write, so they pin the bytes on the
+# wire across the change to one write per round.
+WIRE_GOLDENS = [
+    ("boolean", "SNP2=CC, SNP4!=AG", None, 1,
+     "411d1d90e579a8dbf490982ce887ed620903c089783b3f24a3de80ed0eb1e506",
+     "e2f168e8c35206f49d4f6c528eb75d57f53c08d349f1cf7c9303af68b0104639"),
+    ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 1, 2,
+     "51029211866e79c5a2426b0d4d193d2c2d3d153609b03b5f8049089079850e7b",
+     "e8815694b0af1989b0a81ac3265358667f094014fed74aceb7258db449c16acd"),
+    ("count", "SNP2=CC", None, 256,
+     "59cd967f1078ac770734ad47ceba341f2675d263539ef2e8a8752568c6fd981f",
+     "eaa5c4ef3a4bb50e33311332c828fb8630604cc157dfa59a7f5722cc5f2ab4c3"),
+]
+
+
+@pytest.mark.parametrize("qtype,where,k_prime,batch,wire_sha,transcript_sha", WIRE_GOLDENS,
+                         ids=[g[0] for g in WIRE_GOLDENS])
+def test_wire_bytes_match_golden(monkeypatch, data_server, demo_keys, demo_freq,
+                                 upstream_writes, qtype, where, k_prime, batch,
+                                 wire_sha, transcript_sha):
+    monkeypatch.setattr(secrets, "token_hex", lambda n=16: "5e" * n)
+    eq = encode_query(parse_query(where, qtype, k_prime), demo_freq)
+    frames = []
+    execute_search(data_server.server_address, demo_keys, eq, batch=batch,
+                   on_frame=lambda d, t, b: frames.append((d, t, b)))
+    transcript = b"".join(d.encode() + bytes([t]) + len(b).to_bytes(4, "little") + b
+                          for d, t, b in frames)
+    assert hashlib.sha256(b"".join(upstream_writes)).hexdigest() == wire_sha
+    assert hashlib.sha256(transcript).hexdigest() == transcript_sha
+
+
+def test_nagle_is_off_on_every_connection(monkeypatch, vetter, data_server):
+    nodelay = {}
+    real = socket.socket.sendall
+
+    def spy(sock, data, *args):
+        ends = {"peer": sock.getpeername(), "local": sock.getsockname()}
+        for end, addr in ends.items():
+            for name, srv in (("vetter", vetter), ("server", data_server)):
+                if addr == srv.server_address:
+                    nodelay[(end, name)] = sock.getsockopt(socket.IPPROTO_TCP,
+                                                           socket.TCP_NODELAY)
+        return real(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", spy)
+    mtype, _ = submit_query(vetter.server_address, "alice", "count", "SNP2=CC")
+    assert mtype == MSG_ANSWER
+    # submit_query's socket, the vetter's upstream socket, and the
+    # connection each server accepted
+    assert set(nodelay) == {("peer", "vetter"), ("peer", "server"),
+                            ("local", "vetter"), ("local", "server")}
+    assert all(nodelay.values()), nodelay
+
+
+def test_rejected_first_batch_of_a_coalesced_stream_fails_cleanly(
+        monkeypatch, demo_egdb, demo_keys, demo_freq, tmp_path):
+    real = services.generate_token
+
+    def off_curve_at_counter_1(eq, keys, inv_len):
+        token = real(eq, keys, inv_len)
+        bad = types.SimpleNamespace(encode=lambda: OFF_CURVE)
+        return dataclasses.replace(token, neg=((bad,) * len(token.neg[0]),) + token.neg[1:])
+
+    monkeypatch.setattr(services, "generate_token", off_curve_at_counter_1)
+    srv = DataServer(("127.0.0.1", 0), demo_egdb)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    audit = tmp_path / "audit.log"
+    vet = Vetter(("127.0.0.1", 0), demo_keys, POLICY, srv.server_address,
+                 audit_path=audit, batch=1)
+    threading.Thread(target=vet.serve_forever, daemon=True).start()
+    try:
+        # 5 one-counter batches in one write; the server refuses the first
+        eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
+        with pytest.raises((ServiceError, OSError)) as err:
+            execute_search(srv.server_address, demo_keys, eq, batch=1, timeout=10)
+        if isinstance(err.value, ServiceError):
+            assert "group element at counter 1" in str(err.value)
+        assert srv.sessions == {}
+        mtype, body = submit_query(vet.server_address, "alice", "boolean",
+                                   "SNP2=CC, SNP4!=AG", timeout=10)
+        assert mtype == MSG_ERROR and "unavailable" in body["error"]
+        assert "outcome=error:upstream ms_total=" in audit.read_text()
+        assert srv.sessions == {}
+    finally:
+        vet.shutdown()
+        vet.server_close()
+        srv.shutdown()
+        srv.server_close()
 
 
 def test_count_zero_still_answers(data_server, demo_keys):
@@ -444,6 +567,45 @@ def test_server_rejects_used_non_point(data_server, demo_keys, bad):
     mtype, obj = _send_tokens(data_server.server_address, demo_keys,
                               [[b64e(bad)], [], []], [[], [], []])
     assert mtype == MSG_ERROR and "group element" in obj["error"]
+
+
+def test_live_sessions_are_capped(monkeypatch, demo_egdb, demo_keys):
+    monkeypatch.setattr(services, "MAX_SESSIONS", 2)
+    srv = DataServer(("127.0.0.1", 0), demo_egdb)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+
+    def open_session():
+        sock = socket.create_connection(srv.server_address, timeout=10)
+        rd = sock.makefile("rb")
+        sock.sendall(_init_frame(demo_keys))
+        mtype, obj, _ = read_frame(rd)
+        return sock, rd, mtype, obj
+
+    held = []
+    try:
+        for _ in range(2):
+            sock, rd, mtype, obj = open_session()
+            held.append((sock, rd, obj.get("session")))
+            assert mtype == MSG_STERM_COUNT
+        sock, _, mtype, obj = open_session()
+        sock.close()
+        assert mtype == MSG_ERROR and "too many open sessions" in obj["error"]
+        assert len(srv.sessions) == 2
+        # finishing one search frees its slot for the next
+        sock, rd, sid = held.pop()
+        send_frame(sock, MSG_XTOKENS, {"session": sid, "start": 1, "pos": [[]] * 3,
+                                       "neg": [[]] * 3, "final": True})
+        assert read_frame(rd)[0] == MSG_RESULT
+        sock.close()
+        sock, rd, mtype, obj = open_session()
+        held.append((sock, rd, obj.get("session")))
+        assert mtype == MSG_STERM_COUNT
+        assert len(srv.sessions) == 2
+    finally:
+        for sock, _, _ in held:
+            sock.close()
+        srv.shutdown()
+        srv.server_close()
 
 
 def test_session_expiry(demo_egdb, demo_keys):
