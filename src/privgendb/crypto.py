@@ -88,11 +88,6 @@ class GroupElement:
     def encode(self) -> bytes:
         return self.data
 
-    @classmethod
-    def decode(cls, data: bytes) -> "GroupElement":
-        p256.decode_point(data)  # ValueError unless data encodes a group element
-        return cls(bytes(data))
-
     def is_identity(self) -> bool:
         return self.data == IDENTITY.data
 

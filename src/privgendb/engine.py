@@ -113,12 +113,13 @@ def generate_token(eq: EncodedQuery, keys: KeySet, inv_len: int) -> SearchToken:
     return SearchToken(stag, eq.gamma, eq.k_prime, tuple(pos), tuple(neg))
 
 
-def evaluate_tuple(bloom: BloomFilter, y: int, pos, neg, gamma: int,
+def evaluate_tuple(bloom: BloomFilter, y: bytes, pos, neg, gamma: int,
                    k_prime: "int | None") -> bool:
     """Decide one tuple: raise tokens to y and test their x in the filter.
 
-    ``pos`` and ``neg`` hold 33-byte token encodings. The OpenSSL key for y
-    is built only if some token must be raised, and each token is decoded
+    ``y`` is the tuple's 32-byte big-endian scalar and ``pos`` and ``neg``
+    hold 33-byte token encodings. The scalar's int and its OpenSSL key are
+    built only if some token must be raised, and each token is decoded
     only when the evaluation reaches it, so an early exit skips the rest.
     Raises ValueError for a reached token that is not a curve point.
     """
@@ -126,7 +127,7 @@ def evaluate_tuple(bloom: BloomFilter, y: int, pos, neg, gamma: int,
         left = len(pos)
         if left < k_prime:
             return False
-        key = exponent_key(y)
+        key = exponent_key(int.from_bytes(y, "big"))
         hits = 0
         for tok in pos:
             left -= 1
@@ -139,7 +140,7 @@ def evaluate_tuple(bloom: BloomFilter, y: int, pos, neg, gamma: int,
         return hits >= k_prime
     if not pos and not neg:
         return True
-    key = exponent_key(y)
+    key = exponent_key(int.from_bytes(y, "big"))
     for tok in pos:
         if pow_x(key, tok) not in bloom:
             return False

@@ -5,13 +5,14 @@ payload) holding, per keyword, the chain of (blinding scalar, encrypted
 record id) tuples addressed by per-counter labels, and a Bloom filter keyed
 on the x-coordinates of the cross-tag group elements that lets conjunctions
 be tested without revealing which keyword matched. Cross-tags themselves are
-discarded after insertion; only the filter ships to the server.
+discarded after insertion; only the filter ships to the server. A chain's
+labels and pads come from AES under keys drawn from its tag, so the build
+and the search each derive a whole chain with one call per cipher.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 import math
 import os
 import struct
@@ -20,6 +21,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .crypto import (
@@ -187,17 +189,25 @@ class BloomFilter:
 
 # --- tuple set --------------------------------------------------------------------
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+_BLOCK = 16  # AES block bytes
+_FIRST_BATCH = 64  # counters derived by a retrieve's first batch; later batches double
 
 
 class TSet:
     """Oblivious label -> payload table addressed by per-keyword tags.
 
-    Each keyword's tuples live at labels PRF(stag, counter) and are XOR-masked
-    by an independently derived pad; a one-byte chain flag marks the last
-    tuple, so retrieval needs no stored length. Without the stag, entries are
-    indistinguishable from random.
+    Each keyword's tuples live at per-counter labels and are XOR-masked by
+    per-counter pads; a one-byte chain flag marks the last tuple, so
+    retrieval needs no stored length. Labels and pads come from AES keyed by
+    two keys drawn from the stag, k_L = F(stag, "L") and k_M = F(stag, "M"),
+    so AES-128 at lambda = 128 and AES-256 at lambda = 256. The label of
+    counter c is AES-ECB under k_L of the blocks (c, j), each two
+    little-endian u64s, for j below the label width in blocks (one block for
+    16-byte labels, two for 32); its pad is ``ceil(payload_width / 16)``
+    blocks of one AES-CTR keystream under k_M (initial counter block 0),
+    starting at block ``ceil(payload_width / 16) * (c - 1)``. A whole
+    chain's labels and pads are thus one cipher call each. Without the stag,
+    entries are indistinguishable from random.
     """
 
     __slots__ = ("table", "label_width", "payload_width")
@@ -212,37 +222,89 @@ class TSet:
         return prf_f(k_t, keyword_bytes(keyword))
 
     @staticmethod
-    def _label(stag: bytes, c: int) -> bytes:
-        return hmac.digest(stag, b"L" + c.to_bytes(8, "little"), "sha256")[: len(stag)]
+    def _ciphers(stag: bytes):
+        """The label (AES-ECB) and pad (AES-CTR from block 0) encryptors of a chain."""
+        labels = Cipher(algorithms.AES(prf_f(stag, b"L")), modes.ECB()).encryptor()
+        pads = Cipher(algorithms.AES(prf_f(stag, b"M")), modes.CTR(bytes(_BLOCK))).encryptor()
+        return labels, pads
 
     @staticmethod
-    def _mask(stag: bytes, c: int, width: int) -> bytes:
-        return hashlib.shake_256(b"M" + stag + c.to_bytes(8, "little")).digest(width)
+    def _derive(ciphers, first: int, n: int, label_width: int,
+                payload_width: int) -> "tuple[list, np.ndarray]":
+        """Labels and pads of counters first .. first + n - 1.
+
+        Returns the n labels as bytes and the pads as an (n, payload_width)
+        uint8 array. The pad stream is read on from where the last call on
+        the same ``ciphers`` stopped, so calls must go in counter order.
+        """
+        labels, pads = ciphers
+        halves = label_width // _BLOCK
+        blocks = np.empty((n, halves, 2), dtype="<u8")
+        blocks[:, :, 0] = np.arange(first, first + n, dtype=np.uint64)[:, None]
+        blocks[:, :, 1] = np.arange(halves, dtype=np.uint64)
+        raw = labels.update(blocks.tobytes())
+        per = -(-payload_width // _BLOCK) * _BLOCK
+        stream = np.frombuffer(pads.update(bytes(n * per)), dtype=np.uint8)
+        return ([raw[i : i + label_width] for i in range(0, len(raw), label_width)],
+                stream.reshape(n, per)[:, :payload_width])
 
     @classmethod
-    def entry(cls, stag: bytes, c: int, last: bool, payload: bytes) -> "tuple[bytes, bytes]":
-        """(label, masked body) of tuple c in a chain; ``last`` ends the chain."""
-        body = (b"\x01" if last else b"\x00") + payload
-        return cls._label(stag, c), _xor(body, cls._mask(stag, c, len(body)))
+    def chain(cls, stag: bytes, payloads) -> list:
+        """The (label, masked body) pairs of one keyword's chain of payloads."""
+        n = len(payloads)
+        if not n:
+            return []
+        width = len(payloads[0])
+        if any(len(p) != width for p in payloads):
+            raise ValueError("a chain's payloads must have one width")
+        body = np.zeros((n, 1 + width), dtype=np.uint8)
+        body[-1, 0] = 1  # the flag that ends the chain
+        body[:, 1:] = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(n, width)
+        labels, pads = cls._derive(cls._ciphers(stag), 1, n, len(stag), 1 + width)
+        masked = (body ^ pads).tobytes()
+        return list(zip(labels, (masked[i : i + 1 + width]
+                                 for i in range(0, len(masked), 1 + width))))
 
     def retrieve(self, stag: bytes) -> list:
-        """All payloads chained under stag, counter order; [] if none exist."""
-        out = []
-        c = 1
+        """All payloads chained under stag, counter order; [] if none exist.
+
+        Labels and pads are derived in batches of 64 counters, then 128, 256
+        and so on, until the flag byte ends the chain.
+        """
+        label_w, width = self.label_width, self.payload_width
+        if len(stag) != label_w:
+            return []  # no stag of this width ever filed a chain here
+        ciphers = self._ciphers(stag)
+        get = self.table.get
+        out: list = []
+        first, n = 1, _FIRST_BATCH
         while True:
-            masked = self.table.get(self._label(stag, c))
-            if masked is None:
-                if c == 1:
-                    return []
-                raise CorruptIndexError(f"tuple chain truncated at counter {c}")
-            body = _xor(masked, self._mask(stag, c, self.payload_width))
-            flag = body[0]
-            if flag not in (0, 1):
-                raise CorruptIndexError(f"bad tuple flag byte {flag:#x} at counter {c}")
-            out.append(body[1:])
-            if flag == 1:
+            labels, pads = self._derive(ciphers, first, n, label_w, width)
+            masked = list(map(get, labels))
+            try:
+                found = masked.index(None)
+            except ValueError:
+                found = n
+            if not found and first == 1:
+                return []
+            body = np.frombuffer(b"".join(masked[:found]), dtype=np.uint8)
+            body = body.reshape(found, width) ^ pads[:found]
+            flags = body[:, 0]
+            ends = np.flatnonzero(flags)
+            if ends.size:
+                found = int(ends[0]) + 1
+                flag = int(flags[found - 1])
+                if flag != 1:
+                    raise CorruptIndexError(
+                        f"bad tuple flag byte {flag:#x} at counter {first + found - 1}")
+            elif found < n:
+                raise CorruptIndexError(f"tuple chain truncated at counter {first + found}")
+            rows = body[:found, 1:].tobytes()
+            out += [rows[i : i + width - 1] for i in range(0, len(rows), width - 1)]
+            if ends.size:
                 return out
-            c += 1
+            first += n
+            n *= 2
 
     def __len__(self):
         return len(self.table)
@@ -252,7 +314,9 @@ class TSet:
 
 GROUP_P256 = 1
 EGDB_MAGIC = b"PGDBEDB1"
-EGDB_VERSION = 2  # 2: the Bloom filter is keyed on cross-tag x-coordinates
+# 2: the Bloom filter is keyed on cross-tag x-coordinates
+# 3: TSet labels and pads come from AES under keys drawn from the stag
+EGDB_VERSION = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,12 +357,12 @@ def _encrypt_keywords(job) -> "tuple[list, list]":
         z_inv = batch_inverse(
             prf_fp(k_z, keyword_counter(g, c)) for c in range(1, len(rids) + 1)
         )
-        stag = TSet.tag(k_t, g)
-        last = len(rids)
-        for c, (rid, xid, nonce, zi) in enumerate(zip(rids, xids, nonces, z_inv), 1):
+        payloads = []
+        for rid, xid, nonce, zi in zip(rids, xids, nonces, z_inv):
             xs.append(base_pow(x_g * xid % ORDER).x_bytes())
             y = (xid * zi % ORDER).to_bytes(Y_LEN, "big")
-            pairs.append(TSet.entry(stag, c, c == last, y + seal_record_id(aead, nonce, rid)))
+            payloads.append(y + seal_record_id(aead, nonce, rid))
+        pairs += TSet.chain(TSet.tag(k_t, g), payloads)
     return pairs, xs
 
 
@@ -378,12 +442,20 @@ def build_egdb(keys: KeySet, iinx: dict, rng: "Rng | None" = None,
     return Egdb(tset, bloom, params)
 
 
-def parse_tuple(payload: bytes) -> "tuple[int, bytes]":
-    """Split a retrieved tuple into (y scalar, encrypted record id)."""
+_Y_ZERO = bytes(Y_LEN)
+_Y_ORDER = ORDER.to_bytes(Y_LEN, "big")
+
+
+def parse_tuple(payload: bytes) -> "tuple[bytes, bytes]":
+    """Split a retrieved tuple into (y scalar, encrypted record id).
+
+    y stays its 32 big-endian bytes, checked for 1 <= y < ORDER by comparing
+    bytes; the search core builds the int only for a tuple it must raise.
+    """
     if len(payload) != TUPLE_LEN:
         raise CorruptIndexError(f"tuple body has {len(payload)} bytes, want {TUPLE_LEN}")
-    y = int.from_bytes(payload[:Y_LEN], "big")
-    if not (1 <= y < ORDER):
+    y = payload[:Y_LEN]
+    if not (_Y_ZERO < y < _Y_ORDER):
         raise CorruptIndexError("tuple blinding scalar out of range")
     return y, payload[Y_LEN:]
 

@@ -56,7 +56,8 @@ log = logging.getLogger("privgendb.services")
 
 DEFAULT_BATCH = 256
 # Live search sessions a data server holds at once; each keeps its parsed
-# anchor chain until its final batch, a failed batch or the idle timeout.
+# anchor chain until its final batch, a failed batch, the end of the
+# connection that opened it or the idle timeout.
 MAX_SESSIONS = 256
 
 
@@ -108,28 +109,35 @@ class _DataHandler(socketserver.StreamRequestHandler):
 
     def handle(self):
         srv: DataServer = self.server
-        while True:
-            try:
-                mtype, obj, _ = read_frame(self.rfile)
-            except WireError as exc:
-                self._error(f"bad frame: {exc}")
-                return
-            if mtype == 0:
-                return  # clean disconnect
-            try:
-                if mtype == MSG_SEARCH_INIT:
-                    self._init(srv, obj)
-                elif mtype == MSG_XTOKENS:
-                    self._tokens(srv, obj)
-                else:
-                    self._error(f"unexpected message type {mtype}")
+        self.opened: set = set()  # ids of the sessions this connection started
+        try:
+            while True:
+                try:
+                    mtype, obj, _ = read_frame(self.rfile)
+                except WireError as exc:
+                    self._error(f"bad frame: {exc}")
                     return
-            except WireError as exc:
-                self._error(str(exc))
-                return
-            except CorruptIndexError as exc:
-                self._error(f"index corrupt: {exc}")
-                return
+                if mtype == 0:
+                    return  # clean disconnect
+                try:
+                    if mtype == MSG_SEARCH_INIT:
+                        self._init(srv, obj)
+                    elif mtype == MSG_XTOKENS:
+                        self._tokens(srv, obj)
+                    else:
+                        self._error(f"unexpected message type {mtype}")
+                        return
+                except WireError as exc:
+                    self._error(str(exc))
+                    return
+                except CorruptIndexError as exc:
+                    self._error(f"index corrupt: {exc}")
+                    return
+        finally:
+            # a session ends with its connection, whether or not it finished
+            with srv.sessions_lock:
+                for sid in self.opened:
+                    srv.sessions.pop(sid, None)
 
     def _error(self, detail: str):
         log.warning("search protocol error: %s", detail)
@@ -155,6 +163,7 @@ class _DataHandler(socketserver.StreamRequestHandler):
             if len(srv.sessions) >= MAX_SESSIONS:
                 raise WireError(f"too many open sessions (limit {MAX_SESSIONS})")
             srv.sessions[sid] = _Session(core)
+            self.opened.add(sid)
         send_frame(self.connection, MSG_STERM_COUNT,
                    {"session": sid, "count": len(core.tuples)})
 
@@ -187,6 +196,7 @@ class _DataHandler(socketserver.StreamRequestHandler):
             with srv.sessions_lock:
                 srv.sessions[sid] = sess
             return
+        self.opened.discard(sid)
         res = core.finish()
         if res.gamma == GAMMA_COUNT:
             send_frame(self.connection, MSG_RESULT, {"session": sid, "count": res.count})

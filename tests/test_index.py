@@ -9,6 +9,7 @@ import struct
 import zlib
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from privgendb.crypto import (
@@ -20,6 +21,7 @@ from privgendb.crypto import (
     keygen,
     keyword_bytes,
     keyword_counter,
+    prf_f,
     prf_fp,
     pow_x,
     scalar_inverse,
@@ -33,6 +35,7 @@ from privgendb.index import (
     EGDB_VERSION,
     GROUP_P256,
     TUPLE_LEN,
+    Y_LEN,
     BloomFilter,
     CorruptIndexError,
     IndexBuildError,
@@ -157,6 +160,22 @@ def test_bloom_membership_property(items):
 
 # --- tuple set --------------------------------------------------------------------
 
+def ref_label(stag: bytes, c: int) -> bytes:
+    """Label of counter c, one AES-ECB call of its own: blocks (c, 0), (c, 1), ..."""
+    blocks = b"".join(struct.pack("<QQ", c, j) for j in range(len(stag) // 16))
+    return Cipher(algorithms.AES(prf_f(stag, b"L")), modes.ECB()).encryptor().update(blocks)
+
+
+def ref_entry(stag: bytes, c: int, last: bool, payload: bytes) -> "tuple[bytes, bytes]":
+    """(label, masked body) of tuple c, the pad from a fresh AES-CTR keystream
+    that starts at the counter's own block; the reference for TSet's bulk path."""
+    body = (b"\x01" if last else b"\x00") + payload
+    start = -(-len(body) // 16) * (c - 1)
+    ctr = modes.CTR(start.to_bytes(16, "big"))
+    pad = Cipher(algorithms.AES(prf_f(stag, b"M")), ctr).encryptor().update(bytes(len(body)))
+    return ref_label(stag, c), bytes(a ^ b for a, b in zip(body, pad))
+
+
 def tset_setup(chains: dict, k_t: bytes, payload_len: int) -> TSet:
     """A TSet holding each keyword's payloads as its chain, built entry by entry."""
     table = {}
@@ -165,10 +184,47 @@ def tset_setup(chains: dict, k_t: bytes, payload_len: int) -> TSet:
         for c, payload in enumerate(payloads, 1):
             if len(payload) != payload_len:
                 raise IndexBuildError(f"payload for {kw!r} has {len(payload)} bytes")
-            label, masked = TSet.entry(stag, c, c == len(payloads), payload)
+            label, masked = ref_entry(stag, c, c == len(payloads), payload)
             assert label not in table
             table[label] = masked
     return TSet(table, len(k_t), 1 + payload_len)
+
+
+def _payloads(rng: SeededRng, n: int, width: int = TUPLE_LEN) -> list:
+    return [rng.bytes(width) for _ in range(n)]
+
+
+@pytest.mark.parametrize("lam", [128, 256])
+def test_tset_bulk_derivation_matches_reference(lam):
+    # chain lengths around the first batch of 64 and one that runs six batches
+    rng = SeededRng(lam)
+    k_t = rng.bytes(lam // 8)
+    chains = {f"kw{n}": _payloads(rng, n) for n in (1, 63, 64, 65, 2500)}
+    ts = tset_setup(chains, k_t, TUPLE_LEN)
+    for kw, payloads in chains.items():
+        stag = TSet.tag(k_t, kw)
+        assert TSet.chain(stag, payloads) == [ref_entry(stag, c, c == len(payloads), p)
+                                              for c, p in enumerate(payloads, 1)]
+        assert ts.retrieve(stag) == payloads
+
+
+def test_tset_chain_rejects_mixed_widths():
+    assert TSet.chain(b"\x00" * 16, []) == []
+    with pytest.raises(ValueError):
+        TSet.chain(b"\x00" * 16, [b"abcd", b"abc", b"abcde"])
+
+
+def test_retrieve_makes_two_cipher_contexts(monkeypatch):
+    rng = SeededRng(37)
+    k_t = rng.bytes(16)
+    ts = tset_setup({"long": _payloads(rng, 2500), "one": _payloads(rng, 1)}, k_t, TUPLE_LEN)
+    made = []
+    real = index_mod.Cipher
+    monkeypatch.setattr(index_mod, "Cipher", lambda *a, **kw: made.append(a) or real(*a, **kw))
+    for kw, n in (("long", 2500), ("one", 1)):
+        made.clear()
+        assert len(ts.retrieve(TSet.tag(k_t, kw))) == n
+        assert len(made) == 2  # one label and one pad context, whatever the length
 
 
 def _mini_tset(k_t, chains):
@@ -187,6 +243,8 @@ def test_tset_roundtrip():
     assert ts.retrieve(TSet.tag(k_t, "beta")) == chains["beta"]
     assert ts.retrieve(TSet.tag(k_t, "gamma")) == []  # unknown keyword
     assert ts.retrieve(b"\x00" * 16) == []
+    for stag in (b"", b"\x00" * 5, b"\x00" * 32):  # no AES key, or not this table's width
+        assert ts.retrieve(stag) == []
 
 
 def test_tset_payload_width_enforced(demo_egdb):
@@ -203,22 +261,29 @@ def test_tset_detects_truncated_chain():
     k_t = SeededRng(35).bytes(16)
     ts = _mini_tset(k_t, {"kw": [b"payload0", b"payload1"]})
     stag = TSet.tag(k_t, "kw")
-    del ts.table[TSet._label(stag, 2)]  # drop the terminating tuple
-    with pytest.raises(CorruptIndexError):
+    del ts.table[ref_label(stag, 2)]  # drop the terminating tuple
+    with pytest.raises(CorruptIndexError, match="truncated at counter 2$"):
+        ts.retrieve(stag)
+    # counter 65 is the first of the second batch
+    ts = _mini_tset(k_t, {"kw": _payloads(SeededRng(38), 100, 8)})
+    del ts.table[ref_label(stag, 65)]
+    with pytest.raises(CorruptIndexError, match="truncated at counter 65$"):
         ts.retrieve(stag)
 
 
 def test_tset_detects_bad_flag():
     k_t = SeededRng(36).bytes(16)
-    ts = _mini_tset(k_t, {"kw": [b"payload0"]})
     stag = TSet.tag(k_t, "kw")
-    label = TSet._label(stag, 1)
-    body = bytearray(ts.table[label])
-    # flip a high bit of the masked flag byte: unmasks to an invalid flag
-    body[0] ^= 0x80
-    ts.table[label] = bytes(body)
-    with pytest.raises(CorruptIndexError):
-        ts.retrieve(stag)
+    # a one-tuple chain, and counters 70 and 100 inside the second batch
+    for n, c in ((1, 1), (100, 70), (100, 100)):
+        ts = _mini_tset(k_t, {"kw": _payloads(SeededRng(39), n, 8)})
+        label = ref_label(stag, c)
+        body = bytearray(ts.table[label])
+        # flip a high bit of the masked flag byte: unmasks to an invalid flag
+        body[0] ^= 0x80
+        ts.table[label] = bytes(body)
+        with pytest.raises(CorruptIndexError, match=f"flag byte 0x8[01] at counter {c}$"):
+            ts.retrieve(stag)
 
 
 def test_tset_label_uniqueness_over_random_databases():
@@ -231,7 +296,7 @@ def test_tset_label_uniqueness_over_random_databases():
         for kw_i in range(rng.randint(2, 5)):
             stag = TSet.tag(k_t, f"kw{kw_i}-{trial}")
             for c in range(1, rng.randint(1, 4) + 1):
-                label = TSet._label(stag, c)
+                label = ref_label(stag, c)
                 if label in labels:
                     seen_failures += 1
                 labels.add(label)
@@ -248,11 +313,12 @@ def test_build_deterministic_with_seeded_rng(demo_keys, demo_iinx):
     assert egdb_to_bytes(a) != egdb_to_bytes(c)  # fresh nonces move ciphertexts
 
 
-# SHA-256 of egdb_to_bytes for two seeded builds, recorded before the build
-# was split across worker processes: the demo cohort (below the pool
-# threshold) and a synthetic cohort of 8,800 entries (above it).
-GOLDEN_DEMO_SHA256 = "b88d5502089dee8efb986ce0ccdd4caf408cbe20dcc104d792a036c504925330"
-GOLDEN_SYNTH_SHA256 = "bda0a73716fd31100d6a0119c0e3e6584528aa16e7497727ee44f813b580db45"
+# SHA-256 of egdb_to_bytes for two seeded builds of format version 3: the
+# demo cohort (below the pool threshold) and a synthetic cohort of 8,800
+# entries (above it). Version 3 changed every label and pad, not the
+# payloads or the filter, so both were recorded again for it.
+GOLDEN_DEMO_SHA256 = "7d89c005cfa11f72d8a0bb5cd40c17cbcceee31350eed2f8014a94e0f7eaf9ad"
+GOLDEN_SYNTH_SHA256 = "8e5fb9f2ac94f9993141eecbae621242cc0784825a0f1485fac7cabb38cef2bc"
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +369,13 @@ def test_pooled_and_in_process_builds_are_identical(synth_iinx, pool_spy, monkey
 
 def test_label_collision_in_a_worker_raises(synth_iinx, pool_spy, monkeypatch):
     # labels that ignore the keyword: every chain's counter c lands on one label
-    monkeypatch.setattr(TSet, "_label", staticmethod(lambda stag, c: c.to_bytes(16, "little")))
+    real = TSet.chain
+
+    def keyword_blind(stag, payloads):
+        return [(c.to_bytes(16, "little"), masked)
+                for c, (_, masked) in enumerate(real(stag, payloads), 1)]
+
+    monkeypatch.setattr(TSet, "chain", staticmethod(keyword_blind))
     with pytest.raises(IndexBuildError, match="collision"):
         build_egdb(keygen(rng=SeededRng(55)), synth_iinx, SeededRng(56))
     assert len(pool_spy) == 1
@@ -376,9 +448,13 @@ def test_parse_tuple_validation(demo_keys, demo_egdb, demo_iinx):
     assert len(payloads) == 3
     for p in payloads:
         y, enc = parse_tuple(p)
-        assert 1 <= y < ORDER and len(enc) == 36
-    with pytest.raises(CorruptIndexError):
-        parse_tuple(b"\x00" * 68)  # zero scalar out of range
+        assert len(y) == Y_LEN and 1 <= int.from_bytes(y, "big") < ORDER and len(enc) == 36
+    enc = b"\x05" * 36
+    for y in (1, 2**248, ORDER - 1):  # the range's ends, and a short-looking scalar
+        assert parse_tuple(y.to_bytes(Y_LEN, "big") + enc) == (y.to_bytes(Y_LEN, "big"), enc)
+    for y in (0, ORDER, ORDER + 1, 2**256 - 1):
+        with pytest.raises(CorruptIndexError, match="out of range"):
+            parse_tuple(y.to_bytes(Y_LEN, "big") + enc)
     with pytest.raises(CorruptIndexError):
         parse_tuple(b"\x01" * 10)
 
@@ -438,13 +514,23 @@ def test_hand_built_header_is_well_formed():
 
 
 def test_egdb_version_1_rejected(demo_egdb):
-    assert EGDB_VERSION == 2
+    assert EGDB_VERSION == 3
     with pytest.raises(CorruptIndexError, match="version 1"):
         load_egdb(_egdb_blob(version=1))
     # a real database relabelled as version 1, CRC recomputed
     blob = bytearray(egdb_to_bytes(demo_egdb)[:-4])
     struct.pack_into("<H", blob, len(EGDB_MAGIC), 1)
     with pytest.raises(CorruptIndexError, match="version 1"):
+        load_egdb(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+
+
+def test_egdb_version_2_rejected(demo_egdb):
+    # version 2 held the same layout with HMAC/SHAKE labels and pads
+    with pytest.raises(CorruptIndexError, match="version 2"):
+        load_egdb(_egdb_blob(version=2))
+    blob = bytearray(egdb_to_bytes(demo_egdb)[:-4])
+    struct.pack_into("<H", blob, len(EGDB_MAGIC), 2)
+    with pytest.raises(CorruptIndexError, match="version 2"):
         load_egdb(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
 
 

@@ -518,17 +518,48 @@ def test_protocol_error_drops_the_session(demo_egdb, demo_keys):
             assert mtype == MSG_ERROR and "group element" in obj["error"]
             assert len(srv.sessions) == 0
         # a good batch that is not final keeps its session for the next one
+        # while the connection lasts; the connection's end drops it
         with socket.create_connection(srv.server_address, timeout=10) as sock:
             rd = sock.makefile("rb")
             sock.sendall(_init_frame(demo_keys))
             sid = read_frame(rd)[1]["session"]
             send_frame(sock, MSG_XTOKENS, {"session": sid, "start": 1,
                                            "pos": [[]], "neg": [[]], "final": False})
+            assert _poll(lambda: sid in srv.sessions
+                         and srv.sessions[sid].core.next_counter == 2)
             send_frame(sock, MSG_XTOKENS, {"session": [sid], "start": 2,
                                            "pos": [[]], "neg": [[]], "final": False})
             mtype, obj, _ = read_frame(rd)
             assert mtype == MSG_ERROR and "session" in obj["error"]
-        assert list(srv.sessions) == [sid]
+        assert _poll(lambda: not srv.sessions)
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+def _poll(cond, seconds: float = 5.0) -> bool:
+    """Whether cond() holds within a few seconds; server threads act on their own."""
+    deadline = time.monotonic() + seconds
+    while not cond():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def test_abandoned_sessions_end_with_their_connections(monkeypatch, demo_egdb, demo_keys):
+    # with 3 slots, a fourth init-and-close connection still gets a session
+    monkeypatch.setattr(services, "MAX_SESSIONS", 3)
+    srv = DataServer(("127.0.0.1", 0), demo_egdb)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        for _ in range(4):
+            with socket.create_connection(srv.server_address, timeout=10) as sock:
+                sock.sendall(_init_frame(demo_keys))
+                mtype, obj, _ = read_frame(sock.makefile("rb"))
+                assert mtype == MSG_STERM_COUNT and obj["count"] == 3
+                assert obj["session"] in srv.sessions
+            assert _poll(lambda: len(srv.sessions) == 0)
     finally:
         srv.shutdown()
         srv.server_close()
