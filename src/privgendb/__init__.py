@@ -41,19 +41,9 @@ from .engine import (
     generate_token,
     parse_policy,
     run_query,
-    search,
     vet_count,
     vet_ids,
     vet_request,
-)
-from .evaluation import (
-    BenchCase,
-    BenchReport,
-    SyntheticSpec,
-    evaluate_plain,
-    gen_synthetic,
-    run_case,
-    run_grid,
 )
 from .fixtures import DEMO_COHORT_CSV, load_demo_cohort
 from .index import (
@@ -65,7 +55,6 @@ from .index import (
     TSet,
     build_egdb,
     build_inverted_index,
-    egdb_to_bytes,
     load_egdb,
     serialize_egdb,
 )

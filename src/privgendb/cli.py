@@ -1,9 +1,8 @@
-"""Command-line entry points: build, server, vetter, query, bench."""
+"""Command-line entry points: build, server, vetter, query."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -12,7 +11,6 @@ import time
 from . import __version__
 from .crypto import SeededRng, SystemRng, keygen, load_keys, save_keys
 from .encoding import GdbParseError, parse_gdb
-from .evaluation import BenchCase, run_grid, write_report_csv
 from .index import (
     BloomFilter,
     CorruptIndexError,
@@ -37,26 +35,41 @@ def _setup_logging():
     )
 
 
+def _error(detail) -> int:
+    print(f"error: {detail}", file=sys.stderr)
+    return 2
+
+
 def _cmd_build(args) -> int:
     rng = SeededRng(args.seed) if args.seed is not None else SystemRng()
-    if os.path.exists(args.keys):
-        keys = load_keys(args.keys)
-        log.info("loaded existing keys from %s", args.keys)
-    else:
-        keys = keygen(rng=rng)
-        save_keys(keys, args.keys)
-        print(f"generated new keys -> {args.keys}")
+    # the cohort is read first, so a bad input leaves no key file behind
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             gdb = parse_gdb(fh)
-    except GdbParseError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 2
+    except (GdbParseError, UnicodeDecodeError) as exc:
+        return _error(f"{args.input}: {exc}")
+    except OSError as exc:
+        return _error(exc)
+    try:
+        if os.path.exists(args.keys):
+            keys = load_keys(args.keys)
+            log.info("loaded existing keys from %s", args.keys)
+        else:
+            keys = keygen(rng=rng)
+            save_keys(keys, args.keys)
+            print(f"generated new keys -> {args.keys}")
+    except OSError as exc:
+        return _error(exc)
+    except ValueError as exc:
+        return _error(f"{args.keys}: {exc}")
     t0 = time.perf_counter()
     iinx = build_inverted_index(gdb)
     egdb = build_egdb(keys, iinx, rng, p_fp=args.fp)
-    with open(args.egdb, "wb") as fh:
-        size = serialize_egdb(egdb, fh)
+    try:
+        with open(args.egdb, "wb") as fh:
+            size = serialize_egdb(egdb, fh)
+    except OSError as exc:
+        return _error(exc)
     elapsed = time.perf_counter() - t0
     print(
         f"built {args.egdb}: {len(gdb.records)} records, {len(iinx)} keywords, "
@@ -69,8 +82,12 @@ def _cmd_server(args) -> int:
     try:
         serve_data(args.egdb, args.listen, idle_timeout=args.idle_timeout)
     except CorruptIndexError as exc:
-        print(f"error: {args.egdb}: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"{args.egdb}: {exc}")
+    except OSError as exc:
+        # a file error names its path; a socket error (address in use) does not
+        return _error(exc if exc.filename else f"{args.listen}: {exc}")
+    except ValueError as exc:
+        return _error(exc)
     except KeyboardInterrupt:
         pass
     return 0
@@ -80,8 +97,7 @@ def _cmd_vetter(args) -> int:
     try:
         serve_vetter(args.keys, args.policy, args.server, args.listen, args.audit)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     except KeyboardInterrupt:
         pass
     return 0
@@ -93,14 +109,12 @@ def _cmd_query(args) -> int:
             parse_hostport(args.vetter), args.user, args.type, args.where, args.kprime
         )
     except (OSError, ServiceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     if mtype == MSG_DENIED:
         print(f"denied: {body.get('reason')}: {body.get('detail')}", file=sys.stderr)
         return 3
     if mtype != MSG_ANSWER:
-        print(f"error: {body.get('error', 'unexpected reply')}", file=sys.stderr)
-        return 2
+        return _error(body.get("error", "unexpected reply"))
     if "count" in body:
         print(f"count: {body['count']}")
         return 0
@@ -115,42 +129,6 @@ def _cmd_query(args) -> int:
         print("ids: " + " ".join(str(i) for i in ids))
     else:
         print("ids: (none)")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        grid = json.load(fh)
-    cases = []
-    for raw in grid.get("cases", []):
-        cases.append(
-            BenchCase(
-                r=int(raw["r"]),
-                snp_count=int(raw.get("snps", raw.get("l", 10))),
-                alpha=int(raw["alpha"]),
-                n_terms=int(raw["n"]),
-                query_type=str(raw.get("gamma", "boolean")),
-                seed=int(raw.get("seed", 0)),
-                p_fp=float(raw.get("p_fp", 1e-6)),
-                k_prime=raw.get("k_prime"),
-            )
-        )
-    if not cases:
-        print("error: grid file has no cases", file=sys.stderr)
-        return 2
-
-    def progress(rep):
-        c = rep.case
-        print(
-            f"r={c.r} l={c.snp_count} alpha={c.alpha} n={c.n_terms} {c.query_type}: "
-            f"build {rep.build_ms:.0f}ms tokgen {rep.tokgen_ms:.1f}ms "
-            f"search {rep.search_ms:.1f}ms egdb {rep.egdb_bytes}B"
-        )
-
-    reports = run_grid(cases, runs=args.runs, progress=progress)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        write_report_csv(reports, fh)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -201,12 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--where", required=True, help='e.g. "phenotype=Cancer B,SNP2!=CC"')
     q.add_argument("--kprime", type=int, default=None, help="match threshold k'")
     q.set_defaults(func=_cmd_query)
-
-    be = sub.add_parser("bench", help="run a benchmark grid and write a CSV report")
-    be.add_argument("--grid", required=True, help="JSON grid file")
-    be.add_argument("--out", required=True, help="output CSV path")
-    be.add_argument("--runs", type=int, default=5)
-    be.set_defaults(func=_cmd_bench)
     return ap
 
 

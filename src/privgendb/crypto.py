@@ -88,9 +88,6 @@ class GroupElement:
     def encode(self) -> bytes:
         return self.data
 
-    def is_identity(self) -> bool:
-        return self.data == IDENTITY.data
-
     def x_bytes(self) -> bytes:
         """32-byte big-endian x-coordinate: the key a cross-tag is filed under."""
         return self.data[1:]
@@ -147,13 +144,6 @@ def prf_fp(key: bytes, data: bytes) -> int:
         if v:
             return v
         d = hmac.digest(key, b"\x01" + d, "sha512")
-
-
-def scalar_inverse(z: int) -> int:
-    z %= ORDER
-    if z == 0:
-        raise ValueError("zero has no inverse")
-    return pow(z, -1, ORDER)
 
 
 def batch_inverse(zs) -> list:
@@ -213,14 +203,6 @@ def pow_x(key: ec.EllipticCurvePrivateKey, encoded: bytes) -> bytes:
 def seal_record_id(aead: AESGCM, nonce: bytes, record_id: int) -> bytes:
     """AES-GCM over the 8-byte record id under a prepared key: nonce || ct || tag."""
     return nonce + aead.encrypt(nonce, record_id.to_bytes(_ID_LEN, "big"), None)
-
-
-def sym_encrypt(key: bytes, record_id: int, rng: Rng | None = None) -> bytes:
-    """``seal_record_id`` under ``key`` with a fresh nonce drawn from ``rng``."""
-    if not (1 <= record_id <= MAX_RECORD_ID):
-        raise ValueError(f"record id out of range: {record_id}")
-    rng = rng or SystemRng()
-    return seal_record_id(AESGCM(key), rng.bytes(NONCE_LEN), record_id)
 
 
 def sym_decrypt(key: bytes, blob: bytes) -> int:

@@ -9,8 +9,8 @@ The server never learns which keywords are behind the tokens, only how many
 there are.
 
 ``SearchCore`` is the only implementation of the server's side: the
-in-process ``search``/``run_query`` and the networked data server both feed
-it token batches in counter order. It decodes a token and raises it to y
+in-process ``run_query`` and the networked data server both feed it token
+batches in counter order. It decodes a token and raises it to y
 (both inside OpenSSL) only when the evaluation actually reaches that token.
 """
 
@@ -204,17 +204,6 @@ class SearchCore:
         return ResultSet(self.gamma, enc_ids=tuple(self.matched))
 
 
-def _complete(core: SearchCore, token: SearchToken) -> ResultSet:
-    core.feed([[e.encode() for e in row] for row in token.pos],
-              [[e.encode() for e in row] for row in token.neg])
-    return core.finish()
-
-
-def search(token: SearchToken, egdb: Egdb) -> ResultSet:
-    """Run one query over the encrypted database (the untrusted-server role)."""
-    return _complete(SearchCore(egdb, token.stag, token.gamma, token.k_prime), token)
-
-
 def decrypt_ids(enc_ids, sterm: str, keys: KeySet) -> list:
     """Recover and sort the record ids behind a returned ciphertext list."""
     k_e = prf_f(keys.k_s, keyword_bytes(sterm))
@@ -236,7 +225,9 @@ def run_query(keys: KeySet, egdb: Egdb, query: Query, freq: "dict | None" = None
     eq = encode_query(query, freq)
     core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma, eq.k_prime)
     token = generate_token(eq, keys, len(core.tuples))
-    res = _complete(core, token)
+    core.feed([[e.encode() for e in row] for row in token.pos],
+              [[e.encode() for e in row] for row in token.neg])
+    res = core.finish()
     if eq.gamma == GAMMA_COUNT:
         return res.count
     return decrypt_ids(res.enc_ids, eq.sterm, keys)

@@ -490,14 +490,6 @@ def serialize_egdb(egdb: Egdb, fh) -> int:
     return total + 4
 
 
-def egdb_to_bytes(egdb: Egdb) -> bytes:
-    import io
-
-    buf = io.BytesIO()
-    serialize_egdb(egdb, buf)
-    return buf.getvalue()
-
-
 def load_egdb(source) -> Egdb:
     """Parse a serialized database; raises CorruptIndexError on any damage."""
     if isinstance(source, (bytes, bytearray)):

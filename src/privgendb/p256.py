@@ -24,14 +24,6 @@ GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 
 
-def sqrt_mod_p(v: int) -> "int | None":
-    # p = 3 mod 4, so a square root (if any) is v^((p+1)/4)
-    r = pow(v, (P + 1) >> 2, P)
-    if r * r % P != v % P:
-        return None
-    return r
-
-
 ENCODED_LEN = 33
 _IDENTITY_ENC = b"\x00" * ENCODED_LEN
 
@@ -45,22 +37,3 @@ def encode_point(pt) -> bytes:
         return _IDENTITY_ENC
     x, y = pt
     return bytes([2 | (y & 1)]) + x.to_bytes(32, "big")
-
-
-def decode_point(data: bytes):
-    if len(data) != ENCODED_LEN:
-        raise ValueError(f"group element must be {ENCODED_LEN} bytes, got {len(data)}")
-    if data == _IDENTITY_ENC:
-        return None
-    prefix = data[0]
-    if prefix not in (2, 3):
-        raise ValueError("bad group element prefix byte")
-    x = int.from_bytes(data[1:], "big")
-    if x >= P:
-        raise ValueError("group element x out of range")
-    y = sqrt_mod_p((x * x * x + A * x + B) % P)
-    if y is None:
-        raise ValueError("group element x not on curve")
-    if (y & 1) != (prefix & 1):
-        y = P - y
-    return x, y

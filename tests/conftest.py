@@ -1,5 +1,7 @@
-"""Shared fixtures: the demo cohort pipeline and a random-cohort generator."""
+"""Shared fixtures: the demo cohort pipeline and a random-cohort generator,
+plus the in-process helpers only tests use."""
 
+import io
 import random
 
 import pytest
@@ -15,8 +17,11 @@ from privgendb.crypto import (
     prf_fp,
 )
 from privgendb.encoding import keyword_frequencies, parse_gdb
+from privgendb.engine import ResultSet, SearchCore, SearchToken
 from privgendb.fixtures import load_demo_cohort
-from privgendb.index import build_egdb, build_inverted_index
+from privgendb.index import Egdb, build_egdb, build_inverted_index, serialize_egdb
+
+import ref_p256
 
 
 @pytest.fixture(scope="session")
@@ -47,12 +52,33 @@ def demo_freq(demo_gdb):
 def _off_curve_encoding() -> bytes:
     """A well-formed compressed encoding whose x has no point on P-256."""
     for x in range(1, 100):
-        if p256.sqrt_mod_p((x * x * x + p256.A * x + p256.B) % p256.P) is None:
+        if ref_p256.sqrt_mod_p((x * x * x + p256.A * x + p256.B) % p256.P) is None:
             return b"\x02" + x.to_bytes(32, "big")
     raise AssertionError("no off-curve x below 100")
 
 
 OFF_CURVE = _off_curve_encoding()
+
+
+def scalar_inverse(z: int) -> int:
+    z %= ORDER
+    if z == 0:
+        raise ValueError("zero has no inverse")
+    return pow(z, -1, ORDER)
+
+
+def egdb_to_bytes(egdb: Egdb) -> bytes:
+    buf = io.BytesIO()
+    serialize_egdb(egdb, buf)
+    return buf.getvalue()
+
+
+def search(token: SearchToken, egdb: Egdb) -> ResultSet:
+    """Run one query over the encrypted database (the untrusted-server role)."""
+    core = SearchCore(egdb, token.stag, token.gamma, token.k_prime)
+    core.feed([[e.encode() for e in row] for row in token.pos],
+              [[e.encode() for e in row] for row in token.neg])
+    return core.finish()
 
 
 def probe_tokens(keys, anchor, counters, keyword):

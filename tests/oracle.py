@@ -1,4 +1,4 @@
-"""Evaluation tools: a plaintext oracle, synthetic cohorts, and a benchmark.
+"""Plaintext oracle and synthetic cohorts for the test suite.
 
 The oracle answers queries directly over parsed records and is the ground
 truth the encrypted pipeline is differenced against. Synthetic cohorts are
@@ -10,21 +10,9 @@ from __future__ import annotations
 
 import io
 import random
-import time
 from dataclasses import dataclass
 
-from .crypto import SeededRng, keygen
-from .encoding import (
-    Gdb,
-    GdbRecord,
-    Predicate,
-    Query,
-    QueryError,
-    parse_gdb,
-    select_sterm,
-)
-from .engine import generate_token, search
-from .index import TSet, build_egdb, build_inverted_index, egdb_to_bytes
+from privgendb.encoding import Gdb, GdbRecord, Predicate, Query, select_sterm
 
 
 # --- plaintext oracle ---------------------------------------------------------------
@@ -139,124 +127,3 @@ def gen_synthetic(spec: SyntheticSpec) -> str:
         out.write(",".join(columns[s][i] for s in range(spec.snp_count)))
         out.write(f",{labels[i]}\n")
     return out.getvalue()
-
-
-# --- benchmark harness ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BenchCase:
-    """One grid point: cohort shape plus query shape."""
-
-    r: int
-    snp_count: int
-    alpha: int  # records carrying the anchor phenotype
-    n_terms: int  # total predicates including the anchor
-    query_type: str
-    seed: int = 0
-    p_fp: float = 1e-6
-    k_prime: "int | None" = None  # match only; defaults to half the cross-terms
-
-    def resolved_k_prime(self) -> "int | None":
-        if self.query_type != "match":
-            return None
-        if self.k_prime is not None:
-            return self.k_prime
-        return max(1, (self.n_terms - 1) // 2)
-
-
-@dataclass
-class BenchReport:
-    case: BenchCase
-    build_ms: float
-    tokgen_ms: float
-    search_ms: float
-    egdb_bytes: int
-    answer_size: int = 0
-    runs: int = 0
-
-
-def _median(xs):
-    xs = sorted(xs)
-    mid = len(xs) // 2
-    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
-
-
-def build_case_query(case: BenchCase, gdb: Gdb) -> Query:
-    """Anchor on the target phenotype plus SNP terms from its first record."""
-    target = next(rec for rec in gdb.records if rec.phenotype == "Cohort")
-    preds = [Predicate("phenotype", "Cohort")]
-    if case.n_terms - 1 > case.snp_count:
-        raise QueryError("n_terms exceeds available SNP columns")
-    for s in range(case.n_terms - 1):
-        preds.append(Predicate("snp", target.genotypes[s], snp=s + 1))
-    return Query(tuple(preds), case.query_type, case.resolved_k_prime())
-
-
-def run_case(case: BenchCase, runs: int = 5) -> BenchReport:
-    """Build, query, and time one grid point; timings are medians."""
-    if case.alpha > case.r:
-        raise ValueError("alpha cannot exceed r")
-    spec = SyntheticSpec.uniform(
-        case.r, case.snp_count,
-        [("Cohort", case.alpha), ("Background", case.r - case.alpha)],
-        seed=case.seed,
-    )
-    gdb = parse_gdb(gen_synthetic(spec))
-    keys = keygen(rng=SeededRng(case.seed + 1))
-
-    t0 = time.perf_counter()
-    iinx = build_inverted_index(gdb)
-    egdb = build_egdb(keys, iinx, SeededRng(case.seed + 2), p_fp=case.p_fp)
-    build_ms = (time.perf_counter() - t0) * 1e3
-
-    query = build_case_query(case, gdb)
-    from .encoding import encode_query
-
-    eq = encode_query(query)
-    inv_len = len(egdb.tset.retrieve(TSet.tag(keys.k_t, eq.sterm)))
-    tok_times, search_times = [], []
-    token = None
-    result = None
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        token = generate_token(eq, keys, inv_len)
-        tok_times.append((time.perf_counter() - t0) * 1e3)
-        t0 = time.perf_counter()
-        result = search(token, egdb)
-        search_times.append((time.perf_counter() - t0) * 1e3)
-    size = result.count if result.count is not None else len(result.enc_ids)
-    return BenchReport(
-        case,
-        build_ms=build_ms,
-        tokgen_ms=_median(tok_times),
-        search_ms=_median(search_times),
-        egdb_bytes=len(egdb_to_bytes(egdb)),
-        answer_size=size,
-        runs=runs,
-    )
-
-
-REPORT_COLUMNS = ("r", "l", "alpha", "n", "gamma", "build_ms", "tokgen_ms",
-                  "search_ms", "egdb_bytes")
-
-
-def write_report_csv(reports, fh) -> None:
-    from .encoding import GAMMA
-
-    fh.write(",".join(REPORT_COLUMNS) + "\n")
-    for rep in reports:
-        c = rep.case
-        fh.write(
-            f"{c.r},{c.snp_count},{c.alpha},{c.n_terms},{GAMMA[c.query_type]},"
-            f"{rep.build_ms:.3f},{rep.tokgen_ms:.3f},{rep.search_ms:.3f},{rep.egdb_bytes}\n"
-        )
-
-
-def run_grid(cases, runs: int = 5, progress=None) -> list:
-    reports = []
-    for case in cases:
-        rep = run_case(case, runs)
-        reports.append(rep)
-        if progress:
-            progress(rep)
-    return reports

@@ -5,10 +5,40 @@ code with OpenSSL, so the production exponentiation (``crypto.base_pow`` and
 ``crypto.pow_x``, both inside OpenSSL) is checked against it. Far too slow
 for the search path: about 4 ms per multiplication.
 
+It also holds the SEC1 decoding, which the library does not need: OpenSSL
+decodes every point the search path reads.
+
 Points are affine ``(x, y)`` int tuples; ``None`` is the point at infinity.
 """
 
-from privgendb.p256 import A, B, GX, GY, N, P, decode_point
+from privgendb.p256 import A, B, ENCODED_LEN, GX, GY, N, P, encode_point
+
+
+def sqrt_mod_p(v: int) -> "int | None":
+    # p = 3 mod 4, so a square root (if any) is v^((p+1)/4)
+    r = pow(v, (P + 1) >> 2, P)
+    if r * r % P != v % P:
+        return None
+    return r
+
+
+def decode_point(data: bytes):
+    if len(data) != ENCODED_LEN:
+        raise ValueError(f"group element must be {ENCODED_LEN} bytes, got {len(data)}")
+    if data == encode_point(None):
+        return None
+    prefix = data[0]
+    if prefix not in (2, 3):
+        raise ValueError("bad group element prefix byte")
+    x = int.from_bytes(data[1:], "big")
+    if x >= P:
+        raise ValueError("group element x out of range")
+    y = sqrt_mod_p((x * x * x + A * x + B) % P)
+    if y is None:
+        raise ValueError("group element x not on curve")
+    if (y & 1) != (prefix & 1):
+        y = P - y
+    return x, y
 
 
 def is_on_curve(pt) -> bool:

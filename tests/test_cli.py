@@ -1,6 +1,6 @@
 """The privgendb command-line interface, driven in-process via main(argv)."""
 
-import json
+import socket
 import threading
 
 import pytest
@@ -62,6 +62,63 @@ def test_build_rejects_fp_up_front(tmp_path, capsys, fp):
     assert exc.value.code == 2
     assert "argument --fp" in capsys.readouterr().err
     assert not keys.exists()  # rejected before any build work
+
+
+def _assert_clean_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def test_build_missing_input_leaves_no_key_file(tmp_path, capsys):
+    keys = tmp_path / "new.keys"
+    rc = main(["build", "--input", str(tmp_path / "missing.csv"), "--keys", str(keys),
+               "--egdb", str(tmp_path / "e.egdb")])
+    assert rc == 2
+    assert "missing.csv" in _assert_clean_error(capsys)
+    assert not keys.exists()
+
+
+def test_build_rejects_non_utf8_input(tmp_path, capsys):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_bytes(b"ID,SNP_1,Phenotype\n1,AA,\xff\xfe\n")
+    keys = tmp_path / "new.keys"
+    rc = main(["build", "--input", str(cohort), "--keys", str(keys),
+               "--egdb", str(tmp_path / "e.egdb")])
+    assert rc == 2
+    assert "utf-8" in _assert_clean_error(capsys)
+    assert not keys.exists()
+
+
+def test_build_rejects_junk_key_file(built, tmp_path, capsys):
+    d, _, _ = built
+    junk = tmp_path / "junk.keys"
+    junk.write_bytes(b"not a key file at all")
+    out = tmp_path / "e.egdb"
+    rc = main(["build", "--input", str(d / "cohort.csv"), "--keys", str(junk),
+               "--egdb", str(out)])
+    assert rc == 2
+    assert "bad magic" in _assert_clean_error(capsys)
+    assert not out.exists()
+
+
+def test_server_missing_egdb(tmp_path, capsys):
+    rc = main(["server", "--egdb", str(tmp_path / "missing.egdb"),
+               "--listen", "127.0.0.1:0"])
+    assert rc == 2
+    assert "missing.egdb" in _assert_clean_error(capsys)
+
+
+def test_server_address_in_use(built, capsys):
+    _, _, egdb_path = built
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        listen = "{}:{}".format(*taken.getsockname())
+        rc = main(["server", "--egdb", str(egdb_path), "--listen", listen])
+    assert rc == 2
+    assert listen in _assert_clean_error(capsys)
 
 
 def test_build_deterministic_with_seed(built, tmp_path):
@@ -135,23 +192,3 @@ def test_query_unreachable_vetter(capsys):
                "--type", "count", "--where", "SNP2=CC"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_bench_grid(tmp_path, capsys):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"cases": [
-        {"r": 30, "l": 3, "alpha": 5, "n": 2, "gamma": "count", "seed": 1},
-    ]}))
-    out = tmp_path / "report.csv"
-    rc = main(["bench", "--grid", str(grid), "--out", str(out), "--runs", "1"])
-    assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("r,l,alpha,n,gamma")
-    assert len(lines) == 2
-
-
-def test_bench_empty_grid(tmp_path, capsys):
-    grid = tmp_path / "empty.json"
-    grid.write_text("{}")
-    rc = main(["bench", "--grid", str(grid), "--out", str(tmp_path / "r.csv")])
-    assert rc == 2

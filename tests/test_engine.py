@@ -31,16 +31,15 @@ from privgendb.engine import (
     generate_token,
     parse_policy,
     run_query,
-    search,
     vet_count,
     vet_ids,
     vet_request,
 )
-from privgendb.evaluation import evaluate_plain
 from privgendb.index import TSet, build_egdb, build_inverted_index
 from privgendb.wire import WireError
 
-from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, probe_tokens, random_cohort
+from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, probe_tokens, random_cohort, search
+from oracle import evaluate_plain
 
 
 # --- token generation ------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Plaintext oracle, synthetic cohort generator, and benchmark harness."""
+"""Plaintext oracle and synthetic cohort generator."""
 
-import io
 import random
 
 import pytest
@@ -13,20 +12,9 @@ from privgendb.encoding import (
     record_keywords,
 )
 from privgendb.engine import run_query
-from privgendb.evaluation import (
-    BenchCase,
-    SyntheticSpec,
-    build_case_query,
-    evaluate_plain,
-    gen_synthetic,
-    predicate_matches,
-    run_case,
-    run_grid,
-    write_report_csv,
-    REPORT_COLUMNS,
-)
 
 from conftest import random_cohort
+from oracle import SyntheticSpec, evaluate_plain, gen_synthetic, predicate_matches
 
 
 # --- oracle ---------------------------------------------------------------------
@@ -128,55 +116,6 @@ def test_synthetic_spec_validation():
         SyntheticSpec(5, 1, (("A", 5),), ((("AA", -1.0),),))  # bad weight
     with pytest.raises(ValueError):
         SyntheticSpec(5, 0, (("A", 5),), ())
-
-
-# --- bench harness ----------------------------------------------------------------
-
-def test_run_case_smoke():
-    case = BenchCase(r=60, snp_count=4, alpha=10, n_terms=3,
-                     query_type="count", seed=3)
-    rep = run_case(case, runs=3)
-    assert rep.runs == 3
-    assert rep.build_ms > 0 and rep.tokgen_ms > 0 and rep.search_ms > 0
-    assert rep.egdb_bytes > 1000
-    assert 0 <= rep.answer_size <= 10
-
-
-def test_run_case_match_defaults_k_prime():
-    case = BenchCase(r=40, snp_count=4, alpha=8, n_terms=4, query_type="match", seed=9)
-    assert case.resolved_k_prime() == 1
-    rep = run_case(case, runs=1)
-    assert rep.answer_size >= 0
-
-
-def test_run_case_validation():
-    with pytest.raises(ValueError):
-        run_case(BenchCase(r=5, snp_count=2, alpha=6, n_terms=2, query_type="count"))
-    gdb = parse_gdb(gen_synthetic(
-        SyntheticSpec.uniform(4, 2, [("Cohort", 2), ("Background", 2)])))
-    from privgendb.encoding import QueryError
-    with pytest.raises(QueryError):
-        build_case_query(
-            BenchCase(r=4, snp_count=2, alpha=2, n_terms=4, query_type="count"), gdb)
-
-
-def test_grid_report_csv():
-    cases = [
-        BenchCase(r=30, snp_count=3, alpha=5, n_terms=2, query_type="count", seed=1),
-        BenchCase(r=30, snp_count=3, alpha=5, n_terms=3, query_type="boolean", seed=1),
-    ]
-    seen = []
-    reports = run_grid(cases, runs=1, progress=seen.append)
-    assert len(reports) == len(seen) == 2
-    buf = io.StringIO()
-    write_report_csv(reports, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == ",".join(REPORT_COLUMNS)
-    assert len(lines) == 3
-    first = dict(zip(REPORT_COLUMNS, lines[1].split(",")))
-    assert (first["r"], first["l"], first["alpha"], first["n"]) == ("30", "3", "5", "2")
-    assert first["gamma"] == "2"  # count
-    assert float(first["search_ms"]) > 0
 
 
 def test_sanity_check_pipeline(demo_gdb, demo_keys, demo_egdb, demo_freq):

@@ -24,12 +24,10 @@ from privgendb.crypto import (
     prf_f,
     prf_fp,
     pow_x,
-    scalar_inverse,
 )
 import privgendb.index as index_mod
 from privgendb.encoding import parse_gdb, parse_query
 from privgendb.engine import run_query
-from privgendb.evaluation import SyntheticSpec, gen_synthetic
 from privgendb.index import (
     EGDB_MAGIC,
     EGDB_VERSION,
@@ -42,13 +40,13 @@ from privgendb.index import (
     TSet,
     build_egdb,
     build_inverted_index,
-    egdb_to_bytes,
     index_entry_count,
     load_egdb,
     parse_tuple,
 )
 
-from conftest import GOLDEN_COUNTS, GOLDEN_IDS, random_cohort
+from conftest import GOLDEN_COUNTS, GOLDEN_IDS, egdb_to_bytes, random_cohort, scalar_inverse
+from oracle import SyntheticSpec, gen_synthetic
 
 import ref_p256 as ref
 
