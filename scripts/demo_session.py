@@ -32,6 +32,18 @@ def show(label: str, reply) -> None:
         print(f"  {label:<58} -> ERROR {body}")
 
 
+def dump_search(server_addr, keys, where: str, qtype: str) -> None:
+    eq = encode_query(parse_query(where, qtype))
+    frames = []
+    execute_search(server_addr, keys, eq,
+                   on_frame=lambda d, t, b: frames.append((d, t, json.loads(b))))
+    for direction, mtype, body in frames:
+        desc = {k: (f"<{len(v)} b64 blobs/rows>" if isinstance(v, list) else
+                    (v[:12] + "..." if isinstance(v, str) and len(v) > 15 else v))
+                for k, v in body.items()}
+        print(f"  {direction:<4} type={mtype} {desc}")
+
+
 def main() -> int:
     gdb = load_demo_cohort()
     keys = keygen(rng=SeededRng(7))
@@ -66,15 +78,9 @@ def main() -> int:
          submit_query(addr, "bob", "boolean", "SNP2=CC"))
 
     print("\nwhat the data server sees for one boolean query:")
-    eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"))
-    frames = []
-    execute_search(data.server_address, keys, eq,
-                   on_frame=lambda d, t, b: frames.append((d, t, json.loads(b))))
-    for direction, mtype, body in frames:
-        desc = {k: (f"<{len(v)} b64 blobs/rows>" if isinstance(v, list) else
-                    (v[:12] + "..." if isinstance(v, str) and len(v) > 15 else v))
-                for k, v in body.items()}
-        print(f"  {direction:<4} type={mtype} {desc}")
+    dump_search(data.server_address, keys, "phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean")
+    print("\nand for a count without cross-terms, answered in round one:")
+    dump_search(data.server_address, keys, "SNP2=CC", "count")
 
     vetter.shutdown(); vetter.server_close()
     data.shutdown(); data.server_close()

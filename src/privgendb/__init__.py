@@ -3,7 +3,9 @@
 An untrusted server stores an encrypted SNP/phenotype index and answers
 count, boolean (conjunction with negation), and k'-of-k match queries
 without learning keywords, record ids, or query contents beyond the
-designed leakage (query type and per-counter token counts).
+designed leakage: the query type, the anchor tag (stable per keyword), the
+anchor's chain length, the positive and negative cross-term counts (sent in
+round one, so learnt even for an empty chain), k', and the result size.
 """
 
 __version__ = "0.1.0"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -51,13 +52,12 @@ def _cmd_build(args) -> int:
     except OSError as exc:
         return _error(exc)
     try:
-        if os.path.exists(args.keys):
+        new_keys = not os.path.exists(args.keys)
+        if new_keys:
+            keys = keygen(rng=rng)
+        else:
             keys = load_keys(args.keys)
             log.info("loaded existing keys from %s", args.keys)
-        else:
-            keys = keygen(rng=rng)
-            save_keys(keys, args.keys)
-            print(f"generated new keys -> {args.keys}")
     except OSError as exc:
         return _error(exc)
     except ValueError as exc:
@@ -65,11 +65,24 @@ def _cmd_build(args) -> int:
     t0 = time.perf_counter()
     iinx = build_inverted_index(gdb)
     egdb = build_egdb(keys, iinx, rng, p_fp=args.fp)
+    # new keys are saved only after the output is written, and a failure at
+    # either step removes what this build wrote: no new key file without its
+    # database, no partial database
+    written = []
     try:
         with open(args.egdb, "wb") as fh:
+            written.append(args.egdb)
             size = serialize_egdb(egdb, fh)
+        if new_keys:
+            written.append(args.keys)
+            save_keys(keys, args.keys)
     except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         return _error(exc)
+    if new_keys:
+        print(f"generated new keys -> {args.keys}")
     elapsed = time.perf_counter() - t0
     print(
         f"built {args.egdb}: {len(gdb.records)} records, {len(iinx)} keywords, "
@@ -80,7 +93,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_server(args) -> int:
     try:
-        serve_data(args.egdb, args.listen, idle_timeout=args.idle_timeout)
+        serve_data(args.egdb, args.listen)
     except CorruptIndexError as exc:
         return _error(f"{args.egdb}: {exc}")
     except OSError as exc:
@@ -161,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("server", help="serve an encrypted database (untrusted host)")
     s.add_argument("--egdb", required=True)
     s.add_argument("--listen", required=True, help="host:port to bind")
-    s.add_argument("--idle-timeout", type=float, default=300.0)
     s.set_defaults(func=_cmd_server)
 
     v = sub.add_parser("vetter", help="run the trusted query gatekeeper")

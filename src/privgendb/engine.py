@@ -138,8 +138,6 @@ def evaluate_tuple(bloom: BloomFilter, y: bytes, pos, neg, gamma: int,
             elif hits + left < k_prime:
                 return False
         return hits >= k_prime
-    if not pos and not neg:
-        return True
     key = exponent_key(int.from_bytes(y, "big"))
     for tok in pos:
         if pow_x(key, tok) not in bloom:
@@ -153,24 +151,38 @@ def evaluate_tuple(bloom: BloomFilter, y: bytes, pos, neg, gamma: int,
 class SearchCore:
     """The server's side of one search over one anchor chain.
 
-    Opening it retrieves and parses the chain; ``feed`` evaluates the next
-    counters from a batch of per-counter tokens; ``finish`` returns the
-    ResultSet. An unknown anchor tag gives an empty chain, indistinguishable
-    from a keyword with no matches. Counters past the end of the chain are
+    Opening it retrieves and parses the chain. ``n_pos`` and ``n_neg`` are
+    the positive and negative cross-term counts per counter. With neither,
+    no tuple has a token to raise and the search is decided at once: a
+    count or boolean takes the whole chain, a match (k' >= 1 hits among no
+    tokens) takes nothing. Otherwise ``feed`` evaluates the next counters
+    from a batch of per-counter tokens. ``finish`` returns the ResultSet.
+    An unknown anchor tag gives an empty chain, indistinguishable from a
+    keyword with no matches. Counters past the end of the chain are
     ignored, and tuples no batch covered are excluded and logged as a
     protocol violation.
     """
 
-    __slots__ = ("bloom", "tuples", "gamma", "k_prime", "next_counter", "count", "matched")
+    __slots__ = ("bloom", "tuples", "gamma", "k_prime", "n_pos", "n_neg", "next_counter",
+                 "count", "matched")
 
-    def __init__(self, egdb: Egdb, stag: bytes, gamma: int, k_prime: "int | None" = None):
+    def __init__(self, egdb: Egdb, stag: bytes, gamma: int, n_pos: int, n_neg: int,
+                 k_prime: "int | None" = None):
         self.bloom = egdb.xfilter
         self.tuples = [parse_tuple(p) for p in egdb.tset.retrieve(stag)]
         self.gamma = gamma
         self.k_prime = k_prime
+        self.n_pos = n_pos
+        self.n_neg = n_neg
         self.next_counter = 1
         self.count = 0
         self.matched: list = []
+        if not (n_pos or n_neg):
+            self.next_counter = len(self.tuples) + 1
+            if gamma == GAMMA_COUNT:
+                self.count = len(self.tuples)
+            elif gamma == GAMMA_BOOLEAN:
+                self.matched = [enc_id for _, enc_id in self.tuples]
 
     def feed(self, pos, neg) -> None:
         """Evaluate counters ``next_counter`` onwards, one per entry of pos.
@@ -220,13 +232,16 @@ def run_query(keys: KeySet, egdb: Egdb, query: Query, freq: "dict | None" = None
     """Full in-process pipeline; returns a count or a sorted id list.
 
     Mirrors the networked flow exactly: round one opens the search and
-    learns the anchor chain length, round two generates tokens and feeds them.
+    learns the anchor chain length, which already decides a search without
+    cross-terms; round two generates tokens and feeds them.
     """
     eq = encode_query(query, freq)
-    core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma, eq.k_prime)
-    token = generate_token(eq, keys, len(core.tuples))
-    core.feed([[e.encode() for e in row] for row in token.pos],
-              [[e.encode() for e in row] for row in token.neg])
+    n_pos, n_neg = len(eq.positive_xterms), len(eq.negative_xterms)
+    core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma, n_pos, n_neg, eq.k_prime)
+    if n_pos or n_neg:
+        token = generate_token(eq, keys, len(core.tuples))
+        core.feed([[e.encode() for e in row] for row in token.pos],
+                  [[e.encode() for e in row] for row in token.neg])
     res = core.finish()
     if eq.gamma == GAMMA_COUNT:
         return res.count

@@ -1,21 +1,21 @@
 """Networked deployment: untrusted data server, trusted vetter, query client.
 
-The data server holds only the encrypted database and executes the two-round
-search protocol (anchor-tag init -> tuple count, then token batches ->
-result). The vetter holds the keys and the policy: it admits or denies user
-queries, drives the search, decrypts results, and applies release vetting.
-Users speak plaintext to the vetter only.
+The data server holds only the encrypted database and executes the search
+protocol: round one opens a search on the anchor tag and answers its tuple
+count, or the result itself when the query has no cross-terms; round two
+feeds token batches and answers the result. The vetter holds the keys and
+the policy: it admits or denies user queries, drives the search, decrypts
+results, and applies release vetting. Users speak plaintext to the vetter
+only.
 """
 
 from __future__ import annotations
 
 import logging
-import secrets
 import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from .crypto import ELEMENT_LEN, KeySet, load_keys
@@ -55,10 +55,9 @@ from .wire import (
 log = logging.getLogger("privgendb.services")
 
 DEFAULT_BATCH = 256
-# Live search sessions a data server holds at once; each keeps its parsed
-# anchor chain until its final batch, a failed batch, the end of the
-# connection that opened it or the idle timeout.
-MAX_SESSIONS = 256
+# Connections a data server serves at once, each with its own thread and at
+# most one open search (its parsed anchor chain).
+MAX_CONNECTIONS = 256
 
 
 class ServiceError(Exception):
@@ -74,33 +73,43 @@ def parse_hostport(text: str) -> "tuple[str, int]":
 
 # --- data server -----------------------------------------------------------------
 
-@dataclass
-class _Session:
-    core: SearchCore
-    last_active: float = field(default_factory=time.monotonic)
-
-
 class DataServer(socketserver.ThreadingTCPServer):
-    """Serves the encrypted database; holds no keys and sees no plaintext."""
+    """Serves the encrypted database; holds no keys and sees no plaintext.
+
+    Each connection runs in its own thread and holds at most one open
+    search; at most ``MAX_CONNECTIONS`` run at once, and a further one gets
+    ``MSG_ERROR`` and is closed before any thread starts for it.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, addr, egdb: Egdb, idle_timeout: float = 300.0):
+    def __init__(self, addr, egdb: Egdb):
         self.egdb = egdb
-        self.idle_timeout = idle_timeout
-        self.sessions: dict = {}
-        self.sessions_lock = threading.Lock()
+        self.slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
         super().__init__(addr, _DataHandler)
 
-    def purge_expired(self) -> None:
-        deadline = time.monotonic() - self.idle_timeout
-        with self.sessions_lock:
-            stale = [sid for sid, s in self.sessions.items() if s.last_active < deadline]
-            for sid in stale:
-                del self.sessions[sid]
-        if stale:
-            log.info("expired %d idle session(s)", len(stale))
+    def process_request(self, request, client_address):
+        if not self.slots.acquire(blocking=False):
+            log.warning("refused a connection: %d already open", MAX_CONNECTIONS)
+            try:
+                send_frame(request, MSG_ERROR,
+                           {"error": f"too many connections (limit {MAX_CONNECTIONS})"})
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self.slots.release()  # no thread started to release it
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self.slots.release()
 
 
 class _DataHandler(socketserver.StreamRequestHandler):
@@ -108,36 +117,34 @@ class _DataHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self):
-        srv: DataServer = self.server
-        self.opened: set = set()  # ids of the sessions this connection started
-        try:
-            while True:
-                try:
-                    mtype, obj, _ = read_frame(self.rfile)
-                except WireError as exc:
-                    self._error(f"bad frame: {exc}")
-                    return
-                if mtype == 0:
-                    return  # clean disconnect
-                try:
-                    if mtype == MSG_SEARCH_INIT:
-                        self._init(srv, obj)
-                    elif mtype == MSG_XTOKENS:
-                        self._tokens(srv, obj)
-                    else:
-                        self._error(f"unexpected message type {mtype}")
-                        return
-                except WireError as exc:
-                    self._error(str(exc))
-                    return
-                except CorruptIndexError as exc:
-                    self._error(f"index corrupt: {exc}")
-                    return
-        finally:
-            # a session ends with its connection, whether or not it finished
-            with srv.sessions_lock:
-                for sid in self.opened:
-                    srv.sessions.pop(sid, None)
+        core = None  # this connection's open search; it ends with the connection
+        while True:
+            try:
+                mtype, obj, _ = read_frame(self.rfile)
+            except WireError as exc:
+                self._error(f"bad frame: {exc}")
+                return
+            except (TimeoutError, ConnectionError):
+                return  # idle past the handler's timeout, or reset by the peer
+            if mtype == 0:
+                return  # clean disconnect
+            try:
+                if mtype == MSG_SEARCH_INIT and core is None:
+                    core = self._init(obj)
+                elif mtype == MSG_XTOKENS and core is not None:
+                    core = self._tokens(core, obj)
+                elif mtype == MSG_SEARCH_INIT:
+                    raise WireError("a search is already open on this connection")
+                elif mtype == MSG_XTOKENS:
+                    raise WireError("token batch without an open search")
+                else:
+                    raise WireError(f"unexpected message type {mtype}")
+            except WireError as exc:
+                self._error(str(exc))
+                return
+            except CorruptIndexError as exc:
+                self._error(f"index corrupt: {exc}")
+                return
 
     def _error(self, detail: str):
         log.warning("search protocol error: %s", detail)
@@ -146,8 +153,8 @@ class _DataHandler(socketserver.StreamRequestHandler):
         except OSError:
             pass
 
-    def _init(self, srv: DataServer, obj: dict):
-        srv.purge_expired()
+    def _init(self, obj: dict) -> "SearchCore | None":
+        """Open a search; returns its core, or None when round one answered it."""
         gamma = obj.get("gamma")
         if gamma not in (1, 2, 3):
             raise WireError(f"bad gamma {gamma!r}")
@@ -157,27 +164,22 @@ class _DataHandler(socketserver.StreamRequestHandler):
                 raise WireError("match searches need integer k_prime >= 1")
         elif k_prime is not None:
             raise WireError("k_prime only applies to match searches")
-        core = SearchCore(srv.egdb, b64d(obj.get("stag")), gamma, k_prime)
-        sid = secrets.token_hex(16)
-        with srv.sessions_lock:
-            if len(srv.sessions) >= MAX_SESSIONS:
-                raise WireError(f"too many open sessions (limit {MAX_SESSIONS})")
-            srv.sessions[sid] = _Session(core)
-            self.opened.add(sid)
-        send_frame(self.connection, MSG_STERM_COUNT,
-                   {"session": sid, "count": len(core.tuples)})
+        n_pos = obj.get("n_pos")
+        n_neg = obj.get("n_neg")
+        if type(n_pos) is not int or type(n_neg) is not int or n_pos < 0 or n_neg < 0:
+            raise WireError("n_pos and n_neg must be non-negative integers")
+        if gamma == GAMMA_MATCH and n_neg:
+            raise WireError("match searches cannot carry negative tokens")
+        core = SearchCore(self.server.egdb, b64d(obj.get("stag")), gamma, n_pos, n_neg,
+                          k_prime)
+        if not (n_pos or n_neg):
+            self._result(core.finish())
+            return None
+        send_frame(self.connection, MSG_STERM_COUNT, {"count": len(core.tuples)})
+        return core
 
-    def _tokens(self, srv: DataServer, obj: dict):
-        """One token batch. The session is taken out of the map while the
-        batch runs and goes back only if the batch succeeds without being
-        final, so a batch that fails drops its session with the error."""
-        srv.purge_expired()
-        sid = obj.get("session")
-        with srv.sessions_lock:
-            sess = srv.sessions.pop(sid, None) if isinstance(sid, str) else None
-        if sess is None:
-            raise WireError("unknown or expired session")
-        core = sess.core
+    def _tokens(self, core: SearchCore, obj: dict) -> "SearchCore | None":
+        """One token batch; returns the core, or None once the final batch answered."""
         start = obj.get("start")
         pos = obj.get("pos")
         neg = obj.get("neg")
@@ -188,34 +190,32 @@ class _DataHandler(socketserver.StreamRequestHandler):
             raise WireError("token arrays must be equal-length lists")
         if not isinstance(final, bool):
             raise WireError("final flag must be a boolean")
-        if core.gamma == GAMMA_MATCH and any(neg):
-            raise WireError("match searches cannot carry negative tokens")
-        core.feed(self._elements(pos), self._elements(neg))
+        core.feed(self._elements(pos, core.n_pos), self._elements(neg, core.n_neg))
         if not final:
-            sess.last_active = time.monotonic()
-            with srv.sessions_lock:
-                srv.sessions[sid] = sess
-            return
-        self.opened.discard(sid)
-        res = core.finish()
+            return core
+        self._result(core.finish())
+        return None
+
+    def _result(self, res: ResultSet) -> None:
         if res.gamma == GAMMA_COUNT:
-            send_frame(self.connection, MSG_RESULT, {"session": sid, "count": res.count})
+            send_frame(self.connection, MSG_RESULT, {"count": res.count})
         else:
             send_frame(self.connection, MSG_RESULT,
-                       {"session": sid, "enc_ids": [b64e(e) for e in res.enc_ids]})
+                       {"enc_ids": [b64e(e) for e in res.enc_ids]})
 
     @staticmethod
-    def _elements(rows) -> list:
-        """Per-counter token lists, each token checked for shape on arrival.
+    def _elements(rows, width: int) -> list:
+        """Per-counter token lists, each checked for shape on arrival.
 
-        Only the structure is checked here (base64, 33 bytes, compressed
-        prefix); whether a token is a curve point is checked by the search
-        core if and when it uses the token.
+        Every row must hold the ``width`` tokens the search declared. Only
+        the structure is checked here (base64, 33 bytes, compressed prefix);
+        whether a token is a curve point is checked by the search core if
+        and when it uses the token.
         """
         out = []
         for row in rows:
-            if not isinstance(row, list):
-                raise WireError("token rows must be lists")
+            if not isinstance(row, list) or len(row) != width:
+                raise WireError(f"token rows must be lists of the {width} declared tokens")
             toks = [b64d(text) for text in row]
             for tok in toks:
                 if len(tok) != ELEMENT_LEN or tok[0] not in (2, 3):
@@ -229,7 +229,10 @@ class _DataHandler(socketserver.StreamRequestHandler):
 
 def execute_search(server_addr, keys: KeySet, eq, batch: int = DEFAULT_BATCH,
                    on_frame=None, timeout: float = 60.0) -> ResultSet:
-    """Drive the two-round protocol against a data server.
+    """Drive the search protocol against a data server.
+
+    A search without cross-terms ends in round one, which already carries
+    the result.
 
     Each round goes out in one write on a socket with Nagle's algorithm off:
     the server answers only the final token batch, so a batch held back for
@@ -261,36 +264,38 @@ def execute_search(server_addr, keys: KeySet, eq, batch: int = DEFAULT_BATCH,
                 raise ServiceError(obj.get("error", "server error"))
             return mtype, obj
 
-        init = {"stag": b64e(TSet.tag(keys.k_t, eq.sterm)), "gamma": eq.gamma}
+        n_pos, n_neg = len(eq.positive_xterms), len(eq.negative_xterms)
+        init = {"stag": b64e(TSet.tag(keys.k_t, eq.sterm)), "gamma": eq.gamma,
+                "n_pos": n_pos, "n_neg": n_neg}
         if eq.gamma == GAMMA_MATCH:
             init["k_prime"] = eq.k_prime
         send([(MSG_SEARCH_INIT, init)])
         mtype, obj = recv()
-        if mtype != MSG_STERM_COUNT:
-            raise ServiceError(f"expected tuple count, got message type {mtype}")
-        sid = obj.get("session")
-        inv_len = obj.get("count")
-        if not isinstance(sid, str) or not isinstance(inv_len, int) or inv_len < 0:
-            raise ServiceError("malformed tuple-count response")
-
-        token = generate_token(eq, keys, inv_len)
-        frames = []
-        start = 1
-        while True:
-            hi = min(start - 1 + batch, token.counters)
-            final = hi >= token.counters
-            frames.append((MSG_XTOKENS, {
-                "session": sid,
-                "start": start,
-                "pos": [[b64e(e.encode()) for e in token.pos[c]] for c in range(start - 1, hi)],
-                "neg": [[b64e(e.encode()) for e in token.neg[c]] for c in range(start - 1, hi)],
-                "final": final,
-            }))
-            if final:
-                break
-            start = hi + 1
-        send(frames)
-        mtype, obj = recv()
+        if n_pos or n_neg:
+            if mtype != MSG_STERM_COUNT:
+                raise ServiceError(f"expected tuple count, got message type {mtype}")
+            inv_len = obj.get("count")
+            if not isinstance(inv_len, int) or inv_len < 0:
+                raise ServiceError("malformed tuple-count response")
+            token = generate_token(eq, keys, inv_len)
+            frames = []
+            start = 1
+            while True:
+                hi = min(start - 1 + batch, token.counters)
+                final = hi >= token.counters
+                frames.append((MSG_XTOKENS, {
+                    "start": start,
+                    "pos": [[b64e(e.encode()) for e in token.pos[c]]
+                            for c in range(start - 1, hi)],
+                    "neg": [[b64e(e.encode()) for e in token.neg[c]]
+                            for c in range(start - 1, hi)],
+                    "final": final,
+                }))
+                if final:
+                    break
+                start = hi + 1
+            send(frames)
+            mtype, obj = recv()
         if mtype != MSG_RESULT:
             raise ServiceError(f"expected result, got message type {mtype}")
         if eq.gamma == GAMMA_COUNT:
@@ -444,10 +449,10 @@ def submit_query(vetter_addr, user: str, query_type: str, where: str,
 
 # --- daemon entry points ------------------------------------------------------------------
 
-def serve_data(egdb_path, listen: str, idle_timeout: float = 300.0) -> None:
+def serve_data(egdb_path, listen: str) -> None:
     egdb = load_egdb(egdb_path)
     addr = parse_hostport(listen)
-    with DataServer(addr, egdb, idle_timeout) as srv:
+    with DataServer(addr, egdb) as srv:
         log.info("data server on %s:%d (%d entries)", *srv.server_address,
                  egdb.params.n_entries)
         srv.serve_forever()

@@ -74,8 +74,14 @@ def egdb_to_bytes(egdb: Egdb) -> bytes:
 
 
 def search(token: SearchToken, egdb: Egdb) -> ResultSet:
-    """Run one query over the encrypted database (the untrusted-server role)."""
-    core = SearchCore(egdb, token.stag, token.gamma, token.k_prime)
+    """Run one query over the encrypted database (the untrusted-server role).
+
+    The cross-term counts come from the token rows; a token with no rows
+    belongs to an empty chain, whose answer is empty either way.
+    """
+    n_pos = max(map(len, token.pos), default=0)
+    n_neg = max(map(len, token.neg), default=0)
+    core = SearchCore(egdb, token.stag, token.gamma, n_pos, n_neg, token.k_prime)
     core.feed([[e.encode() for e in row] for row in token.pos],
               [[e.encode() for e in row] for row in token.neg])
     return core.finish()
@@ -109,6 +115,7 @@ GOLDEN_IDS = [
     ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 2, [2, 5]),
     ("match", "id=7, SNP2=CC, SNP3=CT, SNP4=AG", 2, [7]),
     ("match", "id=7, SNP2=CC, SNP3=CT, SNP4=AG", 3, []),
+    ("boolean", "phenotype=Cancer B", None, [2, 5, 7]),  # no cross-terms
 ]
 
 

@@ -387,8 +387,6 @@ def _audit_frame(obj, allowed: dict):
             assert isinstance(value, int) and not isinstance(value, bool)
         elif kind == "bool":
             assert isinstance(value, bool)
-        elif kind == "session":
-            assert isinstance(value, str) and set(value) <= set("0123456789abcdef")
         elif isinstance(kind, int):  # base64 blob of exactly this many bytes
             assert len(b64d(value)) == kind
         elif kind == "blobs33":
@@ -408,31 +406,34 @@ def test_criterion_9_transcript_privacy_shape(demo_keys, demo_egdb):
             ("count", "phenotype=Cancer B, SNP2=CC, SNP4=AG", None, 2),
             ("boolean", "phenotype=Cancer B, SNP2!=CC, SNP4=AG", None, 2),
             ("match", "phenotype=Cancer B, SNP2=CC, SNP3=CT, SNP4=AG", 2, 3),
+            ("boolean", "phenotype=Cancer B", None, 0),
         ]
         for qtype, where, k_prime, n_xterms in sessions:
             eq, frames = _session_transcript(
                 srv.server_address, demo_keys, where, qtype, k_prime)
             bodies = [json.loads(b) for _, _, b in frames]
 
-            init_schema = {"stag": 16, "gamma": "int"}
+            init_schema = {"stag": 16, "gamma": "int", "n_pos": "int", "n_neg": "int"}
             if qtype == "match":
                 init_schema["k_prime"] = "int"
             _audit_frame(bodies[0], init_schema)
-            _audit_frame(bodies[1], {"session": "session", "count": "int"})
-            _audit_frame(bodies[2], {"session": "session", "start": "int",
-                                     "final": "bool", "pos": "blobs33",
-                                     "neg": "blobs33"})
-            result_schema = {"session": "session"}
-            result_schema["count" if qtype == "count" else "enc_ids"] = (
-                "int" if qtype == "count" else "blobs36")
-            _audit_frame(bodies[3], result_schema)
-
-            # structure leaks exactly the predicate count and the threshold
+            # structure leaks exactly the predicate count and the threshold;
+            # round one declares the counts that every later token row has
             n_pos = len(eq.positive_xterms)
             n_neg = len(eq.negative_xterms)
-            assert all(len(row) == n_pos for row in bodies[2]["pos"])
-            assert all(len(row) == n_neg for row in bodies[2]["neg"])
             assert n_pos + n_neg == n_xterms
+            assert (bodies[0]["n_pos"], bodies[0]["n_neg"]) == (n_pos, n_neg)
+            if n_xterms:
+                assert len(bodies) == 4
+                _audit_frame(bodies[1], {"count": "int"})
+                _audit_frame(bodies[2], {"start": "int", "final": "bool",
+                                         "pos": "blobs33", "neg": "blobs33"})
+                assert all(len(row) == n_pos for row in bodies[2]["pos"])
+                assert all(len(row) == n_neg for row in bodies[2]["neg"])
+            else:  # no cross-terms: round one carries the result
+                assert len(bodies) == 2
+            _audit_frame(bodies[-1], {"count": "int"} if qtype == "count"
+                         else {"enc_ids": "blobs36"})
             if qtype == "match":
                 assert bodies[0]["k_prime"] == k_prime
             else:
@@ -448,4 +449,4 @@ def test_criterion_9_transcript_privacy_shape(demo_keys, demo_egdb):
     finally:
         srv.shutdown()
         srv.server_close()
-    _report(9, "3 session transcripts carry opaque fixed-shape fields only")
+    _report(9, "4 session transcripts carry opaque fixed-shape fields only")

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from privgendb import cli
 from privgendb.cli import main
 from privgendb.crypto import load_keys
 from privgendb.engine import parse_policy
@@ -192,3 +193,35 @@ def test_query_unreachable_vetter(capsys):
                "--type", "count", "--where", "SNP2=CC"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_build_unwritable_output_leaves_no_key_file(built, tmp_path, capsys):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(DEMO_COHORT_CSV)
+    keys = tmp_path / "new.keys"
+    out = tmp_path / "no-such-dir" / "x.egdb"
+    rc = main(["build", "--input", str(cohort), "--keys", str(keys), "--egdb", str(out)])
+    assert rc == 2
+    assert "x.egdb" in _assert_clean_error(capsys)
+    assert not keys.exists()
+    # an existing key file stays as it was
+    _, old_keys, _ = built
+    before = old_keys.read_bytes()
+    rc = main(["build", "--input", str(cohort), "--keys", str(old_keys), "--egdb", str(out)])
+    assert rc == 2
+    assert old_keys.read_bytes() == before
+
+
+def test_build_failing_mid_write_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
+    def fail_half_way(egdb, fh):
+        fh.write(b"PGDBEDB1")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "serialize_egdb", fail_half_way)
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(DEMO_COHORT_CSV)
+    keys, out = tmp_path / "new.keys", tmp_path / "x.egdb"
+    rc = main(["build", "--input", str(cohort), "--keys", str(keys), "--egdb", str(out)])
+    assert rc == 2
+    assert "No space left" in _assert_clean_error(capsys)
+    assert not keys.exists() and not out.exists()

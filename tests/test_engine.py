@@ -21,6 +21,7 @@ from privgendb.crypto import (
 from privgendb.encoding import QueryError, encode_query, parse_query
 from privgendb.engine import (
     GAMMA_BOOLEAN,
+    GAMMA_COUNT,
     GAMMA_MATCH,
     Policy,
     ResultSet,
@@ -167,10 +168,12 @@ def test_match_full_threshold_equals_boolean(demo_keys, demo_egdb, demo_freq):
 # --- server-side behaviour ------------------------------------------------------------
 
 def test_search_excludes_uncovered_counters(demo_keys, demo_egdb, caplog):
-    eq = encode_query(parse_query("phenotype=Cancer B", "count"))
-    short = generate_token(eq, demo_keys, inv_len=2)  # chain actually has 3
+    # every Cancer B tuple holds Cancer B, so each fed counter is a hit
+    hits = probe_tokens(demo_keys, "Cancer B", 2, "Cancer B")  # chain actually has 3
+    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_COUNT, 1, 0)
+    core.feed([[h] for h in hits], [[], []])
     with caplog.at_level(logging.WARNING, logger="privgendb.engine"):
-        res = search(short, demo_egdb)
+        res = core.finish()
     assert res.count == 2
     assert any("excess excluded" in r.message for r in caplog.records)
 
@@ -207,11 +210,28 @@ def test_tokenless_chain_builds_no_key(demo_keys, demo_egdb, monkeypatch):
     assert len(keys_made) == 3
 
 
+def test_tokenless_search_is_decided_in_round_one(demo_keys, demo_egdb, monkeypatch):
+    tokens_made = _count_calls(monkeypatch, engine, "generate_token")
+    raised = _count_calls(monkeypatch, engine, "pow_x")
+    assert run_query(demo_keys, demo_egdb, parse_query("SNP2=CC", "count")) == 5
+    assert run_query(demo_keys, demo_egdb,
+                     parse_query("phenotype=Cancer B", "boolean")) == [2, 5, 7]
+    assert tokens_made == [] and raised == []
+    # the core expects no batch: a count takes the chain length, a boolean
+    # every ciphertext, a match (k' of no tokens) nothing
+    stag = TSet.tag(demo_keys.k_t, "Cancer B")
+    assert SearchCore(demo_egdb, stag, GAMMA_COUNT, 0, 0).finish().count == 3
+    core = SearchCore(demo_egdb, stag, GAMMA_BOOLEAN, 0, 0)
+    assert core.next_counter == 4
+    assert core.finish().enc_ids == tuple(enc for _, enc in core.tuples)
+    assert SearchCore(demo_egdb, stag, GAMMA_MATCH, 0, 0, 1).finish().enc_ids == ()
+
+
 def test_boolean_early_exit_leaves_tokens_undecoded(demo_keys, demo_egdb, monkeypatch):
     decoded = _count_calls(monkeypatch, engine, "pow_x")
     # no Cancer B record is Cancer A: the first token misses on every tuple
     misses = probe_tokens(demo_keys, "Cancer B", 3, "Cancer A")
-    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN)
+    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN, 3, 0)
     core.feed([[miss, OFF_CURVE, IDENTITY.encode()] for miss in misses], [[]] * 3)
     assert core.finish().enc_ids == ()
     assert [args[1] for args in decoded] == misses  # one decode per tuple
@@ -223,23 +243,23 @@ def test_match_early_exits_leave_tokens_undecoded(demo_keys, demo_egdb, monkeypa
     misses = probe_tokens(demo_keys, "Cancer B", 3, "Cancer A")
     hits = probe_tokens(demo_keys, "Cancer B", 3, "Cancer B")
     # k' = 3 of 3: the first miss already decides
-    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 3)
+    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 3, 0, 3)
     core.feed([[m, OFF_CURVE, OFF_CURVE] for m in misses], [[]] * 3)
     assert core.finish().enc_ids == ()
     # k' = 1: the first hit already decides
-    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 1)
+    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 2, 0, 1)
     core.feed([[h, OFF_CURVE] for h in hits], [[]] * 3)
     assert len(core.finish().enc_ids) == 3
     assert len(decoded) == 6
     # k' above the token count: decided before any key or decode
-    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 2)
+    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 1, 0, 2)
     core.feed([[OFF_CURVE]] * 3, [[]] * 3)
     assert core.finish().enc_ids == () and len(decoded) == 6
 
 
 @pytest.mark.parametrize("bad", [OFF_CURVE, IDENTITY.encode()], ids=["off-curve", "identity"])
 def test_core_rejects_a_used_non_point(demo_keys, demo_egdb, bad):
-    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN)
+    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN, 1, 0)
     with pytest.raises(WireError, match="group element at counter 1"):
         core.feed([[bad]], [[]])
 

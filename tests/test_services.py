@@ -5,7 +5,6 @@ import hashlib
 import io
 import json
 import re
-import secrets
 import socket
 import struct
 import threading
@@ -15,9 +14,9 @@ import types
 import pytest
 
 from privgendb.encoding import encode_query, parse_query
-from privgendb.crypto import IDENTITY
+from privgendb.crypto import IDENTITY, SeededRng
 from privgendb.engine import Policy, decrypt_ids, run_query
-from privgendb.index import TSet
+from privgendb.index import TSet, build_egdb
 from privgendb import services
 from privgendb.services import (
     DataServer,
@@ -244,7 +243,7 @@ def test_vetter_upstream_unavailable(demo_keys, tmp_path):
         srv.server_close()
 
 
-# --- two-round search protocol details --------------------------------------------------
+# --- search protocol details ------------------------------------------------------------
 
 def test_transcript_shape_and_leakage(data_server, demo_keys, demo_freq):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"),
@@ -261,20 +260,20 @@ def test_transcript_shape_and_leakage(data_server, demo_keys, demo_freq):
     # every field of every frame fits a fixed schema of opaque values, so no
     # slot exists for query plaintext, keywords, or record ids to travel in
     init = json.loads(frames[0][2])
-    assert set(init) == {"stag", "gamma"}
+    assert set(init) == {"stag", "gamma", "n_pos", "n_neg"}
     assert len(b64d(init["stag"])) == 16 and init["gamma"] == 1
+    assert (init["n_pos"], init["n_neg"]) == (2, 0)
     count = json.loads(frames[1][2])
-    assert set(count) == {"session", "count"}
-    assert isinstance(count["session"], str) and count["count"] == 3
+    assert count == {"count": 3}
     tokens = json.loads(frames[2][2])
-    assert set(tokens) == {"session", "start", "pos", "neg", "final"}
-    assert tokens["session"] == count["session"]
+    assert set(tokens) == {"start", "pos", "neg", "final"}
     assert (tokens["start"], tokens["final"]) == (1, True)
-    assert len(tokens["pos"]) == 3 and all(len(row) == 2 for row in tokens["pos"])
+    # each row holds exactly the tokens round one declared
+    assert len(tokens["pos"]) == 3 and all(len(row) == init["n_pos"] for row in tokens["pos"])
     assert all(len(b64d(t)) == 33 for row in tokens["pos"] for t in row)
-    assert tokens["neg"] == [[], [], []]
+    assert len(tokens["neg"]) == 3 and all(len(row) == init["n_neg"] for row in tokens["neg"])
     result = json.loads(frames[3][2])
-    assert set(result) == {"session", "enc_ids"}
+    assert set(result) == {"enc_ids"}
     assert all(len(b64d(e)) == 36 for e in result["enc_ids"])
     # a space never occurs in base64, so the multi-word keyword is checkable raw
     assert b"Cancer B" not in b"".join(b for _, _, b in frames)
@@ -296,6 +295,26 @@ def upstream_writes(monkeypatch, data_server):
     return writes
 
 
+@pytest.mark.parametrize("qtype,where,expected", [
+    ("count", "SNP2=CC", 5),
+    ("boolean", "phenotype=Cancer B", [2, 5, 7]),
+])
+def test_cross_term_free_search_ends_in_round_one(data_server, demo_keys, demo_freq,
+                                                  upstream_writes, qtype, where, expected):
+    eq = encode_query(parse_query(where, qtype), demo_freq)
+    frames = []
+    res = execute_search(data_server.server_address, demo_keys, eq,
+                         on_frame=lambda d, t, b: frames.append((d, t, b)))
+    assert [(d, t) for d, t, _ in frames] == [("send", MSG_SEARCH_INIT), ("recv", MSG_RESULT)]
+    assert len(upstream_writes) == 1
+    init = json.loads(frames[0][2])
+    assert (init["n_pos"], init["n_neg"]) == (0, 0)
+    if qtype == "count":
+        assert json.loads(frames[1][2]) == {"count": expected} and res.count == expected
+    else:
+        assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == expected
+
+
 def test_small_batches_equal_one_shot(data_server, demo_keys, demo_egdb, demo_freq,
                                      upstream_writes):
     eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
@@ -310,28 +329,26 @@ def test_small_batches_equal_one_shot(data_server, demo_keys, demo_egdb, demo_fr
 
 
 # SHA-256 of the bytes the vetter side wrote, and of the on_frame transcript
-# (direction, type, u32 length, body per frame), with the session id fixed.
-# Recorded when every frame was its own write, so they pin the bytes on the
-# wire across the change to one write per round.
+# (direction, type, u32 length, body per frame). They equal the earlier
+# transcripts with the session ids taken out, the cross-term counts put in
+# the init frame, and the count's round two dropped, as it has no cross-terms.
 WIRE_GOLDENS = [
     ("boolean", "SNP2=CC, SNP4!=AG", None, 1,
-     "411d1d90e579a8dbf490982ce887ed620903c089783b3f24a3de80ed0eb1e506",
-     "e2f168e8c35206f49d4f6c528eb75d57f53c08d349f1cf7c9303af68b0104639"),
+     "c786577b11129908eb15e72aa636fff9c4730e9f7bc98847931f7a803c8cd220",
+     "7f0fe7b8c8d0d8ced9ec415ede9fe6e4bbd1295ec354d7c3f7a414cebe37236b"),
     ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 1, 2,
-     "51029211866e79c5a2426b0d4d193d2c2d3d153609b03b5f8049089079850e7b",
-     "e8815694b0af1989b0a81ac3265358667f094014fed74aceb7258db449c16acd"),
+     "d611a8634406bfa53f2ef9ebc21865859fc89ca99c8de6b26ed66c13b85708fe",
+     "af73bfa028ec235be7930f9a9e7aae993e4be05769cbe1e649283ab9451b482c"),
     ("count", "SNP2=CC", None, 256,
-     "59cd967f1078ac770734ad47ceba341f2675d263539ef2e8a8752568c6fd981f",
-     "eaa5c4ef3a4bb50e33311332c828fb8630604cc157dfa59a7f5722cc5f2ab4c3"),
+     "506f6e93b92894ed888a38924b45a4ec01dd1e9f9d996767cd6550404b151dd4",
+     "9251a678754eea30eae37714a4838b8d78ed4eb02bbc41d4bbd0a9d182a6cd59"),
 ]
 
 
 @pytest.mark.parametrize("qtype,where,k_prime,batch,wire_sha,transcript_sha", WIRE_GOLDENS,
                          ids=[g[0] for g in WIRE_GOLDENS])
-def test_wire_bytes_match_golden(monkeypatch, data_server, demo_keys, demo_freq,
-                                 upstream_writes, qtype, where, k_prime, batch,
-                                 wire_sha, transcript_sha):
-    monkeypatch.setattr(secrets, "token_hex", lambda n=16: "5e" * n)
+def test_wire_bytes_match_golden(data_server, demo_keys, demo_freq, upstream_writes,
+                                 qtype, where, k_prime, batch, wire_sha, transcript_sha):
     eq = encode_query(parse_query(where, qtype, k_prime), demo_freq)
     frames = []
     execute_search(data_server.server_address, demo_keys, eq, batch=batch,
@@ -388,12 +405,13 @@ def test_rejected_first_batch_of_a_coalesced_stream_fails_cleanly(
             execute_search(srv.server_address, demo_keys, eq, batch=1, timeout=10)
         if isinstance(err.value, ServiceError):
             assert "group element at counter 1" in str(err.value)
-        assert srv.sessions == {}
         mtype, body = submit_query(vet.server_address, "alice", "boolean",
                                    "SNP2=CC, SNP4!=AG", timeout=10)
         assert mtype == MSG_ERROR and "unavailable" in body["error"]
         assert "outcome=error:upstream ms_total=" in audit.read_text()
-        assert srv.sessions == {}
+        # the refused searches took nothing with them: a new one is answered
+        eq = encode_query(parse_query("SNP2=CC", "count"))
+        assert execute_search(srv.server_address, demo_keys, eq, timeout=10).count == 5
     finally:
         vet.shutdown()
         vet.server_close()
@@ -431,7 +449,6 @@ def test_concurrent_searches(demo_egdb, demo_keys, demo_freq):
             t.join(timeout=30)
         expected = [e if isinstance(e, int) else len(e) for _, _, _, e in queries]
         assert results == expected
-        assert srv.sessions == {}  # every session retired on its final batch
     finally:
         srv.shutdown()
         srv.server_close()
@@ -439,10 +456,16 @@ def test_concurrent_searches(demo_egdb, demo_keys, demo_freq):
 
 # --- data-server protocol robustness ---------------------------------------------------
 
-def _init_frame(demo_keys, sterm="Cancer B", gamma=1, **extra):
-    obj = {"stag": b64e(TSet.tag(demo_keys.k_t, sterm)), "gamma": gamma}
-    obj.update(extra)
-    return encode_frame(MSG_SEARCH_INIT, obj)
+def _init_frame(demo_keys, sterm="Cancer B", gamma=1, n_pos=1, n_neg=0, **extra):
+    """A search init; a field given as None is left out."""
+    obj = {"stag": b64e(TSet.tag(demo_keys.k_t, sterm)), "gamma": gamma,
+           "n_pos": n_pos, "n_neg": n_neg, **extra}
+    return encode_frame(MSG_SEARCH_INIT, {k: v for k, v in obj.items() if v is not None})
+
+
+def _hits(demo_keys, counters=3):
+    """Tokens that hit on every tuple of the Cancer B chain, base64-encoded."""
+    return [b64e(t) for t in probe_tokens(demo_keys, "Cancer B", counters, "Cancer B")]
 
 
 def test_server_rejects_unexpected_type(data_server):
@@ -457,6 +480,16 @@ def test_server_rejects_bad_gamma(data_server, demo_keys):
     assert mtype == MSG_ERROR and "gamma" in obj["error"]
 
 
+@pytest.mark.parametrize("counts", [
+    {"n_pos": None}, {"n_neg": None}, {"n_pos": -1}, {"n_neg": -1},
+    {"n_pos": True}, {"n_neg": False}, {"n_pos": 1.0}, {"n_neg": "0"}, {"n_pos": [1]},
+], ids=["pos-missing", "neg-missing", "pos-negative", "neg-negative", "pos-bool",
+        "neg-bool", "pos-float", "neg-string", "pos-list"])
+def test_server_rejects_bad_cross_term_counts(data_server, demo_keys, counts):
+    [(mtype, obj)] = _raw(data_server.server_address, _init_frame(demo_keys, **counts))
+    assert mtype == MSG_ERROR and "n_pos and n_neg" in obj["error"]
+
+
 def test_server_rejects_oversize_header(data_server):
     [(mtype, obj)] = _raw(data_server.server_address,
                           struct.pack("<IB", MAX_PAYLOAD + 9, MSG_SEARCH_INIT))
@@ -468,31 +501,54 @@ def test_server_rejects_out_of_order_batch(data_server, demo_keys):
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys))
         mtype, obj, _ = read_frame(rd)
-        assert mtype == MSG_STERM_COUNT and obj["count"] == 3
-        send_frame(sock, MSG_XTOKENS, {"session": obj["session"], "start": 2,
-                                       "pos": [[]], "neg": [[]], "final": True})
+        assert (mtype, obj) == (MSG_STERM_COUNT, {"count": 3})
+        send_frame(sock, MSG_XTOKENS, {"start": 2, "pos": [_hits(demo_keys, 1)],
+                                       "neg": [[]], "final": True})
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_ERROR and "out-of-order" in obj["error"]
 
 
-def test_server_rejects_unknown_session(data_server):
-    frame = encode_frame(MSG_XTOKENS, {"session": "feedbeef", "start": 1,
-                                       "pos": [[]], "neg": [[]], "final": True})
-    [(mtype, obj)] = _raw(data_server.server_address, frame)
-    assert mtype == MSG_ERROR and "session" in obj["error"]
+def test_server_rejects_unknown_session(data_server, demo_keys):
+    # search state lives on its connection: a batch on a connection with no
+    # open search is refused, even while another connection has one open
+    addr = data_server.server_address
+    batch = encode_frame(MSG_XTOKENS, {"start": 1, "pos": [_hits(demo_keys, 1)],
+                                       "neg": [[]], "final": True})
+    with socket.create_connection(addr, timeout=10) as other:
+        other.sendall(_init_frame(demo_keys))
+        assert read_frame(other.makefile("rb"))[0] == MSG_STERM_COUNT
+        [(mtype, obj)] = _raw(addr, batch)
+        assert mtype == MSG_ERROR and "without an open search" in obj["error"]
+    # a search that round one answered takes no batch
+    [(mtype, _), (mtype2, obj)] = _raw(addr, _init_frame(demo_keys, n_pos=0) + batch, 2)
+    assert (mtype, mtype2) == (MSG_RESULT, MSG_ERROR)
+    assert "without an open search" in obj["error"]
+    # and a connection opens one search at a time
+    [(mtype, _), (mtype2, obj)] = _raw(addr, _init_frame(demo_keys) * 2, 2)
+    assert (mtype, mtype2) == (MSG_STERM_COUNT, MSG_ERROR)
+    assert "already open" in obj["error"]
 
 
 def test_server_rejects_negations_in_match(data_server, demo_keys):
-    with socket.create_connection(data_server.server_address, timeout=10) as sock:
-        rd = sock.makefile("rb")
-        sock.sendall(_init_frame(demo_keys, gamma=3, k_prime=1))
-        mtype, obj, _ = read_frame(rd)
-        assert mtype == MSG_STERM_COUNT
-        tok = b64e(b"\x00" * 33)
-        send_frame(sock, MSG_XTOKENS, {"session": obj["session"], "start": 1,
-                                       "pos": [[]], "neg": [[tok]], "final": True})
-        mtype, obj, _ = read_frame(rd)
-        assert mtype == MSG_ERROR and "negative" in obj["error"]
+    addr = data_server.server_address
+    [(mtype, obj)] = _raw(addr, _init_frame(demo_keys, gamma=3, n_neg=1, k_prime=1))
+    assert mtype == MSG_ERROR and "negative" in obj["error"]
+    # declared without them, a negative token breaks the declared row width
+    mtype, obj = _send_tokens(addr, demo_keys, [[h] for h in _hits(demo_keys)],
+                              [[_hits(demo_keys, 1)[0]], [], []], gamma=3, k_prime=1,
+                              n_neg=0)
+    assert mtype == MSG_ERROR and "0 declared tokens" in obj["error"]
+
+
+def test_server_rejects_token_rows_of_undeclared_width(data_server, demo_keys):
+    addr = data_server.server_address
+    h1, h2, h3 = _hits(demo_keys)
+    for pos in ([[h1, h1], [h2], [h3]], [[h1], [], [h3]], [[h1], [h2], h3]):
+        mtype, obj = _send_tokens(addr, demo_keys, pos, [[], [], []], n_pos=1)
+        assert mtype == MSG_ERROR and "1 declared tokens" in obj["error"]
+    # the same search at the declared width is answered
+    mtype, obj = _send_tokens(addr, demo_keys, [[h1], [h2], [h3]], [[], [], []])
+    assert mtype == MSG_RESULT and len(obj["enc_ids"]) == 3
 
 
 def test_server_rejects_malformed_group_element(data_server, demo_keys):
@@ -500,41 +556,61 @@ def test_server_rejects_malformed_group_element(data_server, demo_keys):
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys))
         mtype, obj, _ = read_frame(rd)
+        assert mtype == MSG_STERM_COUNT
         junk = b64e(b"\x07" * 33)  # invalid prefix byte for a compressed point
-        send_frame(sock, MSG_XTOKENS, {"session": obj["session"], "start": 1,
-                                       "pos": [[junk]], "neg": [[]], "final": True})
+        send_frame(sock, MSG_XTOKENS, {"start": 1, "pos": [[junk]], "neg": [[]],
+                                       "final": True})
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_ERROR and "group element" in obj["error"]
 
 
-def test_protocol_error_drops_the_session(demo_egdb, demo_keys):
-    srv = DataServer(("127.0.0.1", 0), demo_egdb)
+def test_server_reports_a_corrupt_chain_in_round_one(demo_keys, demo_iinx):
+    egdb = build_egdb(demo_keys, demo_iinx, SeededRng(1102))
+    table = egdb.tset.table
+    for label, body in table.items():  # every flag byte unmasks to an invalid flag
+        table[label] = bytes([body[0] ^ 0x80]) + body[1:]
+    srv = DataServer(("127.0.0.1", 0), egdb)
     threading.Thread(target=srv.serve_forever, daemon=True).start()
     try:
-        junk = b64e(b"\x07" * 33)
-        for final in (True, False):
-            mtype, obj = _send_tokens(srv.server_address, demo_keys,
-                                      [[junk], [], []], [[], [], []], final)
-            assert mtype == MSG_ERROR and "group element" in obj["error"]
-            assert len(srv.sessions) == 0
-        # a good batch that is not final keeps its session for the next one
-        # while the connection lasts; the connection's end drops it
-        with socket.create_connection(srv.server_address, timeout=10) as sock:
-            rd = sock.makefile("rb")
-            sock.sendall(_init_frame(demo_keys))
-            sid = read_frame(rd)[1]["session"]
-            send_frame(sock, MSG_XTOKENS, {"session": sid, "start": 1,
-                                           "pos": [[]], "neg": [[]], "final": False})
-            assert _poll(lambda: sid in srv.sessions
-                         and srv.sessions[sid].core.next_counter == 2)
-            send_frame(sock, MSG_XTOKENS, {"session": [sid], "start": 2,
-                                           "pos": [[]], "neg": [[]], "final": False})
-            mtype, obj, _ = read_frame(rd)
-            assert mtype == MSG_ERROR and "session" in obj["error"]
-        assert _poll(lambda: not srv.sessions)
+        for qtype, where in (("count", "SNP2=CC"), ("boolean", "phenotype=Cancer B")):
+            eq = encode_query(parse_query(where, qtype))
+            with pytest.raises(ServiceError, match="index corrupt: .*flag byte"):
+                execute_search(srv.server_address, demo_keys, eq, timeout=10)
     finally:
         srv.shutdown()
         srv.server_close()
+
+
+def test_protocol_error_drops_the_session(data_server, demo_keys):
+    addr = data_server.server_address
+    junk = b64e(b"\x07" * 33)
+    h1, h2, h3 = _hits(demo_keys)
+    # a failed batch, final or not, ends its search and its connection
+    for final in (True, False):
+        with socket.create_connection(addr, timeout=10) as sock:
+            rd = sock.makefile("rb")
+            sock.sendall(_init_frame(demo_keys))
+            assert read_frame(rd)[0] == MSG_STERM_COUNT
+            send_frame(sock, MSG_XTOKENS, {"start": 1, "pos": [[junk], [h2], [h3]],
+                                           "neg": [[], [], []], "final": final})
+            mtype, obj, _ = read_frame(rd)
+            assert mtype == MSG_ERROR and "group element" in obj["error"]
+            assert read_frame(rd)[0] == 0  # the server hung up
+    # a good batch that is not final keeps the search open for the next one
+    # while the connection lasts, and the connection then runs its next search
+    with socket.create_connection(addr, timeout=10) as sock:
+        rd = sock.makefile("rb")
+        sock.sendall(_init_frame(demo_keys))
+        assert read_frame(rd)[0] == MSG_STERM_COUNT
+        send_frame(sock, MSG_XTOKENS, {"start": 1, "pos": [[h1]], "neg": [[]],
+                                       "final": False})
+        send_frame(sock, MSG_XTOKENS, {"start": 2, "pos": [[h2], [h3]], "neg": [[], []],
+                                       "final": True})
+        mtype, obj, _ = read_frame(rd)
+        assert mtype == MSG_RESULT and len(obj["enc_ids"]) == 3
+        sock.sendall(_init_frame(demo_keys, n_pos=0))
+        mtype, obj, _ = read_frame(rd)
+        assert mtype == MSG_RESULT and len(obj["enc_ids"]) == 3
 
 
 def _poll(cond, seconds: float = 5.0) -> bool:
@@ -547,115 +623,120 @@ def _poll(cond, seconds: float = 5.0) -> bool:
     return True
 
 
-def test_abandoned_sessions_end_with_their_connections(monkeypatch, demo_egdb, demo_keys):
-    # with 3 slots, a fourth init-and-close connection still gets a session
-    monkeypatch.setattr(services, "MAX_SESSIONS", 3)
+def _chain_count(addr, demo_keys):
+    """Open a search on a new connection and close it; the reported chain
+    length, or None if the server refused the connection."""
+    try:
+        with socket.create_connection(addr, timeout=10) as sock:
+            sock.sendall(_init_frame(demo_keys))
+            mtype, obj, _ = read_frame(sock.makefile("rb"))
+    except OSError:  # refused: the server may reset a connection it never read
+        return None
+    return obj["count"] if mtype == MSG_STERM_COUNT else None
+
+
+@pytest.fixture
+def small_server(monkeypatch, demo_egdb):
+    """A data server that serves at most two connections at once."""
+    monkeypatch.setattr(services, "MAX_CONNECTIONS", 2)
     srv = DataServer(("127.0.0.1", 0), demo_egdb)
     threading.Thread(target=srv.serve_forever, daemon=True).start()
-    try:
-        for _ in range(4):
-            with socket.create_connection(srv.server_address, timeout=10) as sock:
-                sock.sendall(_init_frame(demo_keys))
-                mtype, obj, _ = read_frame(sock.makefile("rb"))
-                assert mtype == MSG_STERM_COUNT and obj["count"] == 3
-                assert obj["session"] in srv.sessions
-            assert _poll(lambda: len(srv.sessions) == 0)
-    finally:
-        srv.shutdown()
-        srv.server_close()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
 
 
-def _send_tokens(addr, demo_keys, pos, neg, final=True):
-    """Open a boolean search on the 3-tuple Cancer B chain and send one batch."""
+def test_abandoned_sessions_end_with_their_connections(small_server, demo_keys):
+    # each init-and-close connection frees its slot for the next
+    for _ in range(5):
+        assert _poll(lambda: _chain_count(small_server.server_address, demo_keys) == 3)
+
+
+def _send_tokens(addr, demo_keys, pos, neg, final=True, **init):
+    """Open a search on the 3-tuple Cancer B chain and send one batch.
+
+    The search is a boolean that declares the widths of the first rows,
+    unless ``init`` says otherwise.
+    """
+    init = {"n_pos": len(pos[0]), "n_neg": len(neg[0]), **init}
     with socket.create_connection(addr, timeout=10) as sock:
         rd = sock.makefile("rb")
-        sock.sendall(_init_frame(demo_keys))
+        sock.sendall(_init_frame(demo_keys, **init))
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_STERM_COUNT and obj["count"] == 3
-        send_frame(sock, MSG_XTOKENS, {"session": obj["session"], "start": 1,
-                                       "pos": pos, "neg": neg, "final": final})
+        send_frame(sock, MSG_XTOKENS, {"start": 1, "pos": pos, "neg": neg, "final": final})
         return read_frame(rd)[:2]
 
 
 def test_server_rejects_unused_malformed_token_on_arrival(data_server, demo_keys):
+    addr = data_server.server_address
     junk = b64e(b"\x07" * 33)
+    h1, h2, h3 = _hits(demo_keys)
     # no Cancer B record is Cancer A, so the core stops at the first token
     miss = b64e(probe_tokens(demo_keys, "Cancer B", 1, "Cancer A")[0])
-    mtype, obj = _send_tokens(data_server.server_address, demo_keys,
-                              [[miss, junk], [], []], [[], [], []])
+    mtype, obj = _send_tokens(addr, demo_keys, [[miss, junk], [h2, h2], [h3, h3]],
+                              [[], [], []])
     assert mtype == MSG_ERROR and "group element" in obj["error"]
     # counter 4 is past the chain, so the core would never use this token
-    mtype, obj = _send_tokens(data_server.server_address, demo_keys,
-                              [[], [], [], [junk]], [[], [], [], []])
+    mtype, obj = _send_tokens(addr, demo_keys, [[h1], [h2], [h3], [junk]],
+                              [[], [], [], []])
     assert mtype == MSG_ERROR and "group element" in obj["error"]
-    mtype, obj = _send_tokens(data_server.server_address, demo_keys,
-                              [[], [], []], [[b64e(b"\x02" * 32)], [], []])  # 32 bytes
+    mtype, obj = _send_tokens(addr, demo_keys, [[], [], []],
+                              [[b64e(b"\x02" * 32)], [h2], [h3]])  # 32 bytes
     assert mtype == MSG_ERROR and "group element" in obj["error"]
 
 
 @pytest.mark.parametrize("bad", [OFF_CURVE, IDENTITY.encode()], ids=["off-curve", "identity"])
 def test_server_rejects_used_non_point(data_server, demo_keys, bad):
+    _, h2, h3 = _hits(demo_keys)
     mtype, obj = _send_tokens(data_server.server_address, demo_keys,
-                              [[b64e(bad)], [], []], [[], [], []])
+                              [[b64e(bad)], [h2], [h3]], [[], [], []])
     assert mtype == MSG_ERROR and "group element" in obj["error"]
 
 
-def test_live_sessions_are_capped(monkeypatch, demo_egdb, demo_keys):
-    monkeypatch.setattr(services, "MAX_SESSIONS", 2)
-    srv = DataServer(("127.0.0.1", 0), demo_egdb)
-    threading.Thread(target=srv.serve_forever, daemon=True).start()
-
-    def open_session():
-        sock = socket.create_connection(srv.server_address, timeout=10)
-        rd = sock.makefile("rb")
-        sock.sendall(_init_frame(demo_keys))
-        mtype, obj, _ = read_frame(rd)
-        return sock, rd, mtype, obj
-
+def test_live_sessions_are_capped(small_server, demo_keys):
+    addr = small_server.server_address
     held = []
     try:
         for _ in range(2):
-            sock, rd, mtype, obj = open_session()
-            held.append((sock, rd, obj.get("session")))
-            assert mtype == MSG_STERM_COUNT
-        sock, _, mtype, obj = open_session()
-        sock.close()
-        assert mtype == MSG_ERROR and "too many open sessions" in obj["error"]
-        assert len(srv.sessions) == 2
-        # finishing one search frees its slot for the next
-        sock, rd, sid = held.pop()
-        send_frame(sock, MSG_XTOKENS, {"session": sid, "start": 1, "pos": [[]] * 3,
+            sock = socket.create_connection(addr, timeout=10)
+            rd = sock.makefile("rb")
+            held.append((sock, rd))
+            sock.sendall(_init_frame(demo_keys))
+            assert read_frame(rd)[0] == MSG_STERM_COUNT
+        # a third connection is refused before it sends anything, then closed
+        with socket.create_connection(addr, timeout=10) as sock:
+            rd = sock.makefile("rb")
+            mtype, obj, _ = read_frame(rd)
+            assert mtype == MSG_ERROR and "too many connections (limit 2)" in obj["error"]
+            assert read_frame(rd)[0] == 0
+        # a finished search keeps its connection's slot; closing frees it
+        sock, rd = held.pop()
+        send_frame(sock, MSG_XTOKENS, {"start": 1, "pos": [[h] for h in _hits(demo_keys)],
                                        "neg": [[]] * 3, "final": True})
         assert read_frame(rd)[0] == MSG_RESULT
+        assert _chain_count(addr, demo_keys) is None
+        rd.close()
         sock.close()
-        sock, rd, mtype, obj = open_session()
-        held.append((sock, rd, obj.get("session")))
-        assert mtype == MSG_STERM_COUNT
-        assert len(srv.sessions) == 2
+        assert _poll(lambda: _chain_count(addr, demo_keys) == 3)
     finally:
-        for sock, _, _ in held:
+        for sock, rd in held:
+            rd.close()
             sock.close()
-        srv.shutdown()
-        srv.server_close()
 
 
-def test_session_expiry(demo_egdb, demo_keys):
-    srv = DataServer(("127.0.0.1", 0), demo_egdb, idle_timeout=0.05)
-    threading.Thread(target=srv.serve_forever, daemon=True).start()
-    try:
-        with socket.create_connection(srv.server_address, timeout=10) as sock:
-            rd = sock.makefile("rb")
-            sock.sendall(_init_frame(demo_keys))
-            mtype, obj, _ = read_frame(rd)
-            assert mtype == MSG_STERM_COUNT
-            sid = obj["session"]
-            assert sid in srv.sessions
-            time.sleep(0.15)
-            send_frame(sock, MSG_XTOKENS, {"session": sid, "start": 1,
-                                           "pos": [[]], "neg": [[]], "final": True})
-            mtype, obj, _ = read_frame(rd)
-            assert mtype == MSG_ERROR and "expired" in obj["error"]
-        assert srv.sessions == {}
-    finally:
-        srv.shutdown()
-        srv.server_close()
+def test_session_expiry(monkeypatch, small_server, demo_keys):
+    # the handler's socket timeout is the idle bound: it ends an idle
+    # connection and the search open on it, and frees the connection's slot
+    monkeypatch.setattr(services._DataHandler, "timeout", 0.1)
+    addr = small_server.server_address
+    with socket.create_connection(addr, timeout=10) as sock, \
+            socket.create_connection(addr, timeout=10) as other:
+        rd = sock.makefile("rb")
+        sock.sendall(_init_frame(demo_keys))
+        assert read_frame(rd)[0] == MSG_STERM_COUNT
+        t0 = time.monotonic()
+        assert read_frame(rd)[0] == 0  # the server hung up
+        assert time.monotonic() - t0 < 5
+        assert read_frame(other.makefile("rb"))[0] == 0  # idle from the start
+    assert _poll(lambda: _chain_count(addr, demo_keys) == 3)
