@@ -81,6 +81,8 @@ def main() -> int:
     dump_search(data.server_address, keys, "phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean")
     print("\nand for a count without cross-terms, answered in round one:")
     dump_search(data.server_address, keys, "SNP2=CC", "count")
+    print("\nand for one over an empty anchor chain, also answered in round one:")
+    dump_search(data.server_address, keys, "phenotype=Cancer Z, SNP2=CC", "count")
 
     vetter.shutdown(); vetter.server_close()
     data.shutdown(); data.server_close()

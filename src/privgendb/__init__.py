@@ -37,14 +37,12 @@ from .encoding import (
 from .engine import (
     Policy,
     ResultSet,
-    SearchToken,
     TamperingError,
     decrypt_ids,
     generate_token,
     parse_policy,
     run_query,
     vet_count,
-    vet_ids,
     vet_request,
 )
 from .fixtures import DEMO_COHORT_CSV, load_demo_cohort

@@ -19,9 +19,8 @@ QUERY_TYPES = ("count", "boolean", "match")
 GAMMA = {"boolean": 1, "count": 2, "match": 3}
 
 _VALID_GENOTYPES = frozenset(a + b for a in "ACGT" for b in "ACGT")
-_SNP_HEADER = re.compile(r"^snp_?([0-9]+)$", re.IGNORECASE)
+_SNP_NAME = re.compile(r"^snp_?([0-9]+)$", re.IGNORECASE)  # a CSV column or query field
 _TERM = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(!=|=)\s*(.*?)\s*$")
-_SNP_FIELD = re.compile(r"^snp_?([0-9]+)$", re.IGNORECASE)
 
 ID_KEYWORD_PREFIX = "ID:"
 
@@ -121,7 +120,7 @@ def parse_gdb(source) -> Gdb:
     snp_count = 0
     col = 1
     while col < len(header):
-        m = _SNP_HEADER.match(header[col])
+        m = _SNP_NAME.match(header[col])
         if not m:
             break
         if int(m.group(1)) != snp_count + 1:
@@ -222,7 +221,7 @@ def parse_query(where: str, query_type: str, k_prime: "int | None" = None,
             raise QueryError(f"cannot parse predicate {raw.strip()!r}")
         name, op, value = m.group(1), m.group(2), m.group(3)
         negated = op == "!="
-        snp_m = _SNP_FIELD.match(name)
+        snp_m = _SNP_NAME.match(name)
         if snp_m:
             idx = int(snp_m.group(1))
             if idx <= 0:

@@ -9,14 +9,13 @@ The server never learns which keywords are behind the tokens, only how many
 there are.
 
 ``SearchCore`` is the only implementation of the server's side: the
-in-process ``run_query`` and the networked data server both feed it token
-batches in counter order. It decodes a token and raises it to y
+in-process ``run_query`` and the networked data server both feed it one
+token row per tuple, in counter order. It decodes a token and raises it to y
 (both inside OpenSSL) only when the evaluation actually reaches that token.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .crypto import (
@@ -36,8 +35,6 @@ from .encoding import GAMMA, EncodedQuery, Query, encode_query
 from .index import BloomFilter, Egdb, TSet, parse_tuple
 from .wire import WireError
 
-log = logging.getLogger("privgendb.engine")
-
 GAMMA_BOOLEAN = GAMMA["boolean"]
 GAMMA_COUNT = GAMMA["count"]
 GAMMA_MATCH = GAMMA["match"]
@@ -45,32 +42,6 @@ GAMMA_MATCH = GAMMA["match"]
 
 class TamperingError(Exception):
     """A result ciphertext failed authentication; the server misbehaved."""
-
-
-@dataclass(frozen=True, slots=True)
-class SearchToken:
-    """Per-counter token lists for one query; safe to hand to the server."""
-
-    stag: bytes
-    gamma: int
-    k_prime: "int | None"
-    pos: tuple  # pos[c-1] = tuple of GroupElements for counter c
-    neg: tuple
-
-    def __post_init__(self):
-        if self.gamma not in (GAMMA_BOOLEAN, GAMMA_COUNT, GAMMA_MATCH):
-            raise ValueError(f"bad gamma {self.gamma}")
-        if len(self.pos) != len(self.neg):
-            raise ValueError("positive/negative token lists must cover equal counters")
-        if self.gamma == GAMMA_MATCH:
-            if self.k_prime is None or self.k_prime < 1:
-                raise ValueError("match tokens need k_prime >= 1")
-            if any(n for n in map(len, self.neg)):
-                raise ValueError("match tokens cannot carry negations")
-
-    @property
-    def counters(self) -> int:
-        return len(self.pos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,28 +60,27 @@ class ResultSet:
             raise ValueError("id results carry ciphertexts and nothing else")
 
 
-def generate_token(eq: EncodedQuery, keys: KeySet, inv_len: int) -> SearchToken:
-    """Tokens for every (counter, cross-term) pair of an encoded query.
+def generate_token(eq: EncodedQuery, keys: KeySet, inv_len: int) -> "tuple[list, list]":
+    """Token rows for every (counter, cross-term) pair of an encoded query.
 
     ``inv_len`` is the anchor keyword's tuple count as reported by the server
-    in round one; the token for counter c and cross-term keyword g is
-    h^(z_c * x_g) where z_c blinds the counter and x_g fingerprints g. A
-    query without cross-terms still gets one (empty) entry per counter.
+    in round one. Returns ``(pos, neg)``: row c-1 of each holds the 33-byte
+    encodings of counter c's tokens h^(z_c * x_g), where z_c blinds the
+    counter and x_g fingerprints cross-term keyword g. A query without
+    cross-terms still gets one (empty) row per counter.
     """
     if inv_len < 0:
         raise ValueError("inv_len must be non-negative")
-    stag = TSet.tag(keys.k_t, eq.sterm)
     pos_x = [prf_fp(keys.k_x, keyword_bytes(kw)) for kw in eq.positive_xterms]
     neg_x = [prf_fp(keys.k_x, keyword_bytes(kw)) for kw in eq.negative_xterms]
     if not pos_x and not neg_x:
-        empty = ((),) * inv_len
-        return SearchToken(stag, eq.gamma, eq.k_prime, empty, empty)
+        return [[] for _ in range(inv_len)], [[] for _ in range(inv_len)]
     pos, neg = [], []
     for c in range(1, inv_len + 1):
         z = prf_fp(keys.k_z, keyword_counter(eq.sterm, c))
-        pos.append(tuple(base_pow(z * x % ORDER) for x in pos_x))
-        neg.append(tuple(base_pow(z * x % ORDER) for x in neg_x))
-    return SearchToken(stag, eq.gamma, eq.k_prime, tuple(pos), tuple(neg))
+        pos.append([base_pow(z * x % ORDER).encode() for x in pos_x])
+        neg.append([base_pow(z * x % ORDER).encode() for x in neg_x])
+    return pos, neg
 
 
 def evaluate_tuple(bloom: BloomFilter, y: bytes, pos, neg, gamma: int,
@@ -152,15 +122,14 @@ class SearchCore:
     """The server's side of one search over one anchor chain.
 
     Opening it retrieves and parses the chain. ``n_pos`` and ``n_neg`` are
-    the positive and negative cross-term counts per counter. With neither,
-    no tuple has a token to raise and the search is decided at once: a
+    the positive and negative cross-term counts per counter. ``feed``
+    evaluates the next counters from rows of per-counter tokens, and the
+    search is ``done`` once every tuple is decided; ``finish`` then returns
+    the ResultSet. A search with no cross-terms is done when it opens: a
     count or boolean takes the whole chain, a match (k' >= 1 hits among no
-    tokens) takes nothing. Otherwise ``feed`` evaluates the next counters
-    from a batch of per-counter tokens. ``finish`` returns the ResultSet.
-    An unknown anchor tag gives an empty chain, indistinguishable from a
-    keyword with no matches. Counters past the end of the chain are
-    ignored, and tuples no batch covered are excluded and logged as a
-    protocol violation.
+    tokens) takes nothing. So is a search over an empty chain, and an
+    unknown anchor tag gives one, indistinguishable from a keyword with no
+    matches. Rows past the end of the chain are a protocol violation.
     """
 
     __slots__ = ("bloom", "tuples", "gamma", "k_prime", "n_pos", "n_neg", "next_counter",
@@ -184,14 +153,22 @@ class SearchCore:
             elif gamma == GAMMA_BOOLEAN:
                 self.matched = [enc_id for _, enc_id in self.tuples]
 
+    @property
+    def done(self) -> bool:
+        """Whether every tuple of the chain is decided."""
+        return self.next_counter > len(self.tuples)
+
     def feed(self, pos, neg) -> None:
         """Evaluate counters ``next_counter`` onwards, one per entry of pos.
 
         ``pos[i]`` and ``neg[i]`` hold the 33-byte token encodings for one
-        counter. A reached token that is not a curve point (the identity
-        included) raises WireError.
+        counter. Rows past the chain, and a reached token that is not a
+        curve point (the identity included), raise WireError.
         """
         first = self.next_counter - 1
+        if first + len(pos) > len(self.tuples):
+            raise WireError(f"token rows for counters {first + 1}..{first + len(pos)} "
+                            f"run past the chain of {len(self.tuples)}")
         self.next_counter += len(pos)
         bloom, gamma, k_prime = self.bloom, self.gamma, self.k_prime
         for i, (y, enc_id) in enumerate(self.tuples[first : first + len(pos)]):
@@ -207,10 +184,6 @@ class SearchCore:
                     self.matched.append(enc_id)
 
     def finish(self) -> ResultSet:
-        covered = self.next_counter - 1
-        if covered < len(self.tuples):
-            log.warning("token stream covered %d of %d tuples; excess excluded",
-                        covered, len(self.tuples))
         if self.gamma == GAMMA_COUNT:
             return ResultSet(self.gamma, count=self.count)
         return ResultSet(self.gamma, enc_ids=tuple(self.matched))
@@ -231,17 +204,15 @@ def decrypt_ids(enc_ids, sterm: str, keys: KeySet) -> list:
 def run_query(keys: KeySet, egdb: Egdb, query: Query, freq: "dict | None" = None):
     """Full in-process pipeline; returns a count or a sorted id list.
 
-    Mirrors the networked flow exactly: round one opens the search and
-    learns the anchor chain length, which already decides a search without
-    cross-terms; round two generates tokens and feeds them.
+    Mirrors the networked flow exactly: round one opens the search, which
+    already decides it when it has no cross-terms or an empty chain; round
+    two generates a token row per tuple of the chain and feeds them.
     """
     eq = encode_query(query, freq)
-    n_pos, n_neg = len(eq.positive_xterms), len(eq.negative_xterms)
-    core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma, n_pos, n_neg, eq.k_prime)
-    if n_pos or n_neg:
-        token = generate_token(eq, keys, len(core.tuples))
-        core.feed([[e.encode() for e in row] for row in token.pos],
-                  [[e.encode() for e in row] for row in token.neg])
+    core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma,
+                      len(eq.positive_xterms), len(eq.negative_xterms), eq.k_prime)
+    if not core.done:
+        core.feed(*generate_token(eq, keys, len(core.tuples)))
     res = core.finish()
     if eq.gamma == GAMMA_COUNT:
         return res.count
@@ -300,11 +271,6 @@ def vet_request(user: str, query_type: str, policy: Policy) -> "tuple[bool, str]
     if query_type not in ROLE_PERMISSIONS[role]:
         return False, f"role {role!r} may not run {query_type} queries"
     return True, ""
-
-
-def vet_ids(ids) -> list:
-    """Release vetting for id answers: deduplicate and sort ascending."""
-    return sorted(set(ids))
 
 
 def vet_count(count: int, policy: Policy) -> "int | None":

@@ -41,6 +41,7 @@ from .crypto import (
     prf_fp,
     seal_record_id,
 )
+from .encoding import record_keywords
 
 _MASK64 = (1 << 64) - 1
 
@@ -61,36 +62,16 @@ class CorruptIndexError(Exception):
 def build_inverted_index(gdb) -> dict:
     """keyword -> ascending list of record IDs holding that keyword.
 
-    Duplicate keywords within one record (e.g. the same metadata value in two
-    columns) index the record once, matching ``record_keywords`` semantics.
+    A record is filed under each of its ``record_keywords`` once.
     """
-    from .encoding import ID_KEYWORD_PREFIX
-
     iinx: dict = {}
-    snp_kw = [dict() for _ in range(64)]  # (column, genotype) -> cached keyword str
     for rec in sorted(gdb.records, key=lambda r: r.id):
-        while len(snp_kw) < len(rec.genotypes):
-            snp_kw.append(dict())
-        kws = set()
-        for i, g in enumerate(rec.genotypes):
-            kw = snp_kw[i].get(g)
-            if kw is None:
-                kw = snp_kw[i].setdefault(g, f"{i + 1}{g}")
-            kws.add(kw)
-        kws.add(rec.phenotype)
-        kws.update(v for _, v in rec.metadata)
-        kws.add(f"{ID_KEYWORD_PREFIX}{rec.id}")
-        rid = rec.id
-        for kw in kws:
+        for kw in record_keywords(rec):
             lst = iinx.get(kw)
             if lst is None:
-                lst = iinx.setdefault(kw, [])
-            lst.append(rid)
+                lst = iinx[kw] = []
+            lst.append(rec.id)
     return iinx
-
-
-def index_entry_count(iinx: dict) -> int:
-    return sum(len(ids) for ids in iinx.values())
 
 
 # --- Bloom filter ----------------------------------------------------------------
@@ -414,7 +395,7 @@ def build_egdb(keys: KeySet, iinx: dict, rng: "Rng | None" = None,
     filter chunk by chunk and are never retained.
     """
     rng = rng or SystemRng()
-    n_entries = index_entry_count(iinx)
+    n_entries = sum(len(ids) for ids in iinx.values())
     bloom = BloomFilter.with_capacity(n_entries, p_fp)
     workers = _worker_count(n_entries)
     jobs = _keyword_jobs(keys, iinx, rng, -(-n_entries // (workers * _CHUNKS_PER_WORKER)))

@@ -1,12 +1,13 @@
 """Networked deployment: untrusted data server, trusted vetter, query client.
 
 The data server holds only the encrypted database and executes the search
-protocol: round one opens a search on the anchor tag and answers its tuple
-count, or the result itself when the query has no cross-terms; round two
-feeds token batches and answers the result. The vetter holds the keys and
-the policy: it admits or denies user queries, drives the search, decrypts
-results, and applies release vetting. Users speak plaintext to the vetter
-only.
+protocol: round one opens a search on the anchor tag and answers the result
+itself when that already decides the search (no cross-terms, or an empty
+chain), and the chain's tuple count otherwise; round two then takes exactly
+one token row per tuple and answers the result after the last. The vetter
+holds the keys and the policy: it admits or denies user queries, drives the
+search, decrypts results, and applies release vetting. Users speak plaintext
+to the vetter only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .engine import (
     generate_token,
     parse_policy,
     vet_count,
-    vet_ids,
     vet_request,
 )
 from .index import CorruptIndexError, Egdb, TSet, load_egdb
@@ -54,9 +54,10 @@ from .wire import (
 
 log = logging.getLogger("privgendb.services")
 
-DEFAULT_BATCH = 256
-# Connections a data server serves at once, each with its own thread and at
-# most one open search (its parsed anchor chain).
+# Counters per token frame; a search's round two is one write either way.
+FRAME_COUNTERS = 256
+# Connections each server serves at once, each with its own thread; on the
+# data server, each also holds at most one open search (its parsed chain).
 MAX_CONNECTIONS = 256
 
 
@@ -71,23 +72,19 @@ def parse_hostport(text: str) -> "tuple[str, int]":
     return host, int(port)
 
 
-# --- data server -----------------------------------------------------------------
+class _BoundedServer(socketserver.ThreadingTCPServer):
+    """One thread per connection, at most ``MAX_CONNECTIONS`` at once.
 
-class DataServer(socketserver.ThreadingTCPServer):
-    """Serves the encrypted database; holds no keys and sees no plaintext.
-
-    Each connection runs in its own thread and holds at most one open
-    search; at most ``MAX_CONNECTIONS`` run at once, and a further one gets
-    ``MSG_ERROR`` and is closed before any thread starts for it.
+    A connection over the cap gets ``MSG_ERROR`` and is closed before any
+    thread starts for it.
     """
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, addr, egdb: Egdb):
-        self.egdb = egdb
+    def __init__(self, addr, handler):
         self.slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
-        super().__init__(addr, _DataHandler)
+        super().__init__(addr, handler)
 
     def process_request(self, request, client_address):
         if not self.slots.acquire(blocking=False):
@@ -110,6 +107,19 @@ class DataServer(socketserver.ThreadingTCPServer):
             super().process_request_thread(request, client_address)
         finally:
             self.slots.release()
+
+
+# --- data server -----------------------------------------------------------------
+
+class DataServer(_BoundedServer):
+    """Serves the encrypted database; holds no keys and sees no plaintext.
+
+    Each connection holds at most one open search.
+    """
+
+    def __init__(self, addr, egdb: Egdb):
+        self.egdb = egdb
+        super().__init__(addr, _DataHandler)
 
 
 class _DataHandler(socketserver.StreamRequestHandler):
@@ -136,7 +146,7 @@ class _DataHandler(socketserver.StreamRequestHandler):
                 elif mtype == MSG_SEARCH_INIT:
                     raise WireError("a search is already open on this connection")
                 elif mtype == MSG_XTOKENS:
-                    raise WireError("token batch without an open search")
+                    raise WireError("token frame without an open search")
                 else:
                     raise WireError(f"unexpected message type {mtype}")
             except WireError as exc:
@@ -172,26 +182,20 @@ class _DataHandler(socketserver.StreamRequestHandler):
             raise WireError("match searches cannot carry negative tokens")
         core = SearchCore(self.server.egdb, b64d(obj.get("stag")), gamma, n_pos, n_neg,
                           k_prime)
-        if not (n_pos or n_neg):
+        if core.done:
             self._result(core.finish())
             return None
         send_frame(self.connection, MSG_STERM_COUNT, {"count": len(core.tuples)})
         return core
 
     def _tokens(self, core: SearchCore, obj: dict) -> "SearchCore | None":
-        """One token batch; returns the core, or None once the final batch answered."""
-        start = obj.get("start")
+        """One token frame; returns the core, or None once its last counter answered."""
         pos = obj.get("pos")
         neg = obj.get("neg")
-        final = obj.get("final")
-        if not isinstance(start, int) or start != core.next_counter:
-            raise WireError(f"out-of-order token batch (expected {core.next_counter})")
         if not isinstance(pos, list) or not isinstance(neg, list) or len(pos) != len(neg):
             raise WireError("token arrays must be equal-length lists")
-        if not isinstance(final, bool):
-            raise WireError("final flag must be a boolean")
         core.feed(self._elements(pos, core.n_pos), self._elements(neg, core.n_neg))
-        if not final:
+        if not core.done:
             return core
         self._result(core.finish())
         return None
@@ -227,17 +231,18 @@ class _DataHandler(socketserver.StreamRequestHandler):
 
 # --- vetter-side search client ------------------------------------------------------
 
-def execute_search(server_addr, keys: KeySet, eq, batch: int = DEFAULT_BATCH,
-                   on_frame=None, timeout: float = 60.0) -> ResultSet:
+def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
+                   timeout: float = 60.0) -> ResultSet:
     """Drive the search protocol against a data server.
 
-    A search without cross-terms ends in round one, which already carries
-    the result.
+    Round one carries the result when it already decides the search (no
+    cross-terms, or an empty chain); otherwise it carries the chain length,
+    and round two sends one token row per tuple, ``FRAME_COUNTERS`` rows to
+    a frame.
 
     Each round goes out in one write on a socket with Nagle's algorithm off:
-    the server answers only the final token batch, so a batch held back for
-    an ACK would stall the search by the peer's delayed-ACK timer. ``batch``
-    sets the counters per token frame, not the number of writes.
+    the server answers only after the chain's last counter, so a frame held
+    back for an ACK would stall the search by the peer's delayed-ACK timer.
 
     ``on_frame(direction, msg_type, body_bytes)`` observes every frame; the
     transcript tests use it to audit exactly what a network eavesdropper (or
@@ -264,37 +269,21 @@ def execute_search(server_addr, keys: KeySet, eq, batch: int = DEFAULT_BATCH,
                 raise ServiceError(obj.get("error", "server error"))
             return mtype, obj
 
-        n_pos, n_neg = len(eq.positive_xterms), len(eq.negative_xterms)
         init = {"stag": b64e(TSet.tag(keys.k_t, eq.sterm)), "gamma": eq.gamma,
-                "n_pos": n_pos, "n_neg": n_neg}
+                "n_pos": len(eq.positive_xterms), "n_neg": len(eq.negative_xterms)}
         if eq.gamma == GAMMA_MATCH:
             init["k_prime"] = eq.k_prime
         send([(MSG_SEARCH_INIT, init)])
         mtype, obj = recv()
-        if n_pos or n_neg:
-            if mtype != MSG_STERM_COUNT:
-                raise ServiceError(f"expected tuple count, got message type {mtype}")
+        if mtype == MSG_STERM_COUNT:
             inv_len = obj.get("count")
-            if not isinstance(inv_len, int) or inv_len < 0:
+            if not isinstance(inv_len, int) or inv_len < 1:
                 raise ServiceError("malformed tuple-count response")
-            token = generate_token(eq, keys, inv_len)
-            frames = []
-            start = 1
-            while True:
-                hi = min(start - 1 + batch, token.counters)
-                final = hi >= token.counters
-                frames.append((MSG_XTOKENS, {
-                    "start": start,
-                    "pos": [[b64e(e.encode()) for e in token.pos[c]]
-                            for c in range(start - 1, hi)],
-                    "neg": [[b64e(e.encode()) for e in token.neg[c]]
-                            for c in range(start - 1, hi)],
-                    "final": final,
-                }))
-                if final:
-                    break
-                start = hi + 1
-            send(frames)
+            pos, neg = generate_token(eq, keys, inv_len)
+            send([(MSG_XTOKENS, {
+                "pos": [[b64e(t) for t in row] for row in pos[lo : lo + FRAME_COUNTERS]],
+                "neg": [[b64e(t) for t in row] for row in neg[lo : lo + FRAME_COUNTERS]],
+            }) for lo in range(0, inv_len, FRAME_COUNTERS)])
             mtype, obj = recv()
         if mtype != MSG_RESULT:
             raise ServiceError(f"expected result, got message type {mtype}")
@@ -311,20 +300,16 @@ def execute_search(server_addr, keys: KeySet, eq, batch: int = DEFAULT_BATCH,
 
 # --- vetter ---------------------------------------------------------------------------
 
-class Vetter(socketserver.ThreadingTCPServer):
+class Vetter(_BoundedServer):
     """Trusted gatekeeper: holds the keys, enforces policy, vets releases."""
 
-    allow_reuse_address = True
-    daemon_threads = True
-
     def __init__(self, addr, keys: KeySet, policy: Policy, server_addr,
-                 audit_path=None, batch: int = DEFAULT_BATCH):
+                 audit_path=None):
         self.keys = keys
         self.policy = policy
         self.server_addr = server_addr
         self.audit_path = audit_path
         self.audit_lock = threading.Lock()
-        self.batch = batch
         super().__init__(addr, _VetterHandler)
 
     def audit(self, user: str, query_type: str, where: str, outcome: str) -> None:
@@ -390,7 +375,7 @@ class _VetterHandler(socketserver.StreamRequestHandler):
             return
         t_upstream = time.perf_counter()
         try:
-            res = execute_search(srv.server_addr, srv.keys, eq, batch=srv.batch)
+            res = execute_search(srv.server_addr, srv.keys, eq)
             failure = None
         except (OSError, WireError, ServiceError) as exc:
             failure = exc
@@ -423,7 +408,6 @@ class _VetterHandler(socketserver.StreamRequestHandler):
             audit("error:tampering")
             self._send(MSG_ERROR, {"error": str(exc)})
             return
-        ids = vet_ids(ids)
         audit(f"answered:ids={len(ids)}")
         self._send(MSG_ANSWER, {"ids": ids})
 

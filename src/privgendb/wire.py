@@ -15,9 +15,10 @@ MAX_PAYLOAD = 64 * 1024 * 1024
 
 MSG_SEARCH_INIT = 1   # vetter -> server: stag, gamma, n_pos, n_neg, k_prime?
 MSG_STERM_COUNT = 2   # server -> vetter: tuple count
-MSG_XTOKENS = 3       # vetter -> server: token batch
-MSG_RESULT = 4        # server -> vetter: count or ciphertext list (round one
-                      # answers it for a search without cross-terms)
+MSG_XTOKENS = 3       # vetter -> server: pos and neg, one token row per counter
+MSG_RESULT = 4        # server -> vetter: count or ciphertext list, after the
+                      # chain's last counter, or in round one for a search
+                      # without cross-terms or over an empty chain
 MSG_QUERY = 5         # user -> vetter: plaintext query
 MSG_ANSWER = 6        # vetter -> user: count or id list
 MSG_DENIED = 7        # vetter -> user: policy rejection

@@ -17,9 +17,9 @@ from privgendb.crypto import (
     prf_fp,
 )
 from privgendb.encoding import keyword_frequencies, parse_gdb
-from privgendb.engine import ResultSet, SearchCore, SearchToken
+from privgendb.engine import ResultSet, SearchCore
 from privgendb.fixtures import load_demo_cohort
-from privgendb.index import Egdb, build_egdb, build_inverted_index, serialize_egdb
+from privgendb.index import Egdb, TSet, build_egdb, build_inverted_index, serialize_egdb
 
 import ref_p256
 
@@ -73,17 +73,18 @@ def egdb_to_bytes(egdb: Egdb) -> bytes:
     return buf.getvalue()
 
 
-def search(token: SearchToken, egdb: Egdb) -> ResultSet:
+def search(egdb: Egdb, eq, keys, rows) -> ResultSet:
     """Run one query over the encrypted database (the untrusted-server role).
 
-    The cross-term counts come from the token rows; a token with no rows
-    belongs to an empty chain, whose answer is empty either way.
+    ``rows`` is the ``(pos, neg)`` pair ``generate_token`` returns. The core
+    sees only what the data server does: the anchor tag, the query type, k',
+    the cross-term counts and the rows. Like ``run_query``, it takes no rows
+    for a search decided when it opens.
     """
-    n_pos = max(map(len, token.pos), default=0)
-    n_neg = max(map(len, token.neg), default=0)
-    core = SearchCore(egdb, token.stag, token.gamma, n_pos, n_neg, token.k_prime)
-    core.feed([[e.encode() for e in row] for row in token.pos],
-              [[e.encode() for e in row] for row in token.neg])
+    core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma,
+                      len(eq.positive_xterms), len(eq.negative_xterms), eq.k_prime)
+    if not core.done:
+        core.feed(*rows)
     return core.finish()
 
 
@@ -103,6 +104,7 @@ GOLDEN_COUNTS = [
     ("phenotype=Cancer Z", 0),
     ("SNP1=AG, SNP2=CT", 2),
     ("gender=female, phenotype=Cancer A", 0),
+    ("phenotype=Cancer Z, SNP2=CC", 0),  # an empty chain with a cross-term
 ]
 
 GOLDEN_IDS = [
@@ -116,6 +118,7 @@ GOLDEN_IDS = [
     ("match", "id=7, SNP2=CC, SNP3=CT, SNP4=AG", 2, [7]),
     ("match", "id=7, SNP2=CC, SNP3=CT, SNP4=AG", 3, []),
     ("boolean", "phenotype=Cancer B", None, [2, 5, 7]),  # no cross-terms
+    ("boolean", "phenotype=Cancer Z, SNP2=CC", None, []),  # an empty chain
 ]
 
 

@@ -11,9 +11,8 @@ PUBLIC_NAMES = {
     "QueryError", "encode_query", "keyword_frequencies", "parse_gdb",
     "parse_query", "record_keywords",
     # tokens, results and vetting
-    "Policy", "ResultSet", "SearchToken", "TamperingError", "decrypt_ids",
-    "generate_token", "parse_policy", "run_query", "vet_count", "vet_ids",
-    "vet_request",
+    "Policy", "ResultSet", "TamperingError", "decrypt_ids", "generate_token",
+    "parse_policy", "run_query", "vet_count", "vet_request",
     # the demo cohort
     "DEMO_COHORT_CSV", "load_demo_cohort",
     # the encrypted index

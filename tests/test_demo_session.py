@@ -1,5 +1,6 @@
 """Smoke test: scripts/demo_session.py runs end to end and shows the protocol."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -20,10 +21,15 @@ def test_demo_session_runs_and_shows_the_wire():
         assert answer in out, out
     wire = out[out.index("what the data server sees"):].splitlines()
     frames = [line for line in wire if line.lstrip().startswith(("send", "recv"))]
-    # a boolean with cross-terms takes two rounds; a count without them, one
+    # a boolean with cross-terms takes two rounds; a count without them, or
+    # over an empty chain, one
     assert [line.split()[1] for line in frames] == [
-        "type=1", "type=2", "type=3", "type=4", "type=1", "type=4"]
+        "type=1", "type=2", "type=3", "type=4", "type=1", "type=4", "type=1", "type=4"]
     inits = [line for line in frames if "type=1" in line]
     assert all("'n_pos':" in line and "'n_neg':" in line for line in inits)
     assert "'n_pos': 2, 'n_neg': 0" in inits[0] and "'n_pos': 0, 'n_neg': 0" in inits[1]
+    assert "'n_pos': 1, 'n_neg': 0" in inits[2]
+    # a token frame holds the token rows and nothing else
+    [tokens] = [line for line in frames if "type=3" in line]
+    assert set(ast.literal_eval(tokens.split("type=3 ", 1)[1])) == {"pos", "neg"}
     assert not any("session" in line for line in frames)

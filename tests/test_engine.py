@@ -1,6 +1,5 @@
 """Trapdoor generation, encrypted search, decryption, and vetting."""
 
-import logging
 import random
 
 import pytest
@@ -26,14 +25,12 @@ from privgendb.engine import (
     Policy,
     ResultSet,
     SearchCore,
-    SearchToken,
     TamperingError,
     decrypt_ids,
     generate_token,
     parse_policy,
     run_query,
     vet_count,
-    vet_ids,
     vet_request,
 )
 from privgendb.index import TSet, build_egdb, build_inverted_index
@@ -48,24 +45,24 @@ from oracle import evaluate_plain
 def test_token_shape_and_values(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"))
     assert eq.sterm == "Cancer B"
-    token = generate_token(eq, demo_keys, inv_len=3)
-    assert token.counters == 3
-    assert [len(p) for p in token.pos] == [2, 2, 2]
-    assert [len(n) for n in token.neg] == [0, 0, 0]
-    assert token.gamma == 1 and token.k_prime is None
-    assert token.stag == TSet.tag(demo_keys.k_t, "Cancer B")
+    pos, neg = generate_token(eq, demo_keys, inv_len=3)
+    assert [len(p) for p in pos] == [2, 2, 2]
+    assert neg == [[], [], []]
+    assert all(type(t) is bytes and len(t) == 33 for row in pos for t in row)
     # recompute one token from first principles
     z2 = prf_fp(demo_keys.k_z, keyword_counter("Cancer B", 2))
     x_cc = prf_fp(demo_keys.k_x, keyword_bytes("2CC"))
-    assert token.pos[1][0] == base_pow(z2 * x_cc % ORDER)
+    assert pos[1][0] == base_pow(z2 * x_cc % ORDER).encode()
 
 
 def test_token_negation_split(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2!=CC, SNP4=AG", "count"))
-    token = generate_token(eq, demo_keys, inv_len=3)
-    assert [len(p) for p in token.pos] == [1, 1, 1]
-    assert [len(n) for n in token.neg] == [1, 1, 1]
-    assert token.gamma == 2
+    pos, neg = generate_token(eq, demo_keys, inv_len=3)
+    assert [len(p) for p in pos] == [1, 1, 1]
+    assert [len(n) for n in neg] == [1, 1, 1]
+    # the negated term's token sits in neg
+    z1 = prf_fp(demo_keys.k_z, keyword_counter("Cancer B", 1))
+    assert neg[0] == [base_pow(z1 * prf_fp(demo_keys.k_x, keyword_bytes("2CC")) % ORDER).encode()]
 
 
 def test_token_without_cross_terms_skips_blinding(demo_keys, monkeypatch):
@@ -73,28 +70,16 @@ def test_token_without_cross_terms_skips_blinding(demo_keys, monkeypatch):
     calls = []
     real = engine.prf_fp
     monkeypatch.setattr(engine, "prf_fp", lambda k, d: calls.append(k) or real(k, d))
-    token = generate_token(eq, demo_keys, inv_len=5)
+    pos, neg = generate_token(eq, demo_keys, inv_len=5)
     assert demo_keys.k_z not in calls  # no z_c derived for an empty token list
-    assert token.pos == token.neg == ((),) * 5  # the per-counter shape stays
+    assert pos == neg == [[]] * 5  # the per-counter shape stays
 
 
 def test_token_zero_counters(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer Z, SNP2=CC", "count"))
-    token = generate_token(eq, demo_keys, inv_len=0)
-    assert token.counters == 0
+    assert generate_token(eq, demo_keys, inv_len=0) == ([], [])
     with pytest.raises(ValueError):
         generate_token(eq, demo_keys, inv_len=-1)
-
-
-def test_search_token_invariants():
-    with pytest.raises(ValueError):
-        SearchToken(b"x" * 16, 9, None, (), ())
-    with pytest.raises(ValueError):
-        SearchToken(b"x" * 16, 1, None, ((),), ())
-    with pytest.raises(ValueError):
-        SearchToken(b"x" * 16, 3, None, ((),), ((),))  # match without k'
-    with pytest.raises(ValueError):
-        SearchToken(b"x" * 16, 3, 1, ((),), ((object(),),))  # match with negation
 
 
 def test_result_set_invariants():
@@ -167,21 +152,29 @@ def test_match_full_threshold_equals_boolean(demo_keys, demo_egdb, demo_freq):
 
 # --- server-side behaviour ------------------------------------------------------------
 
-def test_search_excludes_uncovered_counters(demo_keys, demo_egdb, caplog):
+def test_search_refuses_rows_past_the_chain(demo_keys, demo_egdb):
     # every Cancer B tuple holds Cancer B, so each fed counter is a hit
-    hits = probe_tokens(demo_keys, "Cancer B", 2, "Cancer B")  # chain actually has 3
-    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_COUNT, 1, 0)
-    core.feed([[h] for h in hits], [[], []])
-    with caplog.at_level(logging.WARNING, logger="privgendb.engine"):
-        res = core.finish()
-    assert res.count == 2
-    assert any("excess excluded" in r.message for r in caplog.records)
+    hits = probe_tokens(demo_keys, "Cancer B", 4, "Cancer B")  # the chain has 3
+    stag = TSet.tag(demo_keys.k_t, "Cancer B")
+    core = SearchCore(demo_egdb, stag, GAMMA_COUNT, 1, 0)
+    with pytest.raises(WireError, match="counters 1..4 run past the chain of 3"):
+        core.feed([[h] for h in hits], [[]] * 4)
+    # counter by counter: done after the third, and a fourth row is refused
+    core = SearchCore(demo_egdb, stag, GAMMA_COUNT, 1, 0)
+    for c in range(3):
+        assert not core.done
+        core.feed([[hits[c]]], [[]])
+    assert core.done and core.finish().count == 3
+    with pytest.raises(WireError, match="past the chain"):
+        core.feed([[hits[3]]], [[]])
+    # a search decided when it opens takes no row at all
+    with pytest.raises(WireError, match="past the chain"):
+        SearchCore(demo_egdb, stag, GAMMA_COUNT, 0, 0).feed([[]], [[]])
 
 
 def test_search_unknown_anchor_is_empty(demo_keys, demo_egdb):
     eq = encode_query(parse_query("phenotype=Nope, SNP2=CC", "boolean"))
-    token = generate_token(eq, demo_keys, inv_len=0)
-    assert search(token, demo_egdb).enc_ids == ()
+    assert search(demo_egdb, eq, demo_keys, generate_token(eq, demo_keys, 0)).enc_ids == ()
 
 
 # --- the search core ----------------------------------------------------------------
@@ -204,9 +197,9 @@ def test_tokenless_chain_builds_no_key(demo_keys, demo_egdb, monkeypatch):
     assert keys_made == []
     # with cross-terms: one key per tuple, however many tokens it has
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"))
-    token = generate_token(eq, demo_keys, inv_len=3)
+    rows = generate_token(eq, demo_keys, inv_len=3)
     keys_made.clear()
-    assert len(search(token, demo_egdb).enc_ids) == 2
+    assert len(search(demo_egdb, eq, demo_keys, rows).enc_ids) == 2
     assert len(keys_made) == 3
 
 
@@ -216,15 +209,23 @@ def test_tokenless_search_is_decided_in_round_one(demo_keys, demo_egdb, monkeypa
     assert run_query(demo_keys, demo_egdb, parse_query("SNP2=CC", "count")) == 5
     assert run_query(demo_keys, demo_egdb,
                      parse_query("phenotype=Cancer B", "boolean")) == [2, 5, 7]
+    # an empty chain is decided too, cross-terms or not
+    assert run_query(demo_keys, demo_egdb,
+                     parse_query("phenotype=Cancer Z, SNP2=CC", "boolean")) == []
     assert tokens_made == [] and raised == []
-    # the core expects no batch: a count takes the chain length, a boolean
+    # the core expects no rows: a count takes the chain length, a boolean
     # every ciphertext, a match (k' of no tokens) nothing
     stag = TSet.tag(demo_keys.k_t, "Cancer B")
-    assert SearchCore(demo_egdb, stag, GAMMA_COUNT, 0, 0).finish().count == 3
+    core = SearchCore(demo_egdb, stag, GAMMA_COUNT, 0, 0)
+    assert core.done and core.finish().count == 3
     core = SearchCore(demo_egdb, stag, GAMMA_BOOLEAN, 0, 0)
-    assert core.next_counter == 4
+    assert core.done and core.next_counter == 4
     assert core.finish().enc_ids == tuple(enc for _, enc in core.tuples)
-    assert SearchCore(demo_egdb, stag, GAMMA_MATCH, 0, 0, 1).finish().enc_ids == ()
+    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 0, 0, 1)
+    assert core.done and core.finish().enc_ids == ()
+    assert not SearchCore(demo_egdb, stag, GAMMA_BOOLEAN, 1, 0).done
+    empty = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer Z"), GAMMA_BOOLEAN, 1, 1)
+    assert empty.done and empty.finish().enc_ids == ()
 
 
 def test_boolean_early_exit_leaves_tokens_undecoded(demo_keys, demo_egdb, monkeypatch):
@@ -266,8 +267,7 @@ def test_core_rejects_a_used_non_point(demo_keys, demo_egdb, bad):
 
 def test_decrypt_ids_detects_tampering(demo_keys, demo_egdb):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC", "boolean"))
-    token = generate_token(eq, demo_keys, inv_len=3)
-    res = search(token, demo_egdb)
+    res = search(demo_egdb, eq, demo_keys, generate_token(eq, demo_keys, inv_len=3))
     assert len(res.enc_ids) == 2
     assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == [2, 5]
     evil = bytearray(res.enc_ids[0])
@@ -281,8 +281,7 @@ def test_decrypt_ids_detects_tampering(demo_keys, demo_egdb):
 
 def test_decrypt_ids_sorts_and_dedupes(demo_keys, demo_egdb):
     eq = encode_query(parse_query("SNP2=CC", "boolean"))
-    token = generate_token(eq, demo_keys, inv_len=5)
-    res = search(token, demo_egdb)
+    res = search(demo_egdb, eq, demo_keys, generate_token(eq, demo_keys, inv_len=5))
     doubled = res.enc_ids + res.enc_ids[:2]
     assert decrypt_ids(doubled, eq.sterm, demo_keys) == [1, 2, 4, 5, 6]
 
@@ -372,4 +371,3 @@ def test_vet_release():
     assert vet_count(3, pol) == 3
     assert vet_count(2, pol) is None
     assert vet_count(0, pol) is None
-    assert vet_ids([5, 1, 5, 3]) == [1, 3, 5]

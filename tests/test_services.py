@@ -1,6 +1,5 @@
 """Wire protocol and the networked data-server / vetter deployment."""
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -9,7 +8,6 @@ import socket
 import struct
 import threading
 import time
-import types
 
 import pytest
 
@@ -266,8 +264,7 @@ def test_transcript_shape_and_leakage(data_server, demo_keys, demo_freq):
     count = json.loads(frames[1][2])
     assert count == {"count": 3}
     tokens = json.loads(frames[2][2])
-    assert set(tokens) == {"start", "pos", "neg", "final"}
-    assert (tokens["start"], tokens["final"]) == (1, True)
+    assert set(tokens) == {"pos", "neg"}
     # each row holds exactly the tokens round one declared
     assert len(tokens["pos"]) == 3 and all(len(row) == init["n_pos"] for row in tokens["pos"])
     assert all(len(b64d(t)) == 33 for row in tokens["pos"] for t in row)
@@ -315,43 +312,139 @@ def test_cross_term_free_search_ends_in_round_one(data_server, demo_keys, demo_f
         assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == expected
 
 
-def test_small_batches_equal_one_shot(data_server, demo_keys, demo_egdb, demo_freq,
-                                     upstream_writes):
+def test_small_batches_equal_one_shot(monkeypatch, data_server, demo_keys, demo_egdb,
+                                     demo_freq, upstream_writes):
     eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
     one = execute_search(data_server.server_address, demo_keys, eq)
     upstream_writes.clear()
+    monkeypatch.setattr(services, "FRAME_COUNTERS", 1)
     trickle_frames = []
-    trickle = execute_search(data_server.server_address, demo_keys, eq, batch=1,
+    trickle = execute_search(data_server.server_address, demo_keys, eq,
                              on_frame=lambda d, t, b: trickle_frames.append(t))
     assert one.enc_ids == trickle.enc_ids
-    assert trickle_frames.count(MSG_XTOKENS) == 5  # 5 tuples, one per batch
+    assert trickle_frames.count(MSG_XTOKENS) == 5  # 5 tuples, one per frame
     assert len(upstream_writes) == 2  # yet one write per round
 
 
+def test_token_frames_hold_only_rows(monkeypatch, data_server, demo_keys, demo_freq):
+    monkeypatch.setattr(services, "FRAME_COUNTERS", 2)
+    eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
+    frames = []
+    execute_search(data_server.server_address, demo_keys, eq,
+                   on_frame=lambda d, t, b: frames.append((t, json.loads(b))))
+    bodies = [body for mtype, body in frames if mtype == MSG_XTOKENS]
+    assert all(set(body) == {"pos", "neg"} for body in bodies)
+    assert [len(body["pos"]) for body in bodies] == [2, 2, 1]  # the 5-tuple chain
+    # the frames carry generate_token's rows in counter order, base64-encoded
+    pos, neg = services.generate_token(eq, demo_keys, 5)
+    assert [[b64d(t) for t in row] for body in bodies for row in body["pos"]] == pos
+    assert [[b64d(t) for t in row] for body in bodies for row in body["neg"]] == neg
+
+
+def test_server_answers_after_the_last_counter(monkeypatch, data_server, demo_keys,
+                                               demo_egdb, demo_freq):
+    monkeypatch.setattr(services, "FRAME_COUNTERS", 1)
+    query = parse_query("SNP2=CC, SNP4!=AG", "boolean")
+    eq = encode_query(query, demo_freq)
+    assert eq.sterm == "2CC"
+    frames = []
+    res = execute_search(data_server.server_address, demo_keys, eq,
+                         on_frame=lambda d, t, b: frames.append((d, t)))
+    assert frames == [("send", MSG_SEARCH_INIT), ("recv", MSG_STERM_COUNT)] \
+        + [("send", MSG_XTOKENS)] * 5 + [("recv", MSG_RESULT)]
+    assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == run_query(
+        demo_keys, demo_egdb, query, demo_freq) == [6]
+    # by hand: tokens that hit on every tuple, one counter per frame. The
+    # count after the fifth frame takes all five, and the connection is then
+    # free for its next search, which round one answers.
+    hits = [b64e(t) for t in probe_tokens(demo_keys, "2CC", 5, "2CC")]
+    with socket.create_connection(data_server.server_address, timeout=10) as sock:
+        rd = sock.makefile("rb")
+        sock.sendall(_init_frame(demo_keys, sterm="2CC", gamma=2))
+        assert read_frame(rd)[:2] == (MSG_STERM_COUNT, {"count": 5})
+        sock.sendall(b"".join(encode_frame(MSG_XTOKENS, {"pos": [[h]], "neg": [[]]})
+                              for h in hits[:4]))
+        sock.sendall(encode_frame(MSG_XTOKENS, {"pos": [[hits[4]]], "neg": [[]]})
+                     + _init_frame(demo_keys, sterm="2CC", gamma=2, n_pos=0))
+        assert read_frame(rd)[:2] == (MSG_RESULT, {"count": 5})
+        assert read_frame(rd)[:2] == (MSG_RESULT, {"count": 5})
+
+
+@pytest.mark.parametrize("qtype,expected", [("count", {"count": 0}),
+                                            ("boolean", {"enc_ids": []})])
+def test_empty_chain_search_ends_in_round_one(data_server, demo_keys, demo_egdb, demo_freq,
+                                              upstream_writes, qtype, expected):
+    query = parse_query("phenotype=Cancer Z, SNP2=CC", qtype)
+    eq = encode_query(query, demo_freq)
+    frames = []
+    res = execute_search(data_server.server_address, demo_keys, eq,
+                         on_frame=lambda d, t, b: frames.append((d, t, b)))
+    assert [(d, t) for d, t, _ in frames] == [("send", MSG_SEARCH_INIT), ("recv", MSG_RESULT)]
+    assert len(upstream_writes) == 1
+    init = json.loads(frames[0][2])
+    assert (init["n_pos"], init["n_neg"]) == (1, 0)  # declared, as for any chain
+    assert json.loads(frames[1][2]) == expected
+    networked = res.count if qtype == "count" else decrypt_ids(res.enc_ids, eq.sterm,
+                                                                 demo_keys)
+    assert networked == run_query(demo_keys, demo_egdb, query, demo_freq) == (
+        0 if qtype == "count" else [])
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_vetter_rejects_a_chain_length_below_one(demo_keys, count):
+    """A server that asks for tokens over no chain is answered with an error."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    got = []
+
+    def fake_server():
+        conn, _ = listener.accept()
+        with conn:
+            rd = conn.makefile("rb")
+            read_frame(rd)
+            send_frame(conn, MSG_STERM_COUNT, {"count": count})
+            got.append(read_frame(rd)[0])  # 0: the vetter hung up
+            if got[0]:
+                send_frame(conn, MSG_RESULT, {"count": 0})
+
+    thread = threading.Thread(target=fake_server, daemon=True)
+    thread.start()
+    try:
+        eq = encode_query(parse_query("phenotype=Cancer Z, SNP2=CC", "count"))
+        with pytest.raises(ServiceError, match="malformed tuple-count"):
+            execute_search(listener.getsockname(), demo_keys, eq, timeout=10)
+        thread.join(timeout=10)
+        assert not thread.is_alive() and got == [0]  # no token frame went out
+    finally:
+        listener.close()
+
+
 # SHA-256 of the bytes the vetter side wrote, and of the on_frame transcript
-# (direction, type, u32 length, body per frame). They equal the earlier
-# transcripts with the session ids taken out, the cross-term counts put in
-# the init frame, and the count's round two dropped, as it has no cross-terms.
+# (direction, type, u32 length, body per frame), with FRAME_COUNTERS set to
+# the fourth column. They equal the earlier transcripts with the start
+# counter and final flag taken out of every token frame and the frame
+# lengths adjusted; the count ends in round one and has no token frame.
 WIRE_GOLDENS = [
     ("boolean", "SNP2=CC, SNP4!=AG", None, 1,
-     "c786577b11129908eb15e72aa636fff9c4730e9f7bc98847931f7a803c8cd220",
-     "7f0fe7b8c8d0d8ced9ec415ede9fe6e4bbd1295ec354d7c3f7a414cebe37236b"),
+     "49cdb494425e6ef7311431567642c42a43f613df26950d55e061a5e5a6ea94b2",
+     "1850dea43d491e6e79c32944d4075e6c2334cb3992ce3b4edb03aec20ed988d7"),
     ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 1, 2,
-     "d611a8634406bfa53f2ef9ebc21865859fc89ca99c8de6b26ed66c13b85708fe",
-     "af73bfa028ec235be7930f9a9e7aae993e4be05769cbe1e649283ab9451b482c"),
+     "5f62ca1f7ef6e11c76d127236424ccd41df264d8fd7e0259ab1fd85c8c722452",
+     "baadd45c1c9cfa726ca16f5058e9c32d360e9cc2e14543532b9ad2eaf88480c2"),
     ("count", "SNP2=CC", None, 256,
      "506f6e93b92894ed888a38924b45a4ec01dd1e9f9d996767cd6550404b151dd4",
      "9251a678754eea30eae37714a4838b8d78ed4eb02bbc41d4bbd0a9d182a6cd59"),
 ]
 
 
-@pytest.mark.parametrize("qtype,where,k_prime,batch,wire_sha,transcript_sha", WIRE_GOLDENS,
-                         ids=[g[0] for g in WIRE_GOLDENS])
-def test_wire_bytes_match_golden(data_server, demo_keys, demo_freq, upstream_writes,
-                                 qtype, where, k_prime, batch, wire_sha, transcript_sha):
+@pytest.mark.parametrize("qtype,where,k_prime,frame_counters,wire_sha,transcript_sha",
+                         WIRE_GOLDENS, ids=[g[0] for g in WIRE_GOLDENS])
+def test_wire_bytes_match_golden(monkeypatch, data_server, demo_keys, demo_freq,
+                                 upstream_writes, qtype, where, k_prime, frame_counters,
+                                 wire_sha, transcript_sha):
+    monkeypatch.setattr(services, "FRAME_COUNTERS", frame_counters)
     eq = encode_query(parse_query(where, qtype, k_prime), demo_freq)
     frames = []
-    execute_search(data_server.server_address, demo_keys, eq, batch=batch,
+    execute_search(data_server.server_address, demo_keys, eq,
                    on_frame=lambda d, t, b: frames.append((d, t, b)))
     transcript = b"".join(d.encode() + bytes([t]) + len(b).to_bytes(4, "little") + b
                           for d, t, b in frames)
@@ -387,22 +480,22 @@ def test_rejected_first_batch_of_a_coalesced_stream_fails_cleanly(
     real = services.generate_token
 
     def off_curve_at_counter_1(eq, keys, inv_len):
-        token = real(eq, keys, inv_len)
-        bad = types.SimpleNamespace(encode=lambda: OFF_CURVE)
-        return dataclasses.replace(token, neg=((bad,) * len(token.neg[0]),) + token.neg[1:])
+        pos, neg = real(eq, keys, inv_len)
+        return pos, [[OFF_CURVE] * len(neg[0])] + neg[1:]
 
     monkeypatch.setattr(services, "generate_token", off_curve_at_counter_1)
+    monkeypatch.setattr(services, "FRAME_COUNTERS", 1)
     srv = DataServer(("127.0.0.1", 0), demo_egdb)
     threading.Thread(target=srv.serve_forever, daemon=True).start()
     audit = tmp_path / "audit.log"
     vet = Vetter(("127.0.0.1", 0), demo_keys, POLICY, srv.server_address,
-                 audit_path=audit, batch=1)
+                 audit_path=audit)
     threading.Thread(target=vet.serve_forever, daemon=True).start()
     try:
-        # 5 one-counter batches in one write; the server refuses the first
+        # 5 one-counter frames in one write; the server refuses the first
         eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
         with pytest.raises((ServiceError, OSError)) as err:
-            execute_search(srv.server_address, demo_keys, eq, batch=1, timeout=10)
+            execute_search(srv.server_address, demo_keys, eq, timeout=10)
         if isinstance(err.value, ServiceError):
             assert "group element at counter 1" in str(err.value)
         mtype, body = submit_query(vet.server_address, "alice", "boolean",
@@ -425,7 +518,8 @@ def test_count_zero_still_answers(data_server, demo_keys):
     assert res.count == 0
 
 
-def test_concurrent_searches(demo_egdb, demo_keys, demo_freq):
+def test_concurrent_searches(monkeypatch, demo_egdb, demo_keys, demo_freq):
+    monkeypatch.setattr(services, "FRAME_COUNTERS", 2)
     srv = DataServer(("127.0.0.1", 0), demo_egdb)
     threading.Thread(target=srv.serve_forever, daemon=True).start()
     try:
@@ -438,7 +532,7 @@ def test_concurrent_searches(demo_egdb, demo_keys, demo_freq):
 
         def work(i, qtype, where, k):
             eq = encode_query(parse_query(where, qtype, k), demo_freq)
-            res = execute_search(srv.server_address, demo_keys, eq, batch=2)
+            res = execute_search(srv.server_address, demo_keys, eq)
             results[i] = res.count if qtype == "count" else len(res.enc_ids)
 
         threads = [threading.Thread(target=work, args=(i, q, w, k))
@@ -480,6 +574,27 @@ def test_server_rejects_bad_gamma(data_server, demo_keys):
     assert mtype == MSG_ERROR and "gamma" in obj["error"]
 
 
+@pytest.mark.parametrize("gamma,k_prime,why", [
+    (3, None, "need integer k_prime"), (3, 0, "need integer k_prime"),
+    (3, "1", "need integer k_prime"), (1, 1, "only applies to match"),
+], ids=["match-missing", "match-zero", "match-string", "boolean-with-k"])
+def test_server_rejects_bad_k_prime(data_server, demo_keys, gamma, k_prime, why):
+    [(mtype, obj)] = _raw(data_server.server_address,
+                          _init_frame(demo_keys, gamma=gamma, k_prime=k_prime))
+    assert mtype == MSG_ERROR and why in obj["error"]
+
+
+def test_server_rejects_unequal_token_arrays(data_server, demo_keys):
+    h1, h2, h3 = _hits(demo_keys)
+    for frame in ({"pos": [[h1], [h2], [h3]], "neg": [[], []]},
+                  {"pos": {"1": [h1]}, "neg": [[]]}, {"pos": [[h1], [h2], [h3]]}):
+        [(mtype, _), (mtype2, obj)] = _raw(data_server.server_address,
+                                           _init_frame(demo_keys)
+                                           + encode_frame(MSG_XTOKENS, frame), 2)
+        assert (mtype, mtype2) == (MSG_STERM_COUNT, MSG_ERROR)
+        assert "equal-length lists" in obj["error"]
+
+
 @pytest.mark.parametrize("counts", [
     {"n_pos": None}, {"n_neg": None}, {"n_pos": -1}, {"n_neg": -1},
     {"n_pos": True}, {"n_neg": False}, {"n_pos": 1.0}, {"n_neg": "0"}, {"n_pos": [1]},
@@ -496,24 +611,29 @@ def test_server_rejects_oversize_header(data_server):
     assert mtype == MSG_ERROR and "bad frame" in obj["error"]
 
 
-def test_server_rejects_out_of_order_batch(data_server, demo_keys):
+def test_server_rejects_rows_past_the_chain(data_server, demo_keys):
+    h1, h2, h3 = _hits(demo_keys)
+    # in one frame, and across frames: 2 rows, then 2 more for the last counter
+    mtype, obj = _send_tokens(data_server.server_address, demo_keys,
+                              [[h1], [h2], [h3], [h1]], [[], [], [], []])
+    assert mtype == MSG_ERROR and "counters 1..4 run past the chain of 3" in obj["error"]
     with socket.create_connection(data_server.server_address, timeout=10) as sock:
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys))
         mtype, obj, _ = read_frame(rd)
         assert (mtype, obj) == (MSG_STERM_COUNT, {"count": 3})
-        send_frame(sock, MSG_XTOKENS, {"start": 2, "pos": [_hits(demo_keys, 1)],
-                                       "neg": [[]], "final": True})
+        sock.sendall(encode_frame(MSG_XTOKENS, {"pos": [[h1], [h2]], "neg": [[], []]})
+                     + encode_frame(MSG_XTOKENS, {"pos": [[h3], [h1]], "neg": [[], []]}))
         mtype, obj, _ = read_frame(rd)
-        assert mtype == MSG_ERROR and "out-of-order" in obj["error"]
+        assert mtype == MSG_ERROR and "counters 3..4 run past the chain" in obj["error"]
+        assert read_frame(rd)[0] == 0  # the server hung up
 
 
 def test_server_rejects_unknown_session(data_server, demo_keys):
     # search state lives on its connection: a batch on a connection with no
     # open search is refused, even while another connection has one open
     addr = data_server.server_address
-    batch = encode_frame(MSG_XTOKENS, {"start": 1, "pos": [_hits(demo_keys, 1)],
-                                       "neg": [[]], "final": True})
+    batch = encode_frame(MSG_XTOKENS, {"pos": [_hits(demo_keys, 1)], "neg": [[]]})
     with socket.create_connection(addr, timeout=10) as other:
         other.sendall(_init_frame(demo_keys))
         assert read_frame(other.makefile("rb"))[0] == MSG_STERM_COUNT
@@ -558,8 +678,7 @@ def test_server_rejects_malformed_group_element(data_server, demo_keys):
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_STERM_COUNT
         junk = b64e(b"\x07" * 33)  # invalid prefix byte for a compressed point
-        send_frame(sock, MSG_XTOKENS, {"start": 1, "pos": [[junk]], "neg": [[]],
-                                       "final": True})
+        send_frame(sock, MSG_XTOKENS, {"pos": [[junk]], "neg": [[]]})
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_ERROR and "group element" in obj["error"]
 
@@ -585,27 +704,26 @@ def test_protocol_error_drops_the_session(data_server, demo_keys):
     addr = data_server.server_address
     junk = b64e(b"\x07" * 33)
     h1, h2, h3 = _hits(demo_keys)
-    # a failed batch, final or not, ends its search and its connection
-    for final in (True, False):
+    # a failed frame, whether or not it reaches the last counter, ends its
+    # search and its connection
+    for pos in ([[junk], [h2], [h3]], [[junk]]):
         with socket.create_connection(addr, timeout=10) as sock:
             rd = sock.makefile("rb")
             sock.sendall(_init_frame(demo_keys))
             assert read_frame(rd)[0] == MSG_STERM_COUNT
-            send_frame(sock, MSG_XTOKENS, {"start": 1, "pos": [[junk], [h2], [h3]],
-                                           "neg": [[], [], []], "final": final})
+            send_frame(sock, MSG_XTOKENS, {"pos": pos, "neg": [[]] * len(pos)})
             mtype, obj, _ = read_frame(rd)
             assert mtype == MSG_ERROR and "group element" in obj["error"]
             assert read_frame(rd)[0] == 0  # the server hung up
-    # a good batch that is not final keeps the search open for the next one
-    # while the connection lasts, and the connection then runs its next search
+    # a good frame short of the last counter keeps the search open for the
+    # next one while the connection lasts, and the connection then runs its
+    # next search
     with socket.create_connection(addr, timeout=10) as sock:
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys))
         assert read_frame(rd)[0] == MSG_STERM_COUNT
-        send_frame(sock, MSG_XTOKENS, {"start": 1, "pos": [[h1]], "neg": [[]],
-                                       "final": False})
-        send_frame(sock, MSG_XTOKENS, {"start": 2, "pos": [[h2], [h3]], "neg": [[], []],
-                                       "final": True})
+        send_frame(sock, MSG_XTOKENS, {"pos": [[h1]], "neg": [[]]})
+        send_frame(sock, MSG_XTOKENS, {"pos": [[h2], [h3]], "neg": [[], []]})
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_RESULT and len(obj["enc_ids"]) == 3
         sock.sendall(_init_frame(demo_keys, n_pos=0))
@@ -652,8 +770,8 @@ def test_abandoned_sessions_end_with_their_connections(small_server, demo_keys):
         assert _poll(lambda: _chain_count(small_server.server_address, demo_keys) == 3)
 
 
-def _send_tokens(addr, demo_keys, pos, neg, final=True, **init):
-    """Open a search on the 3-tuple Cancer B chain and send one batch.
+def _send_tokens(addr, demo_keys, pos, neg, **init):
+    """Open a search on the 3-tuple Cancer B chain and send one token frame.
 
     The search is a boolean that declares the widths of the first rows,
     unless ``init`` says otherwise.
@@ -664,7 +782,7 @@ def _send_tokens(addr, demo_keys, pos, neg, final=True, **init):
         sock.sendall(_init_frame(demo_keys, **init))
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_STERM_COUNT and obj["count"] == 3
-        send_frame(sock, MSG_XTOKENS, {"start": 1, "pos": pos, "neg": neg, "final": final})
+        send_frame(sock, MSG_XTOKENS, {"pos": pos, "neg": neg})
         return read_frame(rd)[:2]
 
 
@@ -712,8 +830,8 @@ def test_live_sessions_are_capped(small_server, demo_keys):
             assert read_frame(rd)[0] == 0
         # a finished search keeps its connection's slot; closing frees it
         sock, rd = held.pop()
-        send_frame(sock, MSG_XTOKENS, {"start": 1, "pos": [[h] for h in _hits(demo_keys)],
-                                       "neg": [[]] * 3, "final": True})
+        send_frame(sock, MSG_XTOKENS, {"pos": [[h] for h in _hits(demo_keys)],
+                                       "neg": [[]] * 3})
         assert read_frame(rd)[0] == MSG_RESULT
         assert _chain_count(addr, demo_keys) is None
         rd.close()
@@ -723,6 +841,51 @@ def test_live_sessions_are_capped(small_server, demo_keys):
         for sock, rd in held:
             rd.close()
             sock.close()
+
+
+def test_vetter_connections_are_capped(monkeypatch, demo_keys, data_server):
+    monkeypatch.setattr(services, "MAX_CONNECTIONS", 2)
+    handled = []
+    real = services._VetterHandler.handle
+    monkeypatch.setattr(services._VetterHandler, "handle",
+                        lambda self: handled.append(1) or real(self))
+    srv = Vetter(("127.0.0.1", 0), demo_keys, POLICY, data_server.server_address)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    addr = srv.server_address
+    query = {"user": "bob", "type": "count", "where": "SNP2=CC"}
+    held = []
+
+    def answered() -> bool:
+        try:
+            return submit_query(addr, "bob", "count", "SNP2=CC", timeout=10)[0] == MSG_ANSWER
+        except OSError:  # refused: the server may reset a connection it never read
+            return False
+
+    try:
+        for _ in range(2):
+            sock = socket.create_connection(addr, timeout=10)
+            rd = sock.makefile("rb")
+            held.append((sock, rd))
+            send_frame(sock, MSG_QUERY, query)
+            assert read_frame(rd)[:2] == (MSG_ANSWER, {"count": 5})
+        # a third connection is refused before it sends anything, then closed
+        with socket.create_connection(addr, timeout=10) as sock:
+            rd = sock.makefile("rb")
+            mtype, obj, _ = read_frame(rd)
+            assert mtype == MSG_ERROR and "too many connections (limit 2)" in obj["error"]
+            assert read_frame(rd)[0] == 0
+        # closing a held connection frees its slot
+        sock, rd = held.pop()
+        rd.close()
+        sock.close()
+        assert _poll(answered)
+        assert len(handled) == 3  # no handler ran for the refused connection
+    finally:
+        for sock, rd in held:
+            rd.close()
+            sock.close()
+        srv.shutdown()
+        srv.server_close()
 
 
 def test_session_expiry(monkeypatch, small_server, demo_keys):
