@@ -158,6 +158,12 @@ class SearchCore:
         """Whether every tuple of the chain is decided."""
         return self.next_counter > len(self.tuples)
 
+    def admit(self, n_rows: int) -> None:
+        """Raise WireError if ``n_rows`` more token rows run past the chain."""
+        if (last := self.next_counter + n_rows - 1) > len(self.tuples):
+            raise WireError(f"token rows for counters {self.next_counter}..{last} "
+                            f"run past the chain of {len(self.tuples)}")
+
     def feed(self, pos, neg) -> None:
         """Evaluate counters ``next_counter`` onwards, one per entry of pos.
 
@@ -165,10 +171,8 @@ class SearchCore:
         counter. Rows past the chain, and a reached token that is not a
         curve point (the identity included), raise WireError.
         """
+        self.admit(len(pos))
         first = self.next_counter - 1
-        if first + len(pos) > len(self.tuples):
-            raise WireError(f"token rows for counters {first + 1}..{first + len(pos)} "
-                            f"run past the chain of {len(self.tuples)}")
         self.next_counter += len(pos)
         bloom, gamma, k_prime = self.bloom, self.gamma, self.k_prime
         for i, (y, enc_id) in enumerate(self.tuples[first : first + len(pos)]):

@@ -172,6 +172,12 @@ class BloomFilter:
 
 _BLOCK = 16  # AES block bytes
 _FIRST_BATCH = 64  # counters derived by a retrieve's first batch; later batches double
+_SORTED_PROBES = 512  # batches this long search faster with their probes sorted first
+
+
+def _search_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row's first 8 bytes as a big-endian u64, in native byte order."""
+    return rows[:, :8].copy().view(">u8").ravel().astype(np.uint64)
 
 
 class TSet:
@@ -189,12 +195,20 @@ class TSet:
     starting at block ``ceil(payload_width / 16) * (c - 1)``. A whole
     chain's labels and pads are thus one cipher call each. Without the stag,
     entries are indistinguishable from random.
+
+    ``rows`` holds the read-only (label || masked body) rows, sorted by
+    ``keys``: each label's first 8 bytes as a big-endian u64, which must
+    strictly ascend.
     """
 
-    __slots__ = ("table", "label_width", "payload_width")
+    __slots__ = ("rows", "keys", "label_width", "payload_width")
 
-    def __init__(self, table: dict, label_width: int, payload_width: int):
-        self.table = table
+    def __init__(self, rows: np.ndarray, label_width: int, payload_width: int):
+        keys = _search_keys(rows)
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("tuple-set labels' 8-byte prefixes do not strictly ascend")
+        rows.flags.writeable = False
+        self.rows, self.keys = rows, keys
         self.label_width = label_width
         self.payload_width = payload_width
 
@@ -211,40 +225,37 @@ class TSet:
 
     @staticmethod
     def _derive(ciphers, first: int, n: int, label_width: int,
-                payload_width: int) -> "tuple[list, np.ndarray]":
+                payload_width: int) -> "tuple[np.ndarray, np.ndarray]":
         """Labels and pads of counters first .. first + n - 1.
 
-        Returns the n labels as bytes and the pads as an (n, payload_width)
-        uint8 array. The pad stream is read on from where the last call on
-        the same ``ciphers`` stopped, so calls must go in counter order.
+        Returns them as (n, label_width) and (n, payload_width) uint8 arrays.
+        The pad stream is read on from where the last call on the same
+        ``ciphers`` stopped, so calls must go in counter order.
         """
         labels, pads = ciphers
         halves = label_width // _BLOCK
         blocks = np.empty((n, halves, 2), dtype="<u8")
         blocks[:, :, 0] = np.arange(first, first + n, dtype=np.uint64)[:, None]
         blocks[:, :, 1] = np.arange(halves, dtype=np.uint64)
-        raw = labels.update(blocks.tobytes())
+        raw = np.frombuffer(labels.update(blocks.tobytes()), dtype=np.uint8)
         per = -(-payload_width // _BLOCK) * _BLOCK
         stream = np.frombuffer(pads.update(bytes(n * per)), dtype=np.uint8)
-        return ([raw[i : i + label_width] for i in range(0, len(raw), label_width)],
-                stream.reshape(n, per)[:, :payload_width])
+        return raw.reshape(n, label_width), stream.reshape(n, per)[:, :payload_width]
 
     @classmethod
-    def chain(cls, stag: bytes, payloads) -> list:
-        """The (label, masked body) pairs of one keyword's chain of payloads."""
-        n = len(payloads)
-        if not n:
-            return []
-        width = len(payloads[0])
-        if any(len(p) != width for p in payloads):
-            raise ValueError("a chain's payloads must have one width")
-        body = np.zeros((n, 1 + width), dtype=np.uint8)
-        body[-1, 0] = 1  # the flag that ends the chain
-        body[:, 1:] = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(n, width)
-        labels, pads = cls._derive(cls._ciphers(stag), 1, n, len(stag), 1 + width)
-        masked = (body ^ pads).tobytes()
-        return list(zip(labels, (masked[i : i + 1 + width]
-                                 for i in range(0, len(masked), 1 + width))))
+    def chain(cls, stag: bytes, payloads) -> np.ndarray:
+        """The (label || masked body) rows of one keyword's chain of payloads."""
+        widths = {len(p) for p in payloads}
+        if len(widths) != 1:
+            raise ValueError("a chain needs one or more payloads of one width")
+        n, label_w, width = len(payloads), len(stag), widths.pop()
+        labels, pads = cls._derive(cls._ciphers(stag), 1, n, label_w, 1 + width)
+        rows = np.zeros((n, label_w + 1 + width), dtype=np.uint8)
+        rows[:, :label_w] = labels
+        rows[-1, label_w] = 1  # the flag that ends the chain
+        rows[:, label_w + 1 :] = np.frombuffer(b"".join(payloads), np.uint8).reshape(n, width)
+        rows[:, label_w:] ^= pads
+        return rows
 
     def retrieve(self, stag: bytes) -> list:
         """All payloads chained under stag, counter order; [] if none exist.
@@ -253,42 +264,40 @@ class TSet:
         and so on, until the flag byte ends the chain.
         """
         label_w, width = self.label_width, self.payload_width
-        if len(stag) != label_w:
+        if len(stag) != label_w or not len(self.keys):
             return []  # no stag of this width ever filed a chain here
         ciphers = self._ciphers(stag)
-        get = self.table.get
         out: list = []
         first, n = 1, _FIRST_BATCH
         while True:
             labels, pads = self._derive(ciphers, first, n, label_w, width)
-            masked = list(map(get, labels))
-            try:
-                found = masked.index(None)
-            except ValueError:
-                found = n
+            probes = _search_keys(labels)
+            order = np.argsort(probes) if n >= _SORTED_PROBES else slice(None)
+            at = np.empty(n, dtype=np.intp)
+            at[order] = self.keys.searchsorted(probes[order])
+            cand = self.rows.take(at, axis=0, mode="clip")
+            hits = (cand[:, :label_w] == labels).all(axis=1)
+            found = n if hits.all() else int(hits.argmin())
             if not found and first == 1:
                 return []
-            body = np.frombuffer(b"".join(masked[:found]), dtype=np.uint8)
-            body = body.reshape(found, width) ^ pads[:found]
-            flags = body[:, 0]
-            ends = np.flatnonzero(flags)
+            body = cand[:found, label_w:] ^ pads[:found]
+            ends = np.flatnonzero(body[:, 0])
             if ends.size:
                 found = int(ends[0]) + 1
-                flag = int(flags[found - 1])
-                if flag != 1:
-                    raise CorruptIndexError(
-                        f"bad tuple flag byte {flag:#x} at counter {first + found - 1}")
+                if body[found - 1, 0] != 1:
+                    raise CorruptIndexError(f"bad tuple flag byte {body[found - 1, 0]:#x} "
+                                            f"at counter {first + found - 1}")
             elif found < n:
                 raise CorruptIndexError(f"tuple chain truncated at counter {first + found}")
-            rows = body[:found, 1:].tobytes()
-            out += [rows[i : i + width - 1] for i in range(0, len(rows), width - 1)]
+            payloads = body[:found, 1:].tobytes()
+            out += [payloads[i : i + width - 1] for i in range(0, len(payloads), width - 1)]
             if ends.size:
                 return out
             first += n
             n *= 2
 
     def __len__(self):
-        return len(self.table)
+        return len(self.rows)
 
 
 # --- encrypted database -------------------------------------------------------------
@@ -320,16 +329,16 @@ _POOL_MIN_ENTRIES = 4096  # below this, starting a process pool costs more than 
 _CHUNKS_PER_WORKER = 8
 
 
-def _encrypt_keywords(job) -> "tuple[list, list]":
-    """Encrypt one chunk of keywords into TSet entries and cross-tag keys.
+def _encrypt_keywords(job) -> "tuple[np.ndarray, list]":
+    """Encrypt one chunk of keywords into TSet rows and cross-tag keys.
 
     ``job`` is (k_s, k_x, k_z, k_t, chunk), where chunk lists
     (keyword, record ids, xids, nonces) with one xid and nonce per id.
-    Returns the (label, masked body) pairs and the cross-tag x-coordinates.
-    Module-level so that a process pool can run it.
+    Returns the chains' (label || masked body) rows and the cross-tag
+    x-coordinates. Module-level so that a process pool can run it.
     """
     k_s, k_x, k_z, k_t, chunk = job
-    pairs: list = []
+    chains: list = []
     xs: list = []
     for g, rids, xids, nonces in chunk:
         gb = keyword_bytes(g)
@@ -343,8 +352,8 @@ def _encrypt_keywords(job) -> "tuple[list, list]":
             xs.append(base_pow(x_g * xid % ORDER).x_bytes())
             y = (xid * zi % ORDER).to_bytes(Y_LEN, "big")
             payloads.append(y + seal_record_id(aead, nonce, rid))
-        pairs += TSet.chain(TSet.tag(k_t, g), payloads)
-    return pairs, xs
+        chains.append(TSet.chain(TSet.tag(k_t, g), payloads))
+    return np.concatenate(chains), xs
 
 
 def _worker_count(n_entries: int) -> int:
@@ -399,7 +408,7 @@ def build_egdb(keys: KeySet, iinx: dict, rng: "Rng | None" = None,
     bloom = BloomFilter.with_capacity(n_entries, p_fp)
     workers = _worker_count(n_entries)
     jobs = _keyword_jobs(keys, iinx, rng, -(-n_entries // (workers * _CHUNKS_PER_WORKER)))
-    table: dict = {}
+    chunks = [np.empty((0, len(keys.k_t) + 1 + TUPLE_LEN), dtype=np.uint8)]
     pool = None
     if workers > 1:
         # imported here: the data server and the vetter load this module but
@@ -409,18 +418,18 @@ def build_egdb(keys: KeySet, iinx: dict, rng: "Rng | None" = None,
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        for pairs, xs in (pool.map if pool else map)(_encrypt_keywords, jobs):
-            before = len(table)
-            table.update(pairs)
-            if len(table) != before + len(pairs):
-                raise IndexBuildError("tuple-set label collision; rebuild with new keys")
+        for rows, xs in (pool.map if pool else map)(_encrypt_keywords, jobs):
+            chunks.append(rows)
             bloom.insert_many(xs)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    tset = TSet(table, len(keys.k_t), 1 + TUPLE_LEN)
-    params = EgdbParams(p_fp, tset.label_width, tset.payload_width, len(tset))
-    return Egdb(tset, bloom, params)
+    rows = np.concatenate(chunks)
+    try:
+        tset = TSet(rows[np.argsort(_search_keys(rows))], len(keys.k_t), 1 + TUPLE_LEN)
+    except ValueError:
+        raise IndexBuildError("tuple-set label collision; rebuild with new keys") from None
+    return Egdb(tset, bloom, EgdbParams(p_fp, tset.label_width, tset.payload_width, len(tset)))
 
 
 _Y_ZERO = bytes(Y_LEN)
@@ -448,31 +457,20 @@ def serialize_egdb(egdb: Egdb, fh) -> int:
 
     Layout (little-endian): magic, version u16, group id u8, bloom
     (m u64, k u8, bits), entry count u64, label width u8, payload width u16,
-    p_fp f64, then (label || payload) pairs sorted by label, then CRC32 of
-    everything before it.
+    p_fp f64, then the TSet's (label || masked body) rows sorted by label,
+    then CRC32 of everything before it.
     """
-    crc = 0
-    total = 0
-
-    def put(chunk: bytes):
-        nonlocal crc, total
-        fh.write(chunk)
-        crc = zlib.crc32(chunk, crc)
-        total += len(chunk)
-
     p = egdb.params
-    put(EGDB_MAGIC)
-    put(struct.pack("<HB", EGDB_VERSION, p.group_id))
-    put(egdb.xfilter.to_bytes())
-    put(struct.pack("<QBHd", p.n_entries, p.label_width, p.payload_width, p.p_fp))
-    for label in sorted(egdb.tset.table):
-        put(label + egdb.tset.table[label])
-    fh.write(struct.pack("<I", crc))
-    return total + 4
+    head = (EGDB_MAGIC + struct.pack("<HB", EGDB_VERSION, p.group_id) + egdb.xfilter.to_bytes()
+            + struct.pack("<QBHd", p.n_entries, p.label_width, p.payload_width, p.p_fp))
+    rows = memoryview(egdb.tset.rows)  # written as it is, not copied
+    for chunk in (head, rows, struct.pack("<I", zlib.crc32(rows, zlib.crc32(head)))):
+        fh.write(chunk)
+    return len(head) + rows.nbytes + 4
 
 
 def load_egdb(source) -> Egdb:
-    """Parse a serialized database; raises CorruptIndexError on any damage."""
+    """Parse a serialized database, its table uncopied; raises CorruptIndexError on damage."""
     if isinstance(source, (bytes, bytearray)):
         blob = bytes(source)
     else:
@@ -483,7 +481,7 @@ def load_egdb(source) -> Egdb:
     if blob[: len(EGDB_MAGIC)] != EGDB_MAGIC:
         raise CorruptIndexError("not an encrypted database file (bad magic)")
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(blob[:-4]) != stored_crc:
+    if zlib.crc32(memoryview(blob)[:-4]) != stored_crc:
         raise CorruptIndexError("checksum mismatch; file is damaged")
     off = len(EGDB_MAGIC)
     version, group_id = struct.unpack_from("<HB", blob, off)
@@ -492,10 +490,11 @@ def load_egdb(source) -> Egdb:
         raise CorruptIndexError(f"unsupported database version {version}")
     if group_id != GROUP_P256:
         raise CorruptIndexError(f"unsupported group id {group_id}")
-    m, k = struct.unpack_from("<QB", blob, off)
-    bloom_bytes = (m + 7) // 8
-    bloom = BloomFilter.from_bytes(blob[off : off + 9 + bloom_bytes])
-    off += 9 + bloom_bytes
+    (m,) = struct.unpack_from("<Q", blob, off)
+    bloom = BloomFilter.from_bytes(blob[off : off + 9 + (m + 7) // 8])
+    off += 9 + len(bloom.bits)
+    if off + 19 > len(blob) - 4:
+        raise CorruptIndexError("encrypted database file truncated")
     n_entries, label_w, payload_w, p_fp = struct.unpack_from("<QBHd", blob, off)
     off += 19
     if label_w * 8 not in SUPPORTED_LAMBDA_BITS:
@@ -503,16 +502,11 @@ def load_egdb(source) -> Egdb:
     if payload_w != 1 + TUPLE_LEN:
         raise CorruptIndexError(f"payload width {payload_w}, want {1 + TUPLE_LEN}")
     pair_w = label_w + payload_w
-    body = memoryview(blob)[off : len(blob) - 4]
-    if len(body) != n_entries * pair_w:
+    if len(blob) - 4 - off != n_entries * pair_w:
         raise CorruptIndexError("entry table length mismatch")
-    table = {}
-    for i in range(n_entries):
-        base = i * pair_w
-        table[bytes(body[base : base + label_w])] = bytes(
-            body[base + label_w : base + pair_w]
-        )
-    if len(table) != n_entries:
-        raise CorruptIndexError("duplicate labels in entry table")
-    tset = TSet(table, label_w, payload_w)
+    rows = np.frombuffer(blob, dtype=np.uint8, count=n_entries * pair_w, offset=off)
+    try:
+        tset = TSet(rows.reshape(n_entries, pair_w), label_w, payload_w)
+    except ValueError as exc:
+        raise CorruptIndexError(str(exc)) from None
     return Egdb(tset, bloom, EgdbParams(p_fp, label_w, payload_w, n_entries, group_id))

@@ -194,6 +194,7 @@ class _DataHandler(socketserver.StreamRequestHandler):
         neg = obj.get("neg")
         if not isinstance(pos, list) or not isinstance(neg, list) or len(pos) != len(neg):
             raise WireError("token arrays must be equal-length lists")
+        core.admit(len(pos))  # before any token is decoded
         core.feed(self._elements(pos, core.n_pos), self._elements(neg, core.n_neg))
         if not core.done:
             return core

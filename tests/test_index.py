@@ -8,6 +8,7 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
@@ -42,6 +43,7 @@ from privgendb.index import (
     build_inverted_index,
     load_egdb,
     parse_tuple,
+    serialize_egdb,
 )
 
 from conftest import GOLDEN_COUNTS, GOLDEN_IDS, egdb_to_bytes, random_cohort, scalar_inverse
@@ -175,16 +177,21 @@ def ref_entry(stag: bytes, c: int, last: bool, payload: bytes) -> "tuple[bytes, 
 
 def tset_setup(chains: dict, k_t: bytes, payload_len: int) -> TSet:
     """A TSet holding each keyword's payloads as its chain, built entry by entry."""
-    table = {}
+    entries = []
     for kw, payloads in chains.items():
         stag = TSet.tag(k_t, kw)
         for c, payload in enumerate(payloads, 1):
             if len(payload) != payload_len:
                 raise IndexBuildError(f"payload for {kw!r} has {len(payload)} bytes")
-            label, masked = ref_entry(stag, c, c == len(payloads), payload)
-            assert label not in table
-            table[label] = masked
-    return TSet(table, len(k_t), 1 + payload_len)
+            entries.append(b"".join(ref_entry(stag, c, c == len(payloads), payload)))
+    rows = np.frombuffer(b"".join(sorted(entries)), dtype=np.uint8)
+    return TSet(rows.reshape(-1, len(k_t) + 1 + payload_len), len(k_t), 1 + payload_len)
+
+
+def row_of(ts: TSet, label: bytes) -> int:
+    """The index of the row filed at ``label``."""
+    (at,) = np.flatnonzero((ts.rows[:, : ts.label_width] == list(label)).all(axis=1))
+    return int(at)
 
 
 def _payloads(rng: SeededRng, n: int, width: int = TUPLE_LEN) -> list:
@@ -200,13 +207,15 @@ def test_tset_bulk_derivation_matches_reference(lam):
     ts = tset_setup(chains, k_t, TUPLE_LEN)
     for kw, payloads in chains.items():
         stag = TSet.tag(k_t, kw)
-        assert TSet.chain(stag, payloads) == [ref_entry(stag, c, c == len(payloads), p)
-                                              for c, p in enumerate(payloads, 1)]
+        assert TSet.chain(stag, payloads).tobytes() == b"".join(
+            b"".join(ref_entry(stag, c, c == len(payloads), p))
+            for c, p in enumerate(payloads, 1))
         assert ts.retrieve(stag) == payloads
 
 
 def test_tset_chain_rejects_mixed_widths():
-    assert TSet.chain(b"\x00" * 16, []) == []
+    with pytest.raises(ValueError):
+        TSet.chain(b"\x00" * 16, [])  # an empty keyword files no chain
     with pytest.raises(ValueError):
         TSet.chain(b"\x00" * 16, [b"abcd", b"abc", b"abcde"])
 
@@ -250,20 +259,20 @@ def test_tset_payload_width_enforced(demo_egdb):
         tset_setup({"kw": [b"short"]}, k_t, payload_len=8)
     # the build stores every entry at the widths its header declares
     p = demo_egdb.params
-    assert {len(label) for label in demo_egdb.tset.table} == {p.label_width}
-    assert {len(body) for body in demo_egdb.tset.table.values()} == {p.payload_width}
+    assert demo_egdb.tset.rows.shape == (p.n_entries, p.label_width + p.payload_width)
 
 
 def test_tset_detects_truncated_chain():
     k_t = SeededRng(35).bytes(16)
     ts = _mini_tset(k_t, {"kw": [b"payload0", b"payload1"]})
     stag = TSet.tag(k_t, "kw")
-    del ts.table[ref_label(stag, 2)]  # drop the terminating tuple
+    # drop the terminating tuple
+    ts = TSet(np.delete(ts.rows, row_of(ts, ref_label(stag, 2)), axis=0), 16, 9)
     with pytest.raises(CorruptIndexError, match="truncated at counter 2$"):
         ts.retrieve(stag)
     # counter 65 is the first of the second batch
     ts = _mini_tset(k_t, {"kw": _payloads(SeededRng(38), 100, 8)})
-    del ts.table[ref_label(stag, 65)]
+    ts = TSet(np.delete(ts.rows, row_of(ts, ref_label(stag, 65)), axis=0), 16, 9)
     with pytest.raises(CorruptIndexError, match="truncated at counter 65$"):
         ts.retrieve(stag)
 
@@ -274,13 +283,33 @@ def test_tset_detects_bad_flag():
     # a one-tuple chain, and counters 70 and 100 inside the second batch
     for n, c in ((1, 1), (100, 70), (100, 100)):
         ts = _mini_tset(k_t, {"kw": _payloads(SeededRng(39), n, 8)})
-        label = ref_label(stag, c)
-        body = bytearray(ts.table[label])
+        rows = ts.rows.copy()
         # flip a high bit of the masked flag byte: unmasks to an invalid flag
-        body[0] ^= 0x80
-        ts.table[label] = bytes(body)
+        rows[row_of(ts, ref_label(stag, c)), 16] ^= 0x80
+        ts = TSet(rows, 16, 9)
         with pytest.raises(CorruptIndexError, match=f"flag byte 0x8[01] at counter {c}$"):
             ts.retrieve(stag)
+
+
+@pytest.mark.parametrize("lam", [128, 256])
+def test_tset_retrieves_labels_with_nul_bytes(lam):
+    # the first keywords with a label that ends in 0x00 and one whose 8th
+    # byte, the last of its search key, is 0x00; chains of 3 tuples
+    k_t = SeededRng(lam + 1).bytes(lam // 8)
+    wanted = {-1: None, 7: None}
+    for i in range(5000):
+        labels = [ref_label(TSet.tag(k_t, f"kw{i}"), c) for c in (1, 2, 3)]
+        for at in wanted:
+            if wanted[at] is None and any(label[at] == 0 for label in labels):
+                wanted[at] = f"kw{i}"
+        if None not in wanted.values():
+            break
+    assert None not in wanted.values()
+    rng = SeededRng(lam + 2)
+    chains = {kw: _payloads(rng, 3) for kw in [*wanted.values(), "other", "more"]}
+    ts = tset_setup(chains, k_t, TUPLE_LEN)
+    for kw, payloads in chains.items():
+        assert ts.retrieve(TSet.tag(k_t, kw)) == payloads
 
 
 def test_tset_label_uniqueness_over_random_databases():
@@ -364,18 +393,33 @@ def test_pooled_and_in_process_builds_are_identical(synth_iinx, pool_spy, monkey
     assert len(pool_spy) == 1
 
 
-def test_label_collision_in_a_worker_raises(synth_iinx, pool_spy, monkeypatch):
-    # labels that ignore the keyword: every chain's counter c lands on one label
+def _blind_chains(monkeypatch, width: int) -> None:
+    """Make the first ``width`` bytes of every chain's labels ignore the
+    keyword, so that counter c of every chain lands on one label (16) or on
+    one 8-byte search key (8)."""
     real = TSet.chain
 
     def keyword_blind(stag, payloads):
-        return [(c.to_bytes(16, "little"), masked)
-                for c, (_, masked) in enumerate(real(stag, payloads), 1)]
+        rows = real(stag, payloads)
+        rows[:, :width] = 0
+        rows[:, :8] = np.arange(1, len(rows) + 1, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        return rows
 
     monkeypatch.setattr(TSet, "chain", staticmethod(keyword_blind))
+
+
+def test_label_collision_in_a_worker_raises(synth_iinx, pool_spy, monkeypatch):
+    _blind_chains(monkeypatch, 16)
     with pytest.raises(IndexBuildError, match="collision"):
         build_egdb(keygen(rng=SeededRng(55)), synth_iinx, SeededRng(56))
     assert len(pool_spy) == 1
+
+
+def test_search_key_collision_in_a_build_raises(demo_keys, demo_iinx, monkeypatch):
+    # whole labels differ, but the 8-byte prefixes the table is searched by do not
+    _blind_chains(monkeypatch, 8)
+    with pytest.raises(IndexBuildError, match="collision"):
+        build_egdb(demo_keys, demo_iinx, SeededRng(57))
 
 
 def test_pooled_system_rng_build_answers_goldens(demo_keys, demo_iinx, demo_freq,
@@ -463,7 +507,7 @@ def test_egdb_serialization_roundtrip(demo_egdb):
     assert blob.startswith(b"PGDBEDB1")
     loaded = load_egdb(blob)
     assert loaded.params == demo_egdb.params
-    assert loaded.tset.table == demo_egdb.tset.table
+    assert np.array_equal(loaded.tset.rows, demo_egdb.tset.rows)
     assert loaded.xfilter.to_bytes() == demo_egdb.xfilter.to_bytes()
 
 
@@ -473,7 +517,7 @@ def test_egdb_file_roundtrip(tmp_path, demo_egdb):
         written = index_mod.serialize_egdb(demo_egdb, fh)
     assert path.stat().st_size == written
     loaded = load_egdb(path)
-    assert loaded.tset.table == demo_egdb.tset.table
+    assert np.array_equal(loaded.tset.rows, demo_egdb.tset.rows)
 
 
 def test_egdb_corruption_detected(demo_egdb):
@@ -508,6 +552,7 @@ def _egdb_blob(version=EGDB_VERSION, m=64, k=3, n_entries=0, label_w=16,
 def test_hand_built_header_is_well_formed():
     egdb = load_egdb(_egdb_blob())
     assert egdb.params.n_entries == 0 and len(egdb.tset) == 0
+    assert egdb.tset.retrieve(b"\x00" * 16) == []  # an empty table has no chains
 
 
 def test_egdb_version_1_rejected(demo_egdb):
@@ -549,4 +594,95 @@ def test_egdb_header_sanity(fields, match):
 def test_egdb_accepts_256_bit_labels():
     label, payload = b"\x01" * 32, b"\x02" * (1 + TUPLE_LEN)
     egdb = load_egdb(_egdb_blob(label_w=32, n_entries=1, body=label + payload))
-    assert egdb.tset.table == {label: payload}
+    assert egdb.tset.rows.tobytes() == label + payload
+
+
+_BODY = bytes(1 + TUPLE_LEN)
+
+
+def test_egdb_accepts_ascending_search_keys():
+    # distinct 8-byte prefixes in ascending order, whatever follows them
+    labels = [b"\x01" * 8 + b"\xff" * 8, b"\x01" * 7 + b"\x02" + b"\x00" * 8]
+    egdb = load_egdb(_egdb_blob(n_entries=2, body=b"".join(lb + _BODY for lb in labels)))
+    assert len(egdb.tset) == 2
+
+
+@pytest.mark.parametrize("labels", [
+    [b"\x02" * 16, b"\x01" * 16],
+    [b"\x01" * 16, b"\x01" * 16],
+    [b"\x01" * 8 + b"\x00" * 8, b"\x01" * 8 + b"\xff" * 8],
+], ids=["out-of-order", "repeated", "shared-prefix"])
+def test_egdb_refuses_labels_whose_search_keys_do_not_ascend(labels):
+    blob = _egdb_blob(n_entries=2, body=b"".join(label + _BODY for label in labels))
+    with pytest.raises(CorruptIndexError, match="do not strictly ascend"):
+        load_egdb(blob)
+
+
+def test_reserialized_file_is_byte_identical(demo_egdb):
+    blob = egdb_to_bytes(demo_egdb)
+    buf = io.BytesIO()
+    assert serialize_egdb(load_egdb(blob), buf) == len(blob)
+    assert buf.getvalue() == blob
+
+
+def test_loaded_table_is_read_only(demo_egdb):
+    tset = load_egdb(egdb_to_bytes(demo_egdb)).tset
+    with pytest.raises(ValueError, match="read-only"):
+        tset.rows[0, 0] ^= 1
+    assert not tset.rows.flags.writeable
+
+
+# --- load_egdb fuzzing ----------------------------------------------------------------
+
+def _with_crc(blob: bytes) -> bytes:
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+@st.composite
+def _damaged_demo_files(draw, blob: bytes, table_off: int, row_w: int):
+    """The demo file mutated one way, its CRC recomputed over the result."""
+    body = bytearray(blob[:-4])
+    kind = draw(st.sampled_from(["flip", "truncate", "swap"]))
+    if kind == "swap":
+        n = (len(body) - table_off) // row_w
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        a, b = (slice(table_off + r * row_w, table_off + (r + 1) * row_w) for r in (i, j))
+        body[a], body[b] = body[b], body[a]
+        return _with_crc(bytes(body))
+    # the header (the Bloom filter's bits included) or the table
+    lo, hi = draw(st.sampled_from([(0, table_off), (table_off, len(body))]))
+    at = draw(st.integers(lo, hi - 1))
+    if kind == "truncate":
+        del body[at:]
+    else:
+        body[at] ^= draw(st.integers(1, 255))
+    return _with_crc(bytes(body))
+
+
+def test_load_egdb_fuzz(demo_egdb, demo_keys, demo_iinx):
+    """Damaged input raises CorruptIndexError, at load or on retrieve, and
+    nothing else."""
+    demo_blob = egdb_to_bytes(demo_egdb)
+    p = demo_egdb.params
+    row_w = p.label_width + p.payload_width
+    table_off = len(demo_blob) - 4 - p.n_entries * row_w
+    stags = [TSet.tag(demo_keys.k_t, kw) for kw in demo_iinx]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda b: _with_crc(EGDB_MAGIC + b)),
+        _damaged_demo_files(demo_blob, table_off, row_w),
+    ))
+    def check(blob):
+        try:
+            egdb = load_egdb(blob)
+        except CorruptIndexError:
+            return
+        for stag in stags:
+            try:
+                egdb.tset.retrieve(stag)
+            except CorruptIndexError:
+                pass
+
+    check()

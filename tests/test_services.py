@@ -685,9 +685,10 @@ def test_server_rejects_malformed_group_element(data_server, demo_keys):
 
 def test_server_reports_a_corrupt_chain_in_round_one(demo_keys, demo_iinx):
     egdb = build_egdb(demo_keys, demo_iinx, SeededRng(1102))
-    table = egdb.tset.table
-    for label, body in table.items():  # every flag byte unmasks to an invalid flag
-        table[label] = bytes([body[0] ^ 0x80]) + body[1:]
+    ts = egdb.tset
+    rows = ts.rows.copy()
+    rows[:, ts.label_width] ^= 0x80  # every flag byte unmasks to an invalid flag
+    egdb.tset = TSet(rows, ts.label_width, ts.payload_width)
     srv = DataServer(("127.0.0.1", 0), egdb)
     threading.Thread(target=srv.serve_forever, daemon=True).start()
     try:
@@ -795,10 +796,11 @@ def test_server_rejects_unused_malformed_token_on_arrival(data_server, demo_keys
     mtype, obj = _send_tokens(addr, demo_keys, [[miss, junk], [h2, h2], [h3, h3]],
                               [[], [], []])
     assert mtype == MSG_ERROR and "group element" in obj["error"]
-    # counter 4 is past the chain, so the core would never use this token
+    # counter 4 is past the chain: the row count is refused before any
+    # token of the frame is decoded
     mtype, obj = _send_tokens(addr, demo_keys, [[h1], [h2], [h3], [junk]],
                               [[], [], [], []])
-    assert mtype == MSG_ERROR and "group element" in obj["error"]
+    assert mtype == MSG_ERROR and "counters 1..4 run past the chain of 3" in obj["error"]
     mtype, obj = _send_tokens(addr, demo_keys, [[], [], []],
                               [[b64e(b"\x02" * 32)], [h2], [h3]])  # 32 bytes
     assert mtype == MSG_ERROR and "group element" in obj["error"]
