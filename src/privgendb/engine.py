@@ -60,23 +60,26 @@ class ResultSet:
             raise ValueError("id results carry ciphertexts and nothing else")
 
 
-def generate_token(eq: EncodedQuery, keys: KeySet, inv_len: int) -> "tuple[list, list]":
-    """Token rows for every (counter, cross-term) pair of an encoded query.
+def generate_token(eq: EncodedQuery, keys: KeySet, last: int,
+                   first: int = 1) -> "tuple[list, list]":
+    """Token rows for counters ``first..last`` of an encoded query.
 
-    ``inv_len`` is the anchor keyword's tuple count as reported by the server
-    in round one. Returns ``(pos, neg)``: row c-1 of each holds the 33-byte
-    encodings of counter c's tokens h^(z_c * x_g), where z_c blinds the
-    counter and x_g fingerprints cross-term keyword g. A query without
-    cross-terms still gets one (empty) row per counter.
+    A whole chain is ``first=1`` and ``last`` the anchor keyword's tuple
+    count as reported by the server in round one. Returns ``(pos, neg)``:
+    row i of each holds the 33-byte encodings of counter first+i's tokens
+    h^(z_c * x_g), where z_c blinds the counter and x_g fingerprints
+    cross-term keyword g. A query without cross-terms still gets one (empty)
+    row per counter.
     """
-    if inv_len < 0:
-        raise ValueError("inv_len must be non-negative")
+    if first < 1 or last < first - 1:
+        raise ValueError(f"bad counter range {first}..{last}")
     pos_x = [prf_fp(keys.k_x, keyword_bytes(kw)) for kw in eq.positive_xterms]
     neg_x = [prf_fp(keys.k_x, keyword_bytes(kw)) for kw in eq.negative_xterms]
+    counters = range(first, last + 1)
     if not pos_x and not neg_x:
-        return [[] for _ in range(inv_len)], [[] for _ in range(inv_len)]
+        return [[] for _ in counters], [[] for _ in counters]
     pos, neg = [], []
-    for c in range(1, inv_len + 1):
+    for c in counters:
         z = prf_fp(keys.k_z, keyword_counter(eq.sterm, c))
         pos.append([base_pow(z * x % ORDER).encode() for x in pos_x])
         neg.append([base_pow(z * x % ORDER).encode() for x in neg_x])

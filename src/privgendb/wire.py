@@ -54,16 +54,11 @@ def encode_frame(msg_type: int, obj: dict) -> bytes:
     return _HEADER.pack(len(body) + 1, msg_type) + body
 
 
-def send_frames(sock, frames) -> list:
-    """Send (type, object) frames in one write; returns their encoded bytes."""
-    raw = [encode_frame(msg_type, obj) for msg_type, obj in frames]
-    sock.sendall(b"".join(raw))
-    return raw
-
-
 def send_frame(sock, msg_type: int, obj: dict) -> bytes:
-    """Send one frame; returns the encoded bytes (handy for transcripts)."""
-    return send_frames(sock, [(msg_type, obj)])[0]
+    """Send one frame in one write; returns the encoded bytes (for transcripts)."""
+    frame = encode_frame(msg_type, obj)
+    sock.sendall(frame)
+    return frame
 
 
 def _read_exact(reader, n: int) -> bytes:

@@ -45,7 +45,7 @@ from oracle import evaluate_plain
 def test_token_shape_and_values(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"))
     assert eq.sterm == "Cancer B"
-    pos, neg = generate_token(eq, demo_keys, inv_len=3)
+    pos, neg = generate_token(eq, demo_keys, 3)
     assert [len(p) for p in pos] == [2, 2, 2]
     assert neg == [[], [], []]
     assert all(type(t) is bytes and len(t) == 33 for row in pos for t in row)
@@ -57,7 +57,7 @@ def test_token_shape_and_values(demo_keys):
 
 def test_token_negation_split(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2!=CC, SNP4=AG", "count"))
-    pos, neg = generate_token(eq, demo_keys, inv_len=3)
+    pos, neg = generate_token(eq, demo_keys, 3)
     assert [len(p) for p in pos] == [1, 1, 1]
     assert [len(n) for n in neg] == [1, 1, 1]
     # the negated term's token sits in neg
@@ -70,16 +70,27 @@ def test_token_without_cross_terms_skips_blinding(demo_keys, monkeypatch):
     calls = []
     real = engine.prf_fp
     monkeypatch.setattr(engine, "prf_fp", lambda k, d: calls.append(k) or real(k, d))
-    pos, neg = generate_token(eq, demo_keys, inv_len=5)
+    pos, neg = generate_token(eq, demo_keys, 5)
     assert demo_keys.k_z not in calls  # no z_c derived for an empty token list
     assert pos == neg == [[]] * 5  # the per-counter shape stays
 
 
 def test_token_zero_counters(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer Z, SNP2=CC", "count"))
-    assert generate_token(eq, demo_keys, inv_len=0) == ([], [])
+    assert generate_token(eq, demo_keys, 0) == ([], [])
     with pytest.raises(ValueError):
-        generate_token(eq, demo_keys, inv_len=-1)
+        generate_token(eq, demo_keys, -1)
+
+
+def test_token_counter_range_is_a_slice_of_the_chain(demo_keys):
+    eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"))
+    pos, neg = generate_token(eq, demo_keys, 5)
+    for first, last in [(1, 1), (2, 4), (5, 5), (3, 2)]:
+        assert generate_token(eq, demo_keys, last, first) == (pos[first - 1 : last],
+                                                               neg[first - 1 : last])
+    for first, last in [(0, 3), (4, 2)]:
+        with pytest.raises(ValueError, match="counter range"):
+            generate_token(eq, demo_keys, last, first)
 
 
 def test_result_set_invariants():
@@ -197,7 +208,7 @@ def test_tokenless_chain_builds_no_key(demo_keys, demo_egdb, monkeypatch):
     assert keys_made == []
     # with cross-terms: one key per tuple, however many tokens it has
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"))
-    rows = generate_token(eq, demo_keys, inv_len=3)
+    rows = generate_token(eq, demo_keys, 3)
     keys_made.clear()
     assert len(search(demo_egdb, eq, demo_keys, rows).enc_ids) == 2
     assert len(keys_made) == 3
@@ -267,7 +278,7 @@ def test_core_rejects_a_used_non_point(demo_keys, demo_egdb, bad):
 
 def test_decrypt_ids_detects_tampering(demo_keys, demo_egdb):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC", "boolean"))
-    res = search(demo_egdb, eq, demo_keys, generate_token(eq, demo_keys, inv_len=3))
+    res = search(demo_egdb, eq, demo_keys, generate_token(eq, demo_keys, 3))
     assert len(res.enc_ids) == 2
     assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == [2, 5]
     evil = bytearray(res.enc_ids[0])
@@ -281,7 +292,7 @@ def test_decrypt_ids_detects_tampering(demo_keys, demo_egdb):
 
 def test_decrypt_ids_sorts_and_dedupes(demo_keys, demo_egdb):
     eq = encode_query(parse_query("SNP2=CC", "boolean"))
-    res = search(demo_egdb, eq, demo_keys, generate_token(eq, demo_keys, inv_len=5))
+    res = search(demo_egdb, eq, demo_keys, generate_token(eq, demo_keys, 5))
     doubled = res.enc_ids + res.enc_ids[:2]
     assert decrypt_ids(doubled, eq.sterm, demo_keys) == [1, 2, 4, 5, 6]
 

@@ -11,10 +11,10 @@ import time
 
 import pytest
 
-from privgendb.encoding import encode_query, parse_query
-from privgendb.crypto import IDENTITY, SeededRng
+from privgendb.encoding import encode_query, keyword_frequencies, parse_gdb, parse_query
+from privgendb.crypto import IDENTITY, SeededRng, keygen
 from privgendb.engine import Policy, decrypt_ids, run_query
-from privgendb.index import TSet, build_egdb
+from privgendb.index import TSet, build_egdb, build_inverted_index
 from privgendb import services
 from privgendb.services import (
     DataServer,
@@ -43,6 +43,7 @@ from privgendb.wire import (
 )
 
 from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, probe_tokens
+from oracle import SyntheticSpec, evaluate_plain, gen_synthetic
 
 
 # --- framed JSON codec -------------------------------------------------------------
@@ -175,6 +176,38 @@ def test_networked_search_matches_in_process_goldens(data_server, demo_keys, dem
         else:
             networked = decrypt_ids(res.enc_ids, eq.sterm, demo_keys)
         assert networked == run_query(demo_keys, demo_egdb, query, demo_freq) == expected
+
+
+def test_streamed_search_is_the_same_for_any_frame_size(monkeypatch):
+    """Chains of 16-25 tuples, so most frame sizes split them unevenly."""
+    gdb = parse_gdb(gen_synthetic(SyntheticSpec.uniform(
+        60, 4, [("Cohort", 16), ("Background", 44)], seed=13)))
+    keys = keygen(rng=SeededRng(13))
+    egdb = build_egdb(keys, build_inverted_index(gdb), SeededRng(14))
+    freq = keyword_frequencies(gdb)
+    g = next(rec for rec in gdb.records if rec.phenotype == "Cohort").genotypes
+    cases = [("count", f"phenotype=Cohort, SNP1={g[0]}, SNP2!={g[1]}", None),
+             ("boolean", f"SNP3={g[2]}, phenotype!=Background", None),
+             ("match", f"phenotype=Cohort, SNP1={g[0]}, SNP3={g[2]}, SNP4={g[3]}", 2)]
+    srv = DataServer(("127.0.0.1", 0), egdb)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        for qtype, where, k_prime in cases:
+            query = parse_query(where, qtype, k_prime)
+            eq = encode_query(query, freq)
+            chain = len(egdb.tset.retrieve(TSet.tag(keys.k_t, eq.sterm)))
+            assert 16 <= chain <= 25, (where, chain)
+            expected = evaluate_plain(gdb, query, freq)
+            assert expected and run_query(keys, egdb, query, freq) == expected
+            for frame_counters in (1, 3, 8, chain, 64):
+                monkeypatch.setattr(services, "FRAME_COUNTERS", frame_counters)
+                res = execute_search(srv.server_address, keys, eq, timeout=10)
+                networked = res.count if qtype == "count" else decrypt_ids(
+                    res.enc_ids, eq.sterm, keys)
+                assert networked == expected, (where, frame_counters)
+    finally:
+        srv.shutdown()
+        srv.server_close()
 
 
 def test_threshold_denial(vetter):
@@ -312,10 +345,26 @@ def test_cross_term_free_search_ends_in_round_one(data_server, demo_keys, demo_f
         assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == expected
 
 
-def test_small_batches_equal_one_shot(monkeypatch, data_server, demo_keys, demo_egdb,
-                                     demo_freq, upstream_writes):
+def _joined_token_frames(writes) -> list:
+    """The frames in a run of writes, with each run of token frames joined."""
+    rd = io.BytesIO(b"".join(writes))
+    frames = []
+    while (frame := read_frame(rd))[0]:
+        mtype, obj, _ = frame
+        if mtype == MSG_XTOKENS and frames and frames[-1][0] == MSG_XTOKENS:
+            frames[-1][1]["pos"] += obj["pos"]
+            frames[-1][1]["neg"] += obj["neg"]
+        else:
+            frames.append((mtype, obj))
+    return frames
+
+
+def test_small_batches_equal_one_shot(monkeypatch, data_server, demo_keys, demo_freq,
+                                     upstream_writes):
     eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
+    monkeypatch.setattr(services, "FRAME_COUNTERS", 5)  # the chain length: one frame
     one = execute_search(data_server.server_address, demo_keys, eq)
+    one_writes = upstream_writes[:]
     upstream_writes.clear()
     monkeypatch.setattr(services, "FRAME_COUNTERS", 1)
     trickle_frames = []
@@ -323,7 +372,12 @@ def test_small_batches_equal_one_shot(monkeypatch, data_server, demo_keys, demo_
                              on_frame=lambda d, t, b: trickle_frames.append(t))
     assert one.enc_ids == trickle.enc_ids
     assert trickle_frames.count(MSG_XTOKENS) == 5  # 5 tuples, one per frame
-    assert len(upstream_writes) == 2  # yet one write per round
+    # one write for round one, then one per token frame as it is made
+    assert len(one_writes) == 2 and len(upstream_writes) == 1 + 5
+    # the same bytes, apart from the frame split
+    joined = _joined_token_frames(upstream_writes)
+    assert joined == _joined_token_frames(one_writes)
+    assert b"".join(encode_frame(t, obj) for t, obj in joined) == b"".join(one_writes)
 
 
 def test_token_frames_hold_only_rows(monkeypatch, data_server, demo_keys, demo_freq):
@@ -475,15 +529,147 @@ def test_nagle_is_off_on_every_connection(monkeypatch, vetter, data_server):
     assert all(nodelay.values()), nodelay
 
 
+def test_round_two_streams_each_frame_as_it_is_made(monkeypatch, data_server, demo_keys,
+                                                    demo_freq):
+    """Frame 1 reaches the server before the vetter makes frame 2."""
+    monkeypatch.setattr(services, "FRAME_COUNTERS", 1)
+    fed = threading.Event()
+    real_feed = services.SearchCore.feed
+
+    def feed(core, pos, neg):
+        real_feed(core, pos, neg)
+        if core.next_counter > 1:
+            fed.set()
+
+    waited = []
+    real_generate = services.generate_token
+
+    def generate_token(eq, keys, last, first=1):
+        if first == 2:
+            waited.append(fed.wait(timeout=10))
+        return real_generate(eq, keys, last, first)
+
+    monkeypatch.setattr(services.SearchCore, "feed", feed)
+    monkeypatch.setattr(services, "generate_token", generate_token)
+    eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
+    res = execute_search(data_server.server_address, demo_keys, eq, timeout=30)
+    assert waited == [True]
+    assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == [6]
+
+
+def _pump(src, dst):
+    try:
+        while chunk := src.recv(1 << 16):
+            dst.sendall(chunk)
+    except OSError:
+        pass
+    for s in (dst, src):  # wakes the pump of the other direction
+        try:
+            s.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+
+def _frame_gaps_through_a_nagle_relay(monkeypatch, demo_egdb, demo_keys, demo_freq,
+                                      searches=3):
+    """Milliseconds between the server's reads of the frames of 5-frame
+    streams, each sent on its own connection through a relay that, like a
+    TLS terminator or a load balancer, leaves Nagle's algorithm on toward
+    the data server."""
+    monkeypatch.setattr(services, "FRAME_COUNTERS", 1)
+    reads = []
+    real_tokens = services._DataHandler._tokens
+
+    def tokens(handler, core, obj):
+        reads[-1].append(time.perf_counter())
+        return real_tokens(handler, core, obj)
+
+    monkeypatch.setattr(services._DataHandler, "_tokens", tokens)
+    srv = DataServer(("127.0.0.1", 0), demo_egdb)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def relay():
+        for _ in range(searches):
+            client, _ = listener.accept()
+            upstream = socket.create_connection(srv.server_address)
+            back = threading.Thread(target=_pump, args=(upstream, client), daemon=True)
+            back.start()
+            _pump(client, upstream)
+            back.join(timeout=10)
+            client.close()
+            upstream.close()
+
+    thread = threading.Thread(target=relay, daemon=True)
+    thread.start()
+    try:
+        eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
+        for _ in range(searches):
+            reads.append([])
+            res = execute_search(listener.getsockname(), demo_keys, eq, timeout=10)
+            assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == [6]
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
+        srv.shutdown()
+        srv.server_close()
+    assert [len(r) for r in reads] == [5] * searches
+    return [(b - a) * 1e3 for r in reads for a, b in zip(r, r[1:])]
+
+
+needs_quickack = pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                                    reason="TCP_QUICKACK is Linux-only")
+
+
+@needs_quickack
+def test_a_hop_with_nagle_on_does_not_stall_the_stream(monkeypatch, demo_egdb, demo_keys,
+                                                       demo_freq):
+    gaps = _frame_gaps_through_a_nagle_relay(monkeypatch, demo_egdb, demo_keys, demo_freq)
+    assert max(gaps) < 30, gaps  # a delayed ACK holds a frame for 40 ms or more
+
+
+@needs_quickack
+def test_the_stall_check_fails_without_quick_ack(monkeypatch, demo_egdb, demo_keys,
+                                                 demo_freq):
+    """The check above has power: without the quick-ACK, the relay's Nagle
+    holds the second frame of a connection until the server's delayed ACK
+    of the first (the kernel then leaves its delayed-ACK mode)."""
+    monkeypatch.setattr(services._DataHandler, "_quick_ack", lambda handler: None)
+    gaps = _frame_gaps_through_a_nagle_relay(monkeypatch, demo_egdb, demo_keys, demo_freq)
+    assert max(gaps) >= 30, gaps
+
+
 def test_rejected_first_batch_of_a_coalesced_stream_fails_cleanly(
         monkeypatch, demo_egdb, demo_keys, demo_freq, tmp_path):
     real = services.generate_token
+    hung_up = threading.Event()
+    real_close = DataServer.shutdown_request
 
-    def off_curve_at_counter_1(eq, keys, inv_len):
-        pos, neg = real(eq, keys, inv_len)
-        return pos, [[OFF_CURVE] * len(neg[0])] + neg[1:]
+    def shutdown_request(server, request):
+        real_close(server, request)
+        hung_up.set()
 
+    def off_curve_at_counter_1(eq, keys, last, first=1):
+        pos, neg = real(eq, keys, last, first)
+        if first == 1:
+            return pos, [[OFF_CURVE] * len(neg[0])] + neg[1:]
+        hung_up.wait(timeout=10)  # later frames go to a server that hung up
+        return pos, neg
+
+    broken = []
+    real_send = services.send_frame
+
+    def send_frame(sock, mtype, obj):
+        try:
+            return real_send(sock, mtype, obj)
+        except ConnectionError as exc:
+            broken.append(exc)
+            raise
+
+    monkeypatch.setattr(DataServer, "shutdown_request", shutdown_request)
     monkeypatch.setattr(services, "generate_token", off_curve_at_counter_1)
+    monkeypatch.setattr(services, "send_frame", send_frame)
     monkeypatch.setattr(services, "FRAME_COUNTERS", 1)
     srv = DataServer(("127.0.0.1", 0), demo_egdb)
     threading.Thread(target=srv.serve_forever, daemon=True).start()
@@ -492,12 +678,13 @@ def test_rejected_first_batch_of_a_coalesced_stream_fails_cleanly(
                  audit_path=audit)
     threading.Thread(target=vet.serve_forever, daemon=True).start()
     try:
-        # 5 one-counter frames in one write; the server refuses the first
+        # 5 one-counter frames; the server refuses the first and hangs up,
+        # so a later frame's write fails
         eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
-        with pytest.raises((ServiceError, OSError)) as err:
+        with pytest.raises(ServiceError, match="group element at counter 1"):
             execute_search(srv.server_address, demo_keys, eq, timeout=10)
-        if isinstance(err.value, ServiceError):
-            assert "group element at counter 1" in str(err.value)
+        assert broken  # the reason was read after a write had failed
+        hung_up.clear()
         mtype, body = submit_query(vet.server_address, "alice", "boolean",
                                    "SNP2=CC, SNP4!=AG", timeout=10)
         assert mtype == MSG_ERROR and "unavailable" in body["error"]
