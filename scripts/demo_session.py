@@ -19,7 +19,7 @@ from privgendb.engine import Policy
 from privgendb.fixtures import load_demo_cohort
 from privgendb.index import build_egdb, build_inverted_index
 from privgendb.services import DataServer, Vetter, execute_search, submit_query
-from privgendb.wire import MSG_ANSWER, MSG_DENIED
+from privgendb.wire import MSG_ANSWER, MSG_DENIED, MSG_XTOKENS
 
 
 def show(label: str, reply) -> None:
@@ -36,11 +36,15 @@ def dump_search(server_addr, keys, where: str, qtype: str) -> None:
     eq = encode_query(parse_query(where, qtype))
     frames = []
     execute_search(server_addr, keys, eq,
-                   on_frame=lambda d, t, b: frames.append((d, t, json.loads(b))))
+                   on_frame=lambda d, t, b: frames.append((d, t, b)))
+    width = len(eq.positive_xterms) + len(eq.negative_xterms)
     for direction, mtype, body in frames:
-        desc = {k: (f"<{len(v)} b64 blobs/rows>" if isinstance(v, list) else
-                    (v[:12] + "..." if isinstance(v, str) and len(v) > 15 else v))
-                for k, v in body.items()}
+        if mtype == MSG_XTOKENS:  # raw token rows, 33 bytes a token
+            desc = f"<{len(body) // (33 * width)} rows of {width} tokens, {len(body)} raw bytes>"
+        else:
+            desc = {k: (f"<{len(v)} b64 blobs>" if isinstance(v, list) else
+                        (v[:12] + "..." if isinstance(v, str) and len(v) > 15 else v))
+                    for k, v in json.loads(body).items()}
         print(f"  {direction:<4} type={mtype} {desc}")
 
 

@@ -22,6 +22,7 @@ from typing import Iterable, Protocol
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import p256
 
@@ -178,8 +179,8 @@ def base_pow(e: int) -> GroupElement:
     e %= ORDER
     if e == 0:
         return IDENTITY
-    pub = ec.derive_private_key(e, _CURVE).public_key().public_numbers()
-    return GroupElement(p256.encode_point((pub.x, pub.y)))
+    pub = ec.derive_private_key(e, _CURVE).public_key()
+    return GroupElement(pub.public_bytes(Encoding.X962, PublicFormat.CompressedPoint))
 
 
 def exponent_key(e: int) -> ec.EllipticCurvePrivateKey:

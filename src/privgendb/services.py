@@ -57,9 +57,9 @@ _QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
 
 # Counters per token frame. Round two sends each frame as soon as its rows
 # are made, so the data server evaluates one frame while the vetter makes the
-# next. Smaller frames overlap more but each adds a header and JSON framing:
-# on deploybench's phenotype-scan on 2 cores, 8 was faster than 4, 16 and
-# 32, and 4 cost 3% more upstream bytes.
+# next. Smaller frames overlap more, but each is one more write, one more
+# read and one more evaluation call at the server: on deploybench's
+# phenotype-scan on 2 cores, 8 was faster than 4, 16 and 32.
 FRAME_COUNTERS = 8
 # Connections each server serves at once, each with its own thread; on the
 # data server, each also holds at most one open search (its parsed chain).
@@ -206,14 +206,32 @@ class _DataHandler(socketserver.StreamRequestHandler):
         send_frame(self.connection, MSG_STERM_COUNT, {"count": len(core.tuples)})
         return core
 
-    def _tokens(self, core: SearchCore, obj: dict) -> "SearchCore | None":
-        """One token frame; returns the core, or None once its last counter answered."""
-        pos = obj.get("pos")
-        neg = obj.get("neg")
-        if not isinstance(pos, list) or not isinstance(neg, list) or len(pos) != len(neg):
-            raise WireError("token arrays must be equal-length lists")
-        core.admit(len(pos))  # before any token is decoded
-        core.feed(self._elements(pos, core.n_pos), self._elements(neg, core.n_neg))
+    def _tokens(self, core: SearchCore, body: bytes) -> "SearchCore | None":
+        """One token frame; returns the core, or None once its last counter answered.
+
+        The body must be a whole, non-zero number of rows of the declared
+        tokens. Rows past the chain are refused before any token is looked
+        at, and every token's prefix is then checked on arrival; whether a
+        token is a curve point is checked by the search core if and when it
+        uses the token.
+        """
+        width = core.n_pos + core.n_neg
+        n_rows, rest = divmod(len(body), width * ELEMENT_LEN)
+        if rest or not n_rows:
+            raise WireError(f"a token frame must hold one or more rows of the {width} "
+                            f"declared tokens, {width * ELEMENT_LEN} bytes each; "
+                            f"got {len(body)} bytes")
+        core.admit(n_rows)
+        prefixes = body[::ELEMENT_LEN]
+        if prefixes.translate(None, b"\x02\x03"):
+            i = next(i for i, p in enumerate(prefixes) if p not in (2, 3))
+            raise WireError(f"malformed group element at counter "
+                            f"{core.next_counter + i // width}: prefix 0x{prefixes[i]:02x}, "
+                            "want 0x02 or 0x03")
+        toks = [body[i : i + ELEMENT_LEN] for i in range(0, len(body), ELEMENT_LEN)]
+        rows = range(0, len(toks), width)
+        core.feed([toks[r : r + core.n_pos] for r in rows],
+                  [toks[r + core.n_pos : r + width] for r in rows])
         if not core.done:
             return core
         self._result(core.finish())
@@ -225,27 +243,6 @@ class _DataHandler(socketserver.StreamRequestHandler):
         else:
             send_frame(self.connection, MSG_RESULT,
                        {"enc_ids": [b64e(e) for e in res.enc_ids]})
-
-    @staticmethod
-    def _elements(rows, width: int) -> list:
-        """Per-counter token lists, each checked for shape on arrival.
-
-        Every row must hold the ``width`` tokens the search declared. Only
-        the structure is checked here (base64, 33 bytes, compressed prefix);
-        whether a token is a curve point is checked by the search core if
-        and when it uses the token.
-        """
-        out = []
-        for row in rows:
-            if not isinstance(row, list) or len(row) != width:
-                raise WireError(f"token rows must be lists of the {width} declared tokens")
-            toks = [b64d(text) for text in row]
-            for tok in toks:
-                if len(tok) != ELEMENT_LEN or tok[0] not in (2, 3):
-                    raise WireError(f"malformed group element: want {ELEMENT_LEN} bytes "
-                                    "starting 0x02 or 0x03")
-            out.append(toks)
-        return out
 
 
 # --- vetter-side search client ------------------------------------------------------
@@ -304,8 +301,7 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
                 last = min(first + FRAME_COUNTERS - 1, inv_len)
                 pos, neg = generate_token(eq, keys, last, first)
                 try:
-                    send(MSG_XTOKENS, {"pos": [[b64e(t) for t in row] for row in pos],
-                                       "neg": [[b64e(t) for t in row] for row in neg]})
+                    send(MSG_XTOKENS, b"".join(b"".join(p + n) for p, n in zip(pos, neg)))
                 except ConnectionError:
                     # the server refused an earlier frame and hung up; its
                     # MSG_ERROR is then already on the socket, and recv
@@ -459,6 +455,8 @@ def submit_query(vetter_addr, user: str, query_type: str, where: str,
         mtype, body, _ = read_frame(rd)
         if mtype == 0:
             raise ServiceError("vetter closed the connection")
+        if mtype == MSG_XTOKENS:
+            raise ServiceError("the vetter sent a token frame")
         return mtype, body
 
 

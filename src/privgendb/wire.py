@@ -1,8 +1,10 @@
-"""Framed JSON wire protocol shared by the data server and the vetter.
+"""Framed wire protocol shared by the data server and the vetter.
 
-Frame layout, little-endian: u32 length, u8 message type, UTF-8 JSON body;
-the length counts the type byte plus the body. Binary fields (tags, group
-elements, ciphertexts) travel as base64 strings inside the JSON.
+Frame layout, little-endian: u32 length, u8 message type, body; the length
+counts the type byte plus the body. Every body is a UTF-8 JSON object, in
+which binary fields (tags, ciphertexts) travel as base64 strings, except a
+``MSG_XTOKENS`` body: that is raw bytes, the round-two token rows in counter
+order, each row its positive then its negative 33-byte tokens.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ MAX_PAYLOAD = 64 * 1024 * 1024
 
 MSG_SEARCH_INIT = 1   # vetter -> server: stag, gamma, n_pos, n_neg, k_prime?
 MSG_STERM_COUNT = 2   # server -> vetter: tuple count
-MSG_XTOKENS = 3       # vetter -> server: pos and neg, one token row per counter
+MSG_XTOKENS = 3       # vetter -> server: raw token rows, one per counter
 MSG_RESULT = 4        # server -> vetter: count or ciphertext list, after the
                       # chain's last counter, or in round one for a search
                       # without cross-terms or over an empty chain
@@ -45,16 +47,18 @@ def b64d(text) -> bytes:
         raise WireError("bad base64 field") from exc
 
 
-def encode_frame(msg_type: int, obj: dict) -> bytes:
+def encode_frame(msg_type: int, obj: "dict | bytes") -> bytes:
+    """One frame; ``obj`` is the raw body for ``MSG_XTOKENS``, a dict otherwise."""
     if msg_type not in _KNOWN_TYPES:
         raise WireError(f"unknown message type {msg_type}")
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    body = obj if msg_type == MSG_XTOKENS else \
+        json.dumps(obj, separators=(",", ":")).encode("utf-8")
     if len(body) + 1 > MAX_PAYLOAD:
         raise WireError("frame too large")
     return _HEADER.pack(len(body) + 1, msg_type) + body
 
 
-def send_frame(sock, msg_type: int, obj: dict) -> bytes:
+def send_frame(sock, msg_type: int, obj: "dict | bytes") -> bytes:
     """Send one frame in one write; returns the encoded bytes (for transcripts)."""
     frame = encode_frame(msg_type, obj)
     sock.sendall(frame)
@@ -73,10 +77,11 @@ def _read_exact(reader, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(reader) -> "tuple[int, dict, bytes]":
+def read_frame(reader) -> "tuple[int, dict | bytes, bytes]":
     """Read one frame from a binary reader; returns (type, object, raw body).
 
-    Returns type 0 on clean EOF before any header byte.
+    The object of a ``MSG_XTOKENS`` frame is its raw body. Returns type 0
+    on clean EOF before any header byte.
     """
     first = reader.read(1)
     if not first:
@@ -88,6 +93,8 @@ def read_frame(reader) -> "tuple[int, dict, bytes]":
     if msg_type not in _KNOWN_TYPES:
         raise WireError(f"unknown message type {msg_type}")
     body = _read_exact(reader, length - 1)
+    if msg_type == MSG_XTOKENS:
+        return msg_type, body, body
     try:
         obj = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -44,7 +44,7 @@ from privgendb.index import (
     build_inverted_index,
 )
 from privgendb.services import DataServer, execute_search
-from privgendb.wire import b64d, b64e
+from privgendb.wire import MSG_XTOKENS, b64d, b64e
 
 from conftest import (
     ETHNICITY_POOL,
@@ -386,10 +386,6 @@ def _audit_frame(obj, allowed: dict):
             assert isinstance(value, int) and not isinstance(value, bool)
         elif isinstance(kind, int):  # base64 blob of exactly this many bytes
             assert len(b64d(value)) == kind
-        elif kind == "blobs33":
-            for row in value:
-                for item in row:
-                    assert len(b64d(item)) == 33
         elif kind == "blobs36":
             for item in value:
                 assert len(b64d(item)) == 36
@@ -411,7 +407,7 @@ def test_criterion_9_transcript_privacy_shape(demo_keys, demo_egdb):
         for qtype, where, k_prime, n_xterms, rounds in sessions:
             eq, frames = _session_transcript(
                 srv.server_address, demo_keys, where, qtype, k_prime)
-            bodies = [json.loads(b) for _, _, b in frames]
+            bodies = [b if t == MSG_XTOKENS else json.loads(b) for _, t, b in frames]
 
             init_schema = {"stag": 16, "gamma": "int", "n_pos": "int", "n_neg": "int"}
             if qtype == "match":
@@ -426,11 +422,12 @@ def test_criterion_9_transcript_privacy_shape(demo_keys, demo_egdb):
             assert len(bodies) == 2 * rounds
             if rounds == 2:
                 _audit_frame(bodies[1], {"count": "int"})
-                _audit_frame(bodies[2], {"pos": "blobs33", "neg": "blobs33"})
-                # one row per tuple, each with exactly the declared tokens
-                assert len(bodies[2]["pos"]) == len(bodies[2]["neg"]) == bodies[1]["count"]
-                assert all(len(row) == n_pos for row in bodies[2]["pos"])
-                assert all(len(row) == n_neg for row in bodies[2]["neg"])
+                # the token frame is raw rows and nothing else: one row per
+                # tuple of exactly the declared tokens, 33 bytes each, and
+                # every token starts with a compressed point's 0x02 or 0x03
+                assert frames[2][1] == MSG_XTOKENS
+                assert len(bodies[2]) == bodies[1]["count"] * (n_pos + n_neg) * 33
+                assert set(bodies[2][::33]) <= {2, 3}
             _audit_frame(bodies[-1], {"count": "int"} if qtype == "count"
                          else {"enc_ids": "blobs36"})
             if qtype == "match":

@@ -6,16 +6,18 @@ import json
 import re
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from privgendb.encoding import encode_query, keyword_frequencies, parse_gdb, parse_query
 from privgendb.crypto import IDENTITY, SeededRng, keygen
-from privgendb.engine import Policy, decrypt_ids, run_query
+from privgendb.engine import Policy, SearchCore, decrypt_ids, run_query
 from privgendb.index import TSet, build_egdb, build_inverted_index
-from privgendb import services
+from privgendb import services, wire
 from privgendb.services import (
     DataServer,
     ServiceError,
@@ -46,18 +48,21 @@ from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, probe_tokens
 from oracle import SyntheticSpec, evaluate_plain, gen_synthetic
 
 
-# --- framed JSON codec -------------------------------------------------------------
+# --- frame codec ----------------------------------------------------------------------
 
 def test_frame_roundtrip():
     for mtype in range(1, 9):
         obj = {"n": mtype, "blob": b64e(bytes(range(mtype)))}
+        if mtype == MSG_XTOKENS:  # the one type whose body is raw bytes
+            obj = b"\xff\x00{" * 11
         frame = encode_frame(mtype, obj)
         got_type, got_obj, body = read_frame(io.BytesIO(frame))
         assert got_type == mtype and got_obj == obj
-        assert json.loads(body) == obj
+        assert (body if mtype == MSG_XTOKENS else json.loads(body)) == obj
+    assert read_frame(io.BytesIO(encode_frame(MSG_XTOKENS, b"")))[1:] == (b"", b"")
 
 
-def test_frame_eof_and_garbage():
+def test_frame_eof_and_garbage(monkeypatch):
     assert read_frame(io.BytesIO(b""))[0] == 0
     with pytest.raises(WireError):
         read_frame(io.BytesIO(b"\x01\x02"))  # truncated header
@@ -74,7 +79,13 @@ def test_frame_eof_and_garbage():
     with pytest.raises(WireError):
         read_frame(io.BytesIO(struct.pack("<IB", 4, 1) + b"[1]"))  # not an object
     with pytest.raises(WireError):
+        read_frame(io.BytesIO(struct.pack("<IB", 34, MSG_XTOKENS) + b"\x02" * 32))
+    with pytest.raises(WireError):
         encode_frame(0, {})
+    monkeypatch.setattr(wire, "MAX_PAYLOAD", 100)
+    encode_frame(MSG_XTOKENS, bytes(99))
+    with pytest.raises(WireError, match="too large"):
+        encode_frame(MSG_XTOKENS, bytes(100))
 
 
 def test_b64_helpers():
@@ -261,6 +272,27 @@ def test_audit_log_written(vetter, audit_file):
         assert 0 <= ms_upstream <= ms_total
 
 
+def test_client_refuses_a_token_frame_from_the_vetter():
+    """A token frame's body is raw bytes, so it is no reply a client can read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def fake_vetter():
+        conn, _ = listener.accept()
+        with conn:
+            read_frame(conn.makefile("rb"))
+            send_frame(conn, MSG_XTOKENS, b"\x02" * 33)
+
+    thread = threading.Thread(target=fake_vetter, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(ServiceError, match="token frame"):
+            submit_query(listener.getsockname(), "bob", "count", "SNP2=CC", timeout=10)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
+
+
 def test_vetter_upstream_unavailable(demo_keys, tmp_path):
     dead = ("127.0.0.1", 1)  # nothing listens there
     srv = Vetter(("127.0.0.1", 0), demo_keys, POLICY, dead)
@@ -296,12 +328,11 @@ def test_transcript_shape_and_leakage(data_server, demo_keys, demo_freq):
     assert (init["n_pos"], init["n_neg"]) == (2, 0)
     count = json.loads(frames[1][2])
     assert count == {"count": 3}
-    tokens = json.loads(frames[2][2])
-    assert set(tokens) == {"pos", "neg"}
-    # each row holds exactly the tokens round one declared
-    assert len(tokens["pos"]) == 3 and all(len(row) == init["n_pos"] for row in tokens["pos"])
-    assert all(len(b64d(t)) == 33 for row in tokens["pos"] for t in row)
-    assert len(tokens["neg"]) == 3 and all(len(row) == init["n_neg"] for row in tokens["neg"])
+    # 3 rows of exactly the tokens round one declared, nothing else: 33
+    # bytes each, every one a compressed point's 0x02 or 0x03 prefix
+    tokens = frames[2][2]
+    assert len(tokens) == 3 * (init["n_pos"] + init["n_neg"]) * 33
+    assert set(tokens[::33]) <= {2, 3}
     result = json.loads(frames[3][2])
     assert set(result) == {"enc_ids"}
     assert all(len(b64d(e)) == 36 for e in result["enc_ids"])
@@ -352,8 +383,7 @@ def _joined_token_frames(writes) -> list:
     while (frame := read_frame(rd))[0]:
         mtype, obj, _ = frame
         if mtype == MSG_XTOKENS and frames and frames[-1][0] == MSG_XTOKENS:
-            frames[-1][1]["pos"] += obj["pos"]
-            frames[-1][1]["neg"] += obj["neg"]
+            frames[-1] = (mtype, frames[-1][1] + obj)
         else:
             frames.append((mtype, obj))
     return frames
@@ -382,17 +412,19 @@ def test_small_batches_equal_one_shot(monkeypatch, data_server, demo_keys, demo_
 
 def test_token_frames_hold_only_rows(monkeypatch, data_server, demo_keys, demo_freq):
     monkeypatch.setattr(services, "FRAME_COUNTERS", 2)
-    eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
+    eq = encode_query(parse_query("SNP2=CC, SNP4=AG, SNP3!=CT", "boolean"), demo_freq)
+    assert (eq.sterm, eq.positive_xterms, eq.negative_xterms) == ("2CC", ("4AG",), ("3CT",))
     frames = []
     execute_search(data_server.server_address, demo_keys, eq,
-                   on_frame=lambda d, t, b: frames.append((t, json.loads(b))))
+                   on_frame=lambda d, t, b: frames.append((t, b)))
     bodies = [body for mtype, body in frames if mtype == MSG_XTOKENS]
-    assert all(set(body) == {"pos", "neg"} for body in bodies)
-    assert [len(body["pos"]) for body in bodies] == [2, 2, 1]  # the 5-tuple chain
-    # the frames carry generate_token's rows in counter order, base64-encoded
+    assert [len(body) for body in bodies] == [2 * 66, 2 * 66, 66]  # the 5-tuple chain
+    # the frames carry generate_token's rows in counter order, each row its
+    # positive token, then its negative one
     pos, neg = services.generate_token(eq, demo_keys, 5)
-    assert [[b64d(t) for t in row] for body in bodies for row in body["pos"]] == pos
-    assert [[b64d(t) for t in row] for body in bodies for row in body["neg"]] == neg
+    tokens = b"".join(bodies)
+    assert [[tokens[66 * c : 66 * c + 33]] for c in range(5)] == pos
+    assert [[tokens[66 * c + 33 : 66 * c + 66]] for c in range(5)] == neg
 
 
 def test_server_answers_after_the_last_counter(monkeypatch, data_server, demo_keys,
@@ -411,14 +443,13 @@ def test_server_answers_after_the_last_counter(monkeypatch, data_server, demo_ke
     # by hand: tokens that hit on every tuple, one counter per frame. The
     # count after the fifth frame takes all five, and the connection is then
     # free for its next search, which round one answers.
-    hits = [b64e(t) for t in probe_tokens(demo_keys, "2CC", 5, "2CC")]
+    hits = probe_tokens(demo_keys, "2CC", 5, "2CC")
     with socket.create_connection(data_server.server_address, timeout=10) as sock:
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys, sterm="2CC", gamma=2))
         assert read_frame(rd)[:2] == (MSG_STERM_COUNT, {"count": 5})
-        sock.sendall(b"".join(encode_frame(MSG_XTOKENS, {"pos": [[h]], "neg": [[]]})
-                              for h in hits[:4]))
-        sock.sendall(encode_frame(MSG_XTOKENS, {"pos": [[hits[4]]], "neg": [[]]})
+        sock.sendall(b"".join(encode_frame(MSG_XTOKENS, h) for h in hits[:4]))
+        sock.sendall(encode_frame(MSG_XTOKENS, hits[4])
                      + _init_frame(demo_keys, sterm="2CC", gamma=2, n_pos=0))
         assert read_frame(rd)[:2] == (MSG_RESULT, {"count": 5})
         assert read_frame(rd)[:2] == (MSG_RESULT, {"count": 5})
@@ -474,16 +505,17 @@ def test_vetter_rejects_a_chain_length_below_one(demo_keys, count):
 
 # SHA-256 of the bytes the vetter side wrote, and of the on_frame transcript
 # (direction, type, u32 length, body per frame), with FRAME_COUNTERS set to
-# the fourth column. They equal the earlier transcripts with the start
-# counter and final flag taken out of every token frame and the frame
-# lengths adjusted; the count ends in round one and has no token frame.
+# the fourth column. They equal the transcripts of JSON token frames
+# ({"pos": [[base64, ...], ...], "neg": [...]}) with every token frame's
+# body replaced by its rows packed as raw bytes and the frame lengths
+# adjusted; the count ends in round one and has no token frame.
 WIRE_GOLDENS = [
     ("boolean", "SNP2=CC, SNP4!=AG", None, 1,
-     "49cdb494425e6ef7311431567642c42a43f613df26950d55e061a5e5a6ea94b2",
-     "1850dea43d491e6e79c32944d4075e6c2334cb3992ce3b4edb03aec20ed988d7"),
+     "0cdbd69d1d1973bd320cf1c3696678ea0de99ac217aaecde5c9fb49d381d5e53",
+     "a3c098875fdfd258c51553daf5c958c5e5f732fe0266a54f2abe47d808f2d44f"),
     ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 1, 2,
-     "5f62ca1f7ef6e11c76d127236424ccd41df264d8fd7e0259ab1fd85c8c722452",
-     "baadd45c1c9cfa726ca16f5058e9c32d360e9cc2e14543532b9ad2eaf88480c2"),
+     "5b3ab21eade6acf5626fb82196c62321785e0021f8e78972f9492fdb02a82d72",
+     "ab09bd1cf1d965dcfe24216105abc2a292d23571b69046b466018dfce3736ec2"),
     ("count", "SNP2=CC", None, 256,
      "506f6e93b92894ed888a38924b45a4ec01dd1e9f9d996767cd6550404b151dd4",
      "9251a678754eea30eae37714a4838b8d78ed4eb02bbc41d4bbd0a9d182a6cd59"),
@@ -745,8 +777,13 @@ def _init_frame(demo_keys, sterm="Cancer B", gamma=1, n_pos=1, n_neg=0, **extra)
 
 
 def _hits(demo_keys, counters=3):
-    """Tokens that hit on every tuple of the Cancer B chain, base64-encoded."""
-    return [b64e(t) for t in probe_tokens(demo_keys, "Cancer B", counters, "Cancer B")]
+    """Tokens that hit on every tuple of the Cancer B chain."""
+    return probe_tokens(demo_keys, "Cancer B", counters, "Cancer B")
+
+
+def _pack(rows) -> bytes:
+    """A token frame body: the rows in counter order, each row's tokens joined."""
+    return b"".join(b"".join(row) for row in rows)
 
 
 def test_server_rejects_unexpected_type(data_server):
@@ -772,14 +809,19 @@ def test_server_rejects_bad_k_prime(data_server, demo_keys, gamma, k_prime, why)
 
 
 def test_server_rejects_unequal_token_arrays(data_server, demo_keys):
+    """A frame whose last row lacks its negative token is not whole rows."""
     h1, h2, h3 = _hits(demo_keys)
-    for frame in ({"pos": [[h1], [h2], [h3]], "neg": [[], []]},
-                  {"pos": {"1": [h1]}, "neg": [[]]}, {"pos": [[h1], [h2], [h3]]}):
-        [(mtype, _), (mtype2, obj)] = _raw(data_server.server_address,
-                                           _init_frame(demo_keys)
-                                           + encode_frame(MSG_XTOKENS, frame), 2)
-        assert (mtype, mtype2) == (MSG_STERM_COUNT, MSG_ERROR)
-        assert "equal-length lists" in obj["error"]
+    miss = probe_tokens(demo_keys, "Cancer B", 2, "Cancer A")
+    mtype, obj = _send_tokens(data_server.server_address, demo_keys,
+                              [[h1, miss[0]], [h2, miss[1]], [h3]], n_neg=1)
+    assert mtype == MSG_ERROR and "rows of the 2 declared tokens" in obj["error"]
+    # a JSON token frame, as an older vetter sent it, is refused the same way
+    legacy = json.dumps({"pos": [[b64e(h1)]], "neg": [[]]}).encode()
+    assert len(legacy) % 33
+    [(mtype, _), (mtype2, obj)] = _raw(data_server.server_address, _init_frame(demo_keys)
+                                       + encode_frame(MSG_XTOKENS, legacy), 2)
+    assert (mtype, mtype2) == (MSG_STERM_COUNT, MSG_ERROR)
+    assert "rows of the 1 declared tokens" in obj["error"]
 
 
 @pytest.mark.parametrize("counts", [
@@ -802,15 +844,14 @@ def test_server_rejects_rows_past_the_chain(data_server, demo_keys):
     h1, h2, h3 = _hits(demo_keys)
     # in one frame, and across frames: 2 rows, then 2 more for the last counter
     mtype, obj = _send_tokens(data_server.server_address, demo_keys,
-                              [[h1], [h2], [h3], [h1]], [[], [], [], []])
+                              [[h1], [h2], [h3], [h1]])
     assert mtype == MSG_ERROR and "counters 1..4 run past the chain of 3" in obj["error"]
     with socket.create_connection(data_server.server_address, timeout=10) as sock:
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys))
         mtype, obj, _ = read_frame(rd)
         assert (mtype, obj) == (MSG_STERM_COUNT, {"count": 3})
-        sock.sendall(encode_frame(MSG_XTOKENS, {"pos": [[h1], [h2]], "neg": [[], []]})
-                     + encode_frame(MSG_XTOKENS, {"pos": [[h3], [h1]], "neg": [[], []]}))
+        sock.sendall(encode_frame(MSG_XTOKENS, h1 + h2) + encode_frame(MSG_XTOKENS, h3 + h1))
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_ERROR and "counters 3..4 run past the chain" in obj["error"]
         assert read_frame(rd)[0] == 0  # the server hung up
@@ -820,7 +861,7 @@ def test_server_rejects_unknown_session(data_server, demo_keys):
     # search state lives on its connection: a batch on a connection with no
     # open search is refused, even while another connection has one open
     addr = data_server.server_address
-    batch = encode_frame(MSG_XTOKENS, {"pos": [_hits(demo_keys, 1)], "neg": [[]]})
+    batch = encode_frame(MSG_XTOKENS, _hits(demo_keys, 1)[0])
     with socket.create_connection(addr, timeout=10) as other:
         other.sendall(_init_frame(demo_keys))
         assert read_frame(other.makefile("rb"))[0] == MSG_STERM_COUNT
@@ -840,22 +881,38 @@ def test_server_rejects_negations_in_match(data_server, demo_keys):
     addr = data_server.server_address
     [(mtype, obj)] = _raw(addr, _init_frame(demo_keys, gamma=3, n_neg=1, k_prime=1))
     assert mtype == MSG_ERROR and "negative" in obj["error"]
-    # declared without them, a negative token breaks the declared row width
-    mtype, obj = _send_tokens(addr, demo_keys, [[h] for h in _hits(demo_keys)],
-                              [[_hits(demo_keys, 1)[0]], [], []], gamma=3, k_prime=1,
-                              n_neg=0)
-    assert mtype == MSG_ERROR and "0 declared tokens" in obj["error"]
+    # declared without them, a negative token in every row breaks the
+    # declared row width
+    h1, h2, h3 = _hits(demo_keys)
+    mtype, obj = _send_tokens(addr, demo_keys, [[h1, h1, h1], [h2, h2, h2], [h3, h3, h3]],
+                              gamma=3, k_prime=1, n_pos=2)
+    assert mtype == MSG_ERROR and "rows of the 2 declared tokens" in obj["error"]
 
 
 def test_server_rejects_token_rows_of_undeclared_width(data_server, demo_keys):
     addr = data_server.server_address
     h1, h2, h3 = _hits(demo_keys)
-    for pos in ([[h1, h1], [h2], [h3]], [[h1], [], [h3]], [[h1], [h2], h3]):
-        mtype, obj = _send_tokens(addr, demo_keys, pos, [[], [], []], n_pos=1)
-        assert mtype == MSG_ERROR and "1 declared tokens" in obj["error"]
+    for rows in ([[h1, h1], [h2]], [[h1], [h2], [h3]], [[h1, h1], [h2, h2], [h3, h3[:32]]]):
+        mtype, obj = _send_tokens(addr, demo_keys, rows, n_pos=2)
+        assert mtype == MSG_ERROR and "rows of the 2 declared tokens" in obj["error"]
+    for rows in ([[h1], [h2], [h3[:32]]], [[h1], [h2[:1]]], [[h1 + b"\x02"]]):
+        mtype, obj = _send_tokens(addr, demo_keys, rows, n_pos=1)
+        assert mtype == MSG_ERROR and "rows of the 1 declared tokens" in obj["error"]
     # the same search at the declared width is answered
-    mtype, obj = _send_tokens(addr, demo_keys, [[h1], [h2], [h3]], [[], [], []])
+    mtype, obj = _send_tokens(addr, demo_keys, [[h1], [h2], [h3]])
     assert mtype == MSG_RESULT and len(obj["enc_ids"]) == 3
+
+
+def test_server_refuses_a_token_frame_of_no_rows(data_server, demo_keys):
+    """An empty frame would keep the search open while doing nothing."""
+    with socket.create_connection(data_server.server_address, timeout=10) as sock:
+        rd = sock.makefile("rb")
+        sock.sendall(_init_frame(demo_keys))
+        assert read_frame(rd)[0] == MSG_STERM_COUNT
+        send_frame(sock, MSG_XTOKENS, b"")
+        mtype, obj, _ = read_frame(rd)
+        assert mtype == MSG_ERROR and "one or more rows" in obj["error"]
+        assert read_frame(rd)[0] == 0  # the server hung up
 
 
 def test_server_rejects_malformed_group_element(data_server, demo_keys):
@@ -864,10 +921,10 @@ def test_server_rejects_malformed_group_element(data_server, demo_keys):
         sock.sendall(_init_frame(demo_keys))
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_STERM_COUNT
-        junk = b64e(b"\x07" * 33)  # invalid prefix byte for a compressed point
-        send_frame(sock, MSG_XTOKENS, {"pos": [[junk]], "neg": [[]]})
+        junk = b"\x07" * 33  # invalid prefix byte for a compressed point
+        send_frame(sock, MSG_XTOKENS, junk)
         mtype, obj, _ = read_frame(rd)
-        assert mtype == MSG_ERROR and "group element" in obj["error"]
+        assert mtype == MSG_ERROR and "group element at counter 1" in obj["error"]
 
 
 def test_server_reports_a_corrupt_chain_in_round_one(demo_keys, demo_iinx):
@@ -890,16 +947,16 @@ def test_server_reports_a_corrupt_chain_in_round_one(demo_keys, demo_iinx):
 
 def test_protocol_error_drops_the_session(data_server, demo_keys):
     addr = data_server.server_address
-    junk = b64e(b"\x07" * 33)
+    junk = b"\x07" * 33
     h1, h2, h3 = _hits(demo_keys)
     # a failed frame, whether or not it reaches the last counter, ends its
     # search and its connection
-    for pos in ([[junk], [h2], [h3]], [[junk]]):
+    for body in (junk + h2 + h3, junk):
         with socket.create_connection(addr, timeout=10) as sock:
             rd = sock.makefile("rb")
             sock.sendall(_init_frame(demo_keys))
             assert read_frame(rd)[0] == MSG_STERM_COUNT
-            send_frame(sock, MSG_XTOKENS, {"pos": pos, "neg": [[]] * len(pos)})
+            send_frame(sock, MSG_XTOKENS, body)
             mtype, obj, _ = read_frame(rd)
             assert mtype == MSG_ERROR and "group element" in obj["error"]
             assert read_frame(rd)[0] == 0  # the server hung up
@@ -910,8 +967,8 @@ def test_protocol_error_drops_the_session(data_server, demo_keys):
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys))
         assert read_frame(rd)[0] == MSG_STERM_COUNT
-        send_frame(sock, MSG_XTOKENS, {"pos": [[h1]], "neg": [[]]})
-        send_frame(sock, MSG_XTOKENS, {"pos": [[h2], [h3]], "neg": [[], []]})
+        send_frame(sock, MSG_XTOKENS, h1)
+        send_frame(sock, MSG_XTOKENS, h2 + h3)
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_RESULT and len(obj["enc_ids"]) == 3
         sock.sendall(_init_frame(demo_keys, n_pos=0))
@@ -958,47 +1015,50 @@ def test_abandoned_sessions_end_with_their_connections(small_server, demo_keys):
         assert _poll(lambda: _chain_count(small_server.server_address, demo_keys) == 3)
 
 
-def _send_tokens(addr, demo_keys, pos, neg, **init):
-    """Open a search on the 3-tuple Cancer B chain and send one token frame.
+def _send_tokens(addr, demo_keys, rows, **init):
+    """Open a search on the 3-tuple Cancer B chain and send one token frame
+    of ``rows``, each a list of tokens, packed.
 
-    The search is a boolean that declares the widths of the first rows,
-    unless ``init`` says otherwise.
+    The search is ``_init_frame``'s boolean unless ``init`` says otherwise.
     """
-    init = {"n_pos": len(pos[0]), "n_neg": len(neg[0]), **init}
     with socket.create_connection(addr, timeout=10) as sock:
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys, **init))
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_STERM_COUNT and obj["count"] == 3
-        send_frame(sock, MSG_XTOKENS, {"pos": pos, "neg": neg})
+        send_frame(sock, MSG_XTOKENS, _pack(rows))
         return read_frame(rd)[:2]
 
 
 def test_server_rejects_unused_malformed_token_on_arrival(data_server, demo_keys):
     addr = data_server.server_address
-    junk = b64e(b"\x07" * 33)
+    junk = b"\x07" * 33
     h1, h2, h3 = _hits(demo_keys)
-    # no Cancer B record is Cancer A, so the core stops at the first token
-    miss = b64e(probe_tokens(demo_keys, "Cancer B", 1, "Cancer A")[0])
-    mtype, obj = _send_tokens(addr, demo_keys, [[miss, junk], [h2, h2], [h3, h3]],
-                              [[], [], []])
-    assert mtype == MSG_ERROR and "group element" in obj["error"]
+    # no Cancer B record is Cancer A, so the core would stop at each row's
+    # first token
+    miss = probe_tokens(demo_keys, "Cancer B", 3, "Cancer A")
+    for rows, counter in (([[miss[0], junk], [h2, h2], [h3, h3]], 1),
+                          ([[miss[0], h1], [miss[1], h2], [miss[2], junk]], 3)):
+        mtype, obj = _send_tokens(addr, demo_keys, rows, n_pos=2)
+        assert mtype == MSG_ERROR
+        assert f"group element at counter {counter}: prefix 0x07" in obj["error"]
     # counter 4 is past the chain: the row count is refused before any
-    # token of the frame is decoded
-    mtype, obj = _send_tokens(addr, demo_keys, [[h1], [h2], [h3], [junk]],
-                              [[], [], [], []])
+    # token of the frame is looked at
+    mtype, obj = _send_tokens(addr, demo_keys, [[h1], [h2], [h3], [junk]])
     assert mtype == MSG_ERROR and "counters 1..4 run past the chain of 3" in obj["error"]
-    mtype, obj = _send_tokens(addr, demo_keys, [[], [], []],
-                              [[b64e(b"\x02" * 32)], [h2], [h3]])  # 32 bytes
-    assert mtype == MSG_ERROR and "group element" in obj["error"]
+    # a 32-byte token leaves the body short of whole rows
+    mtype, obj = _send_tokens(addr, demo_keys, [[b"\x02" * 32], [h2], [h3]], n_pos=0,
+                              n_neg=1)
+    assert mtype == MSG_ERROR and "rows of the 1 declared tokens" in obj["error"]
 
 
 @pytest.mark.parametrize("bad", [OFF_CURVE, IDENTITY.encode()], ids=["off-curve", "identity"])
 def test_server_rejects_used_non_point(data_server, demo_keys, bad):
+    """Off the curve, refused where the core reaches it; the identity's
+    all-zero encoding, refused by its prefix on arrival."""
     _, h2, h3 = _hits(demo_keys)
-    mtype, obj = _send_tokens(data_server.server_address, demo_keys,
-                              [[b64e(bad)], [h2], [h3]], [[], [], []])
-    assert mtype == MSG_ERROR and "group element" in obj["error"]
+    mtype, obj = _send_tokens(data_server.server_address, demo_keys, [[bad], [h2], [h3]])
+    assert mtype == MSG_ERROR and "group element at counter 1" in obj["error"]
 
 
 def test_live_sessions_are_capped(small_server, demo_keys):
@@ -1019,8 +1079,7 @@ def test_live_sessions_are_capped(small_server, demo_keys):
             assert read_frame(rd)[0] == 0
         # a finished search keeps its connection's slot; closing frees it
         sock, rd = held.pop()
-        send_frame(sock, MSG_XTOKENS, {"pos": [[h] for h in _hits(demo_keys)],
-                                       "neg": [[]] * 3})
+        send_frame(sock, MSG_XTOKENS, b"".join(_hits(demo_keys)))
         assert read_frame(rd)[0] == MSG_RESULT
         assert _chain_count(addr, demo_keys) is None
         rd.close()
@@ -1092,3 +1151,136 @@ def test_session_expiry(monkeypatch, small_server, demo_keys):
         assert time.monotonic() - t0 < 5
         assert read_frame(other.makefile("rb"))[0] == 0  # idle from the start
     assert _poll(lambda: _chain_count(addr, demo_keys) == 3)
+
+
+# --- fuzzing ---------------------------------------------------------------------------
+
+@st.composite
+def _frame_streams(draw):
+    """Byte strings that hold frame headers, token-frame ones most of all,
+    with bodies that may be short, long, cut or garbage."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    out = b""
+    for _ in range(draw(st.integers(1, 3))):
+        mtype = draw(st.sampled_from([MSG_XTOKENS] * 4 + list(range(0, 11))))
+        body = draw(st.binary(max_size=200))
+        length = draw(st.one_of(st.just(len(body) + 1), st.integers(0, 400),
+                                st.integers(0, 2**32 - 1)))
+        out += struct.pack("<IB", length, mtype) + body
+    return out[:draw(st.integers(0, len(out)))] if draw(st.booleans()) else out
+
+
+@settings(max_examples=400, deadline=None)
+@given(_frame_streams())
+def test_read_frame_fuzz(data):
+    rd = io.BytesIO(data)
+    t0 = time.perf_counter()
+    try:
+        while (frame := read_frame(rd))[0]:
+            mtype, obj, body = frame
+            assert obj == body if mtype == MSG_XTOKENS else isinstance(obj, dict)
+    except WireError:
+        pass
+    assert time.perf_counter() - t0 < 1
+
+
+class _RecordingServer(DataServer):
+    """A data server that records what its connection threads raise."""
+
+    def __init__(self, addr, egdb):
+        self.errors = []
+        super().__init__(addr, egdb)
+
+    def handle_error(self, request, client_address):
+        self.errors.append(sys.exc_info()[1])
+
+
+@pytest.fixture(scope="module")
+def fuzz_server(demo_egdb):
+    srv = _RecordingServer(("127.0.0.1", 0), demo_egdb)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+@st.composite
+def _token_frames(draw, pool):
+    """A search over the 3-tuple Cancer B chain, and a token frame body for
+    it: arbitrary bytes, or rows drawn from hits, misses, non-points, bad
+    prefixes and random tokens, possibly cut or extended."""
+    gamma = draw(st.sampled_from([1, 2, 3]))
+    n_pos = draw(st.integers(1 if gamma == 3 else 0, 2))
+    n_neg = 0 if gamma == 3 else draw(st.integers(0 if n_pos else 1, 2))
+    k_prime = draw(st.integers(1, n_pos + 1)) if gamma == 3 else None
+    if draw(st.integers(0, 3)) == 0:
+        body = draw(st.binary(max_size=300))
+    else:
+        token = st.one_of(st.sampled_from(pool), st.sampled_from(pool),
+                          st.binary(min_size=33, max_size=33),
+                          st.binary(min_size=32, max_size=32).map(lambda x: b"\x02" + x))
+        rows = draw(st.sampled_from([0, 1, 2, 3, 3, 3, 4]))  # the chain has 3 tuples
+        body = b"".join(draw(st.lists(token, min_size=rows * (n_pos + n_neg),
+                                      max_size=rows * (n_pos + n_neg))))
+        if draw(st.integers(0, 3)) == 0:
+            body = body[:draw(st.integers(0, len(body)))] + draw(st.binary(max_size=40))
+    return gamma, n_pos, n_neg, k_prime, body
+
+
+def _expected_token_answer(egdb, keys, gamma, n_pos, n_neg, k_prime, body):
+    """The answer a frame must get: "error", "open" (valid rows short of the
+    chain's end), or the ResultSet of the same rows fed in process."""
+    core = SearchCore(egdb, TSet.tag(keys.k_t, "Cancer B"), gamma, n_pos, n_neg, k_prime)
+    width = n_pos + n_neg
+    n_rows, rest = divmod(len(body), width * 33)
+    if rest or not 0 < n_rows <= len(core.tuples) or not set(body[::33]) <= {2, 3}:
+        return "error"
+    rows = [[body[(r * width + i) * 33 : (r * width + i + 1) * 33] for i in range(width)]
+            for r in range(n_rows)]
+    try:
+        core.feed([row[:n_pos] for row in rows], [row[n_pos:] for row in rows])
+    except WireError:
+        return "error"
+    return core.finish() if core.done else "open"
+
+
+def test_data_server_token_path_fuzz(fuzz_server, demo_egdb, demo_keys):
+    pool = [IDENTITY.encode(), OFF_CURVE, b"\x07" * 33, b"\x04" + OFF_CURVE[1:]]
+    for keyword in ("Cancer B", "Cancer A", "2CC", "4AG"):
+        pool += probe_tokens(demo_keys, "Cancer B", 3, keyword)
+    hits = probe_tokens(demo_keys, "Cancer B", 3, "Cancer B")
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_token_frames(pool))
+    # one of each outcome on every run, whatever the strategy draws
+    @example((1, 1, 0, None, b"".join(hits)))
+    @example((2, 1, 0, None, hits[0]))
+    @example((2, 1, 0, None, b""))
+    def check(frame):
+        gamma, n_pos, n_neg, k_prime, body = frame
+        expected = _expected_token_answer(demo_egdb, demo_keys, *frame)
+        with socket.create_connection(fuzz_server.server_address, timeout=10) as sock:
+            rd = sock.makefile("rb")
+            sock.sendall(_init_frame(demo_keys, gamma=gamma, n_pos=n_pos, n_neg=n_neg,
+                                     k_prime=k_prime)
+                         + encode_frame(MSG_XTOKENS, body))
+            sock.shutdown(socket.SHUT_WR)
+            assert read_frame(rd)[:2] == (MSG_STERM_COUNT, {"count": 3})
+            mtype, obj, _ = read_frame(rd)
+            assert read_frame(rd)[0] == 0  # then the server hangs up
+        assert not fuzz_server.errors
+        if expected == "error":
+            assert mtype == MSG_ERROR, obj
+        elif expected == "open":
+            assert mtype == 0  # the search waited for more rows until the close
+        elif gamma == 2:
+            assert (mtype, obj) == (MSG_RESULT, {"count": expected.count})
+        else:
+            assert mtype == MSG_RESULT
+            assert tuple(b64d(e) for e in obj["enc_ids"]) == expected.enc_ids
+        seen.add(expected if isinstance(expected, str) else "result")
+
+    check()
+    assert seen == {"error", "open", "result"}
