@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .crypto import (
     AuthenticationError,
-    GroupElement,
     KeySet,
     SeededRng,
     SystemRng,
@@ -29,7 +28,6 @@ from .encoding import (
     Query,
     QueryError,
     encode_query,
-    keyword_frequencies,
     parse_gdb,
     parse_query,
     record_keywords,
@@ -55,6 +53,7 @@ from .index import (
     TSet,
     build_egdb,
     build_inverted_index,
+    keyword_frequencies,
     load_egdb,
     serialize_egdb,
 )

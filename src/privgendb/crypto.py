@@ -22,7 +22,9 @@ from typing import Iterable, Protocol
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+# the enums `serialization` re-exports, from the module `ec` already loads:
+# importing `serialization` itself would load its key-file loaders too
+from cryptography.hazmat.primitives._serialization import Encoding, PublicFormat
 
 from . import p256
 

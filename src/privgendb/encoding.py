@@ -191,15 +191,6 @@ def record_keywords(rec: GdbRecord) -> set:
     return kws
 
 
-def keyword_frequencies(gdb: Gdb) -> dict:
-    """Owner-side keyword -> record count hint used for sterm selection."""
-    freq = {}
-    for rec in gdb.records:
-        for kw in record_keywords(rec):
-            freq[kw] = freq.get(kw, 0) + 1
-    return freq
-
-
 # --- query grammar --------------------------------------------------------------
 
 def parse_query(where: str, query_type: str, k_prime: "int | None" = None,

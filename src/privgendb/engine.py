@@ -9,9 +9,10 @@ The server never learns which keywords are behind the tokens, only how many
 there are.
 
 ``SearchCore`` is the only implementation of the server's side: the
-in-process ``run_query`` and the networked data server both feed it one
-token row per tuple, in counter order. It decodes a token and raises it to y
-(both inside OpenSSL) only when the evaluation actually reaches that token.
+in-process ``run_query`` and the networked data server both feed it the
+bytes ``generate_token`` packs, one token row per tuple in counter order, so
+this module alone knows the row layout. It decodes a token and raises it to
+y (both inside OpenSSL) only when the evaluation actually reaches that token.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crypto import (
+    ELEMENT_LEN,
     ORDER,
     AuthenticationError,
     KeySet,
@@ -60,51 +62,51 @@ class ResultSet:
             raise ValueError("id results carry ciphertexts and nothing else")
 
 
-def generate_token(eq: EncodedQuery, keys: KeySet, last: int,
-                   first: int = 1) -> "tuple[list, list]":
-    """Token rows for counters ``first..last`` of an encoded query.
+def generate_token(eq: EncodedQuery, keys: KeySet, last: int, first: int = 1) -> bytes:
+    """Packed token rows for counters ``first..last`` of an encoded query.
 
     A whole chain is ``first=1`` and ``last`` the anchor keyword's tuple
-    count as reported by the server in round one. Returns ``(pos, neg)``:
-    row i of each holds the 33-byte encodings of counter first+i's tokens
-    h^(z_c * x_g), where z_c blinds the counter and x_g fingerprints
-    cross-term keyword g. A query without cross-terms still gets one (empty)
-    row per counter.
+    count as reported by the server in round one. The rows follow one
+    another in counter order; the row of counter c holds the 33-byte
+    encodings of the tokens h^(z_c * x_g), first for each positive then for
+    each negative cross-term g, where z_c blinds the counter and x_g
+    fingerprints g. This is the ``MSG_XTOKENS`` body, and ``SearchCore.feed``
+    reads it. A query without cross-terms has empty rows and returns b"".
     """
     if first < 1 or last < first - 1:
         raise ValueError(f"bad counter range {first}..{last}")
-    pos_x = [prf_fp(keys.k_x, keyword_bytes(kw)) for kw in eq.positive_xterms]
-    neg_x = [prf_fp(keys.k_x, keyword_bytes(kw)) for kw in eq.negative_xterms]
-    counters = range(first, last + 1)
-    if not pos_x and not neg_x:
-        return [[] for _ in counters], [[] for _ in counters]
-    pos, neg = [], []
-    for c in counters:
+    xs = [prf_fp(keys.k_x, keyword_bytes(kw))
+          for kw in eq.positive_xterms + eq.negative_xterms]
+    if not xs:
+        return b""
+    tokens = []
+    for c in range(first, last + 1):
         z = prf_fp(keys.k_z, keyword_counter(eq.sterm, c))
-        pos.append([base_pow(z * x % ORDER).encode() for x in pos_x])
-        neg.append([base_pow(z * x % ORDER).encode() for x in neg_x])
-    return pos, neg
+        tokens += [base_pow(z * x % ORDER).encode() for x in xs]
+    return b"".join(tokens)
 
 
-def evaluate_tuple(bloom: BloomFilter, y: bytes, pos, neg, gamma: int,
+def evaluate_tuple(bloom: BloomFilter, y: bytes, row: bytes, n_pos: int, gamma: int,
                    k_prime: "int | None") -> bool:
     """Decide one tuple: raise tokens to y and test their x in the filter.
 
-    ``y`` is the tuple's 32-byte big-endian scalar and ``pos`` and ``neg``
-    hold 33-byte token encodings. The scalar's int and its OpenSSL key are
-    built only if some token must be raised, and each token is decoded
-    only when the evaluation reaches it, so an early exit skips the rest.
-    Raises ValueError for a reached token that is not a curve point.
+    ``y`` is the tuple's 32-byte big-endian scalar and ``row`` its packed
+    tokens, the ``n_pos`` positive ones first. The scalar's int and its
+    OpenSSL key are built only if some token must be raised, and each token
+    is cut out and decoded only when the evaluation reaches it, so an early
+    exit skips the rest. Raises ValueError for a reached token that is not a
+    curve point.
     """
+    split = n_pos * ELEMENT_LEN
     if gamma == GAMMA_MATCH:
-        left = len(pos)
+        left = n_pos
         if left < k_prime:
             return False
         key = exponent_key(int.from_bytes(y, "big"))
         hits = 0
-        for tok in pos:
+        for i in range(0, split, ELEMENT_LEN):
             left -= 1
-            if pow_x(key, tok) in bloom:
+            if pow_x(key, row[i : i + ELEMENT_LEN]) in bloom:
                 hits += 1
                 if hits >= k_prime:
                     return True
@@ -112,11 +114,11 @@ def evaluate_tuple(bloom: BloomFilter, y: bytes, pos, neg, gamma: int,
                 return False
         return hits >= k_prime
     key = exponent_key(int.from_bytes(y, "big"))
-    for tok in pos:
-        if pow_x(key, tok) not in bloom:
+    for i in range(0, split, ELEMENT_LEN):
+        if pow_x(key, row[i : i + ELEMENT_LEN]) not in bloom:
             return False
-    for tok in neg:
-        if pow_x(key, tok) in bloom:
+    for i in range(split, len(row), ELEMENT_LEN):
+        if pow_x(key, row[i : i + ELEMENT_LEN]) in bloom:
             return False
     return True
 
@@ -126,7 +128,7 @@ class SearchCore:
 
     Opening it retrieves and parses the chain. ``n_pos`` and ``n_neg`` are
     the positive and negative cross-term counts per counter. ``feed``
-    evaluates the next counters from rows of per-counter tokens, and the
+    evaluates the next counters from a body of packed token rows, and the
     search is ``done`` once every tuple is decided; ``finish`` then returns
     the ResultSet. A search with no cross-terms is done when it opens: a
     count or boolean takes the whole chain, a match (k' >= 1 hits among no
@@ -161,28 +163,38 @@ class SearchCore:
         """Whether every tuple of the chain is decided."""
         return self.next_counter > len(self.tuples)
 
-    def admit(self, n_rows: int) -> None:
-        """Raise WireError if ``n_rows`` more token rows run past the chain."""
-        if (last := self.next_counter + n_rows - 1) > len(self.tuples):
-            raise WireError(f"token rows for counters {self.next_counter}..{last} "
-                            f"run past the chain of {len(self.tuples)}")
+    def feed(self, body: bytes) -> None:
+        """Evaluate counters ``next_counter`` onwards from a packed token body.
 
-    def feed(self, pos, neg) -> None:
-        """Evaluate counters ``next_counter`` onwards, one per entry of pos.
-
-        ``pos[i]`` and ``neg[i]`` hold the 33-byte token encodings for one
-        counter. Rows past the chain, and a reached token that is not a
-        curve point (the identity included), raise WireError.
+        ``body`` holds whole rows as ``generate_token`` writes them. Before
+        any row is evaluated, WireError refuses, in this order: a body that
+        is not a whole, non-zero number of rows (any body, for a search
+        without cross-terms); rows past the chain; a token whose prefix is
+        not 0x02 or 0x03. A reached token that is not a curve point raises
+        WireError too.
         """
-        self.admit(len(pos))
-        first = self.next_counter - 1
-        self.next_counter += len(pos)
-        bloom, gamma, k_prime = self.bloom, self.gamma, self.k_prime
-        for i, (y, enc_id) in enumerate(self.tuples[first : first + len(pos)]):
+        width = self.n_pos + self.n_neg
+        row_len = width * ELEMENT_LEN
+        if not body or not row_len or len(body) % row_len:
+            raise WireError(f"a token frame must hold one or more rows of the {width} "
+                            f"declared tokens, {row_len} bytes each; got {len(body)} bytes")
+        first = self.next_counter
+        if (last := first + len(body) // row_len - 1) > len(self.tuples):
+            raise WireError(f"token rows for counters {first}..{last} "
+                            f"run past the chain of {len(self.tuples)}")
+        prefixes = body[::ELEMENT_LEN]
+        if prefixes.translate(None, b"\x02\x03"):
+            i = next(i for i, p in enumerate(prefixes) if p not in (2, 3))
+            raise WireError(f"malformed group element at counter {first + i // width}: "
+                            f"prefix 0x{prefixes[i]:02x}, want 0x02 or 0x03")
+        self.next_counter = last + 1
+        bloom, gamma, k_prime, n_pos = self.bloom, self.gamma, self.k_prime, self.n_pos
+        for i, (y, enc_id) in enumerate(self.tuples[first - 1 : last]):
             try:
-                hit = evaluate_tuple(bloom, y, pos[i], neg[i], gamma, k_prime)
+                hit = evaluate_tuple(bloom, y, body[i * row_len : (i + 1) * row_len],
+                                     n_pos, gamma, k_prime)
             except ValueError as exc:
-                raise WireError(f"malformed group element at counter {first + i + 1}: "
+                raise WireError(f"malformed group element at counter {first + i}: "
                                 f"{exc}") from None
             if hit:
                 if gamma == GAMMA_COUNT:
@@ -219,7 +231,7 @@ def run_query(keys: KeySet, egdb: Egdb, query: Query, freq: "dict | None" = None
     core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma,
                       len(eq.positive_xterms), len(eq.negative_xterms), eq.k_prime)
     if not core.done:
-        core.feed(*generate_token(eq, keys, len(core.tuples)))
+        core.feed(generate_token(eq, keys, len(core.tuples)))
     res = core.finish()
     if eq.gamma == GAMMA_COUNT:
         return res.count

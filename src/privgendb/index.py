@@ -74,6 +74,11 @@ def build_inverted_index(gdb) -> dict:
     return iinx
 
 
+def keyword_frequencies(gdb) -> dict:
+    """Owner-side keyword -> record count hint used for sterm selection."""
+    return {kw: len(ids) for kw, ids in build_inverted_index(gdb).items()}
+
+
 # --- Bloom filter ----------------------------------------------------------------
 
 class BloomFilter:

@@ -19,7 +19,7 @@ import threading
 import time
 from datetime import datetime, timezone
 
-from .crypto import ELEMENT_LEN, KeySet, load_keys
+from .crypto import KeySet, load_keys
 from .encoding import QueryError, encode_query, parse_query
 from .engine import (
     GAMMA_COUNT,
@@ -207,31 +207,8 @@ class _DataHandler(socketserver.StreamRequestHandler):
         return core
 
     def _tokens(self, core: SearchCore, body: bytes) -> "SearchCore | None":
-        """One token frame; returns the core, or None once its last counter answered.
-
-        The body must be a whole, non-zero number of rows of the declared
-        tokens. Rows past the chain are refused before any token is looked
-        at, and every token's prefix is then checked on arrival; whether a
-        token is a curve point is checked by the search core if and when it
-        uses the token.
-        """
-        width = core.n_pos + core.n_neg
-        n_rows, rest = divmod(len(body), width * ELEMENT_LEN)
-        if rest or not n_rows:
-            raise WireError(f"a token frame must hold one or more rows of the {width} "
-                            f"declared tokens, {width * ELEMENT_LEN} bytes each; "
-                            f"got {len(body)} bytes")
-        core.admit(n_rows)
-        prefixes = body[::ELEMENT_LEN]
-        if prefixes.translate(None, b"\x02\x03"):
-            i = next(i for i, p in enumerate(prefixes) if p not in (2, 3))
-            raise WireError(f"malformed group element at counter "
-                            f"{core.next_counter + i // width}: prefix 0x{prefixes[i]:02x}, "
-                            "want 0x02 or 0x03")
-        toks = [body[i : i + ELEMENT_LEN] for i in range(0, len(body), ELEMENT_LEN)]
-        rows = range(0, len(toks), width)
-        core.feed([toks[r : r + core.n_pos] for r in rows],
-                  [toks[r + core.n_pos : r + width] for r in rows])
+        """One token frame; returns the core, or None once its last counter answered."""
+        core.feed(body)
         if not core.done:
             return core
         self._result(core.finish())
@@ -254,8 +231,10 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
     Round one carries the result when it already decides the search (no
     cross-terms, or an empty chain); otherwise it carries the chain length,
     and round two sends one token row per tuple, ``FRAME_COUNTERS`` rows to
-    a frame. Each frame goes out as soon as its rows are made, so the server
-    evaluates one frame while the next is being made.
+    a frame. A frame's body is the bytes ``generate_token`` returns for its
+    counters, sent as they are; the row layout is the engine's alone. Each
+    frame goes out as soon as its rows are made, so the server evaluates one
+    frame while the next is being made.
 
     Nagle's algorithm is off at both ends and the data server quick-ACKs,
     so no frame waits on a delayed ACK: the server answers only after the
@@ -299,9 +278,8 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
                 raise ServiceError("malformed tuple-count response")
             for first in range(1, inv_len + 1, FRAME_COUNTERS):
                 last = min(first + FRAME_COUNTERS - 1, inv_len)
-                pos, neg = generate_token(eq, keys, last, first)
                 try:
-                    send(MSG_XTOKENS, b"".join(b"".join(p + n) for p, n in zip(pos, neg)))
+                    send(MSG_XTOKENS, generate_token(eq, keys, last, first))
                 except ConnectionError:
                     # the server refused an earlier frame and hung up; its
                     # MSG_ERROR is then already on the socket, and recv

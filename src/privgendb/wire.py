@@ -3,8 +3,9 @@
 Frame layout, little-endian: u32 length, u8 message type, body; the length
 counts the type byte plus the body. Every body is a UTF-8 JSON object, in
 which binary fields (tags, ciphertexts) travel as base64 strings, except a
-``MSG_XTOKENS`` body: that is raw bytes, the round-two token rows in counter
-order, each row its positive then its negative 33-byte tokens.
+``MSG_XTOKENS`` body: that is raw bytes, the round-two token rows as
+``engine.generate_token`` packs them and ``engine.SearchCore.feed`` reads and
+checks them. This module passes them through unread.
 """
 
 from __future__ import annotations

@@ -16,10 +16,17 @@ from privgendb.crypto import (
     keyword_counter,
     prf_fp,
 )
-from privgendb.encoding import keyword_frequencies, parse_gdb
+from privgendb.encoding import parse_gdb
 from privgendb.engine import ResultSet, SearchCore
 from privgendb.fixtures import load_demo_cohort
-from privgendb.index import Egdb, TSet, build_egdb, build_inverted_index, serialize_egdb
+from privgendb.index import (
+    Egdb,
+    TSet,
+    build_egdb,
+    build_inverted_index,
+    keyword_frequencies,
+    serialize_egdb,
+)
 
 import ref_p256
 
@@ -73,19 +80,24 @@ def egdb_to_bytes(egdb: Egdb) -> bytes:
     return buf.getvalue()
 
 
-def search(egdb: Egdb, eq, keys, rows) -> ResultSet:
+def search(egdb: Egdb, eq, keys, body: bytes) -> ResultSet:
     """Run one query over the encrypted database (the untrusted-server role).
 
-    ``rows`` is the ``(pos, neg)`` pair ``generate_token`` returns. The core
-    sees only what the data server does: the anchor tag, the query type, k',
-    the cross-term counts and the rows. Like ``run_query``, it takes no rows
-    for a search decided when it opens.
+    ``body`` is the packed rows ``generate_token`` returns. The core sees
+    only what the data server does: the anchor tag, the query type, k', the
+    cross-term counts and the rows. Like ``run_query``, it takes no rows for
+    a search decided when it opens.
     """
     core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma,
                       len(eq.positive_xterms), len(eq.negative_xterms), eq.k_prime)
     if not core.done:
-        core.feed(*rows)
+        core.feed(body)
     return core.finish()
+
+
+def _pack(rows) -> bytes:
+    """A token frame body: the rows in counter order, each row's tokens joined."""
+    return b"".join(b"".join(row) for row in rows)
 
 
 def probe_tokens(keys, anchor, counters, keyword):

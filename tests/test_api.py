@@ -3,8 +3,8 @@
 import privgendb
 
 PUBLIC_NAMES = {
-    # keys, randomness and group elements
-    "AuthenticationError", "GroupElement", "KeySet", "SeededRng", "SystemRng",
+    # keys and randomness
+    "AuthenticationError", "KeySet", "SeededRng", "SystemRng",
     "keygen", "load_keys", "save_keys",
     # cohorts and queries
     "EncodedQuery", "Gdb", "GdbParseError", "GdbRecord", "Predicate", "Query",

@@ -11,13 +11,13 @@ from privgendb.encoding import (
     QueryError,
     encode_query,
     keyword_for_predicate,
-    keyword_frequencies,
     parse_gdb,
     parse_query,
     record_keywords,
     select_sterm,
 )
 from privgendb.fixtures import DEMO_COHORT_CSV
+from privgendb.index import keyword_frequencies
 
 from conftest import random_cohort
 

@@ -36,7 +36,15 @@ from privgendb.engine import (
 from privgendb.index import TSet, build_egdb, build_inverted_index
 from privgendb.wire import WireError
 
-from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, probe_tokens, random_cohort, search
+from conftest import (
+    GOLDEN_COUNTS,
+    GOLDEN_IDS,
+    OFF_CURVE,
+    _pack,
+    probe_tokens,
+    random_cohort,
+    search,
+)
 from oracle import evaluate_plain
 
 
@@ -45,24 +53,24 @@ from oracle import evaluate_plain
 def test_token_shape_and_values(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"))
     assert eq.sterm == "Cancer B"
-    pos, neg = generate_token(eq, demo_keys, 3)
-    assert [len(p) for p in pos] == [2, 2, 2]
-    assert neg == [[], [], []]
-    assert all(type(t) is bytes and len(t) == 33 for row in pos for t in row)
-    # recompute one token from first principles
+    body = generate_token(eq, demo_keys, 3)
+    # 3 rows of 2 positive tokens and no negative one, 33 bytes each
+    assert type(body) is bytes and len(body) == 3 * 2 * 33
+    assert set(body[::33]) <= {2, 3}
+    # recompute one token from first principles: counter 2's first
     z2 = prf_fp(demo_keys.k_z, keyword_counter("Cancer B", 2))
     x_cc = prf_fp(demo_keys.k_x, keyword_bytes("2CC"))
-    assert pos[1][0] == base_pow(z2 * x_cc % ORDER).encode()
+    assert body[2 * 33 : 3 * 33] == base_pow(z2 * x_cc % ORDER).encode()
 
 
 def test_token_negation_split(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2!=CC, SNP4=AG", "count"))
-    pos, neg = generate_token(eq, demo_keys, 3)
-    assert [len(p) for p in pos] == [1, 1, 1]
-    assert [len(n) for n in neg] == [1, 1, 1]
-    # the negated term's token sits in neg
+    body = generate_token(eq, demo_keys, 3)
+    assert len(body) == 3 * 2 * 33  # each row: 1 positive token, then 1 negative
+    # counter 1's row: the positive term's token, then the negated term's
     z1 = prf_fp(demo_keys.k_z, keyword_counter("Cancer B", 1))
-    assert neg[0] == [base_pow(z1 * prf_fp(demo_keys.k_x, keyword_bytes("2CC")) % ORDER).encode()]
+    assert body[:33] == base_pow(z1 * prf_fp(demo_keys.k_x, keyword_bytes("4AG")) % ORDER).encode()
+    assert body[33:66] == base_pow(z1 * prf_fp(demo_keys.k_x, keyword_bytes("2CC")) % ORDER).encode()
 
 
 def test_token_without_cross_terms_skips_blinding(demo_keys, monkeypatch):
@@ -70,24 +78,24 @@ def test_token_without_cross_terms_skips_blinding(demo_keys, monkeypatch):
     calls = []
     real = engine.prf_fp
     monkeypatch.setattr(engine, "prf_fp", lambda k, d: calls.append(k) or real(k, d))
-    pos, neg = generate_token(eq, demo_keys, 5)
+    assert generate_token(eq, demo_keys, 5) == b""  # 5 empty rows
     assert demo_keys.k_z not in calls  # no z_c derived for an empty token list
-    assert pos == neg == [[]] * 5  # the per-counter shape stays
 
 
 def test_token_zero_counters(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer Z, SNP2=CC", "count"))
-    assert generate_token(eq, demo_keys, 0) == ([], [])
+    assert generate_token(eq, demo_keys, 0) == b""
     with pytest.raises(ValueError):
         generate_token(eq, demo_keys, -1)
 
 
 def test_token_counter_range_is_a_slice_of_the_chain(demo_keys):
     eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"))
-    pos, neg = generate_token(eq, demo_keys, 5)
+    body = generate_token(eq, demo_keys, 5)
+    assert (eq.positive_xterms, eq.negative_xterms) == ((), ("4AG",))
+    row = 33  # the negative token alone
     for first, last in [(1, 1), (2, 4), (5, 5), (3, 2)]:
-        assert generate_token(eq, demo_keys, last, first) == (pos[first - 1 : last],
-                                                               neg[first - 1 : last])
+        assert generate_token(eq, demo_keys, last, first) == body[(first - 1) * row : last * row]
     for first, last in [(0, 3), (4, 2)]:
         with pytest.raises(ValueError, match="counter range"):
             generate_token(eq, demo_keys, last, first)
@@ -169,18 +177,23 @@ def test_search_refuses_rows_past_the_chain(demo_keys, demo_egdb):
     stag = TSet.tag(demo_keys.k_t, "Cancer B")
     core = SearchCore(demo_egdb, stag, GAMMA_COUNT, 1, 0)
     with pytest.raises(WireError, match="counters 1..4 run past the chain of 3"):
-        core.feed([[h] for h in hits], [[]] * 4)
+        core.feed(b"".join(hits))
     # counter by counter: done after the third, and a fourth row is refused
     core = SearchCore(demo_egdb, stag, GAMMA_COUNT, 1, 0)
     for c in range(3):
         assert not core.done
-        core.feed([[hits[c]]], [[]])
+        core.feed(hits[c])
     assert core.done and core.finish().count == 3
     with pytest.raises(WireError, match="past the chain"):
-        core.feed([[hits[3]]], [[]])
-    # a search decided when it opens takes no row at all
-    with pytest.raises(WireError, match="past the chain"):
-        SearchCore(demo_egdb, stag, GAMMA_COUNT, 0, 0).feed([[]], [[]])
+        core.feed(hits[3])
+    # a search decided when it opens takes no row at all: an empty chain
+    # refuses a row, and a search without cross-terms any body
+    empty = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer Z"), GAMMA_COUNT, 1, 0)
+    with pytest.raises(WireError, match="counters 1..1 run past the chain of 0"):
+        empty.feed(hits[0])
+    for body in (b"", hits[0]):
+        with pytest.raises(WireError, match="rows of the 0 declared tokens"):
+            SearchCore(demo_egdb, stag, GAMMA_COUNT, 0, 0).feed(body)
 
 
 def test_search_unknown_anchor_is_empty(demo_keys, demo_egdb):
@@ -244,7 +257,7 @@ def test_boolean_early_exit_leaves_tokens_undecoded(demo_keys, demo_egdb, monkey
     # no Cancer B record is Cancer A: the first token misses on every tuple
     misses = probe_tokens(demo_keys, "Cancer B", 3, "Cancer A")
     core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN, 3, 0)
-    core.feed([[miss, OFF_CURVE, IDENTITY.encode()] for miss in misses], [[]] * 3)
+    core.feed(_pack([miss, OFF_CURVE, OFF_CURVE] for miss in misses))
     assert core.finish().enc_ids == ()
     assert [args[1] for args in decoded] == misses  # one decode per tuple
 
@@ -256,24 +269,52 @@ def test_match_early_exits_leave_tokens_undecoded(demo_keys, demo_egdb, monkeypa
     hits = probe_tokens(demo_keys, "Cancer B", 3, "Cancer B")
     # k' = 3 of 3: the first miss already decides
     core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 3, 0, 3)
-    core.feed([[m, OFF_CURVE, OFF_CURVE] for m in misses], [[]] * 3)
+    core.feed(_pack([m, OFF_CURVE, OFF_CURVE] for m in misses))
     assert core.finish().enc_ids == ()
     # k' = 1: the first hit already decides
     core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 2, 0, 1)
-    core.feed([[h, OFF_CURVE] for h in hits], [[]] * 3)
+    core.feed(_pack([h, OFF_CURVE] for h in hits))
     assert len(core.finish().enc_ids) == 3
     assert len(decoded) == 6
     # k' above the token count: decided before any key or decode
     core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 1, 0, 2)
-    core.feed([[OFF_CURVE]] * 3, [[]] * 3)
+    core.feed(OFF_CURVE * 3)
     assert core.finish().enc_ids == () and len(decoded) == 6
 
 
-@pytest.mark.parametrize("bad", [OFF_CURVE, IDENTITY.encode()], ids=["off-curve", "identity"])
-def test_core_rejects_a_used_non_point(demo_keys, demo_egdb, bad):
+@pytest.mark.parametrize("bad,detail", [
+    (OFF_CURVE, "group element at counter 1"),
+    # the identity has no compressed encoding: refused by its prefix on arrival
+    (IDENTITY.encode(), "group element at counter 1: prefix 0x00"),
+], ids=["off-curve", "identity"])
+def test_core_rejects_a_used_non_point(demo_keys, demo_egdb, bad, detail):
     core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN, 1, 0)
-    with pytest.raises(WireError, match="group element at counter 1"):
-        core.feed([[bad]], [[]])
+    with pytest.raises(WireError, match=detail):
+        core.feed(bad)
+
+
+# each refused body, built from the 3 tokens that hit on the Cancer B chain;
+# the search's positive-token count, then the error
+_REFUSED_BODIES = {
+    "empty": (1, lambda hits: b"", "rows of the 1 declared tokens, 33 bytes each; got 0 bytes"),
+    "cut-row": (1, lambda hits: b"".join(hits)[:-1], "got 98 bytes"),
+    "past-the-chain": (1, lambda hits: b"".join(hits) + hits[0],
+                       "counters 1..4 run past the chain of 3"),
+    "bad-prefix": (2, lambda hits: _pack([[hits[0], hits[0]], [hits[1], b"\x07" + hits[1][1:]]]),
+                   "group element at counter 2: prefix 0x07, want 0x02 or 0x03"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_BODIES))
+def test_feed_refuses_a_body_before_evaluating_any_row(demo_keys, demo_egdb, monkeypatch,
+                                                       case):
+    n_pos, make_body, error = _REFUSED_BODIES[case]
+    keys_made = _count_calls(monkeypatch, engine, "exponent_key")
+    hits = probe_tokens(demo_keys, "Cancer B", 3, "Cancer B")
+    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN, n_pos, 0)
+    with pytest.raises(WireError, match=error):
+        core.feed(make_body(hits))
+    assert keys_made == []
 
 
 def test_decrypt_ids_detects_tampering(demo_keys, demo_egdb):

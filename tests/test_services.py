@@ -3,9 +3,12 @@
 import hashlib
 import io
 import json
+import os
+import pathlib
 import re
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -13,10 +16,10 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from privgendb.encoding import encode_query, keyword_frequencies, parse_gdb, parse_query
+from privgendb.encoding import encode_query, parse_gdb, parse_query
 from privgendb.crypto import IDENTITY, SeededRng, keygen
 from privgendb.engine import Policy, SearchCore, decrypt_ids, run_query
-from privgendb.index import TSet, build_egdb, build_inverted_index
+from privgendb.index import TSet, build_egdb, build_inverted_index, keyword_frequencies
 from privgendb import services, wire
 from privgendb.services import (
     DataServer,
@@ -44,7 +47,7 @@ from privgendb.wire import (
     send_frame,
 )
 
-from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, probe_tokens
+from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, _pack, probe_tokens
 from oracle import SyntheticSpec, evaluate_plain, gen_synthetic
 
 
@@ -103,6 +106,17 @@ def test_parse_hostport():
         parse_hostport("9000")
     with pytest.raises(ValueError):
         parse_hostport("host:notaport")
+
+
+def test_importing_services_leaves_serialization_unloaded():
+    """The data server's process needs the point-encoding enums only, which
+    ``ec`` already loads; ``serialization`` would add its key-file loaders."""
+    code = ("import sys, privgendb.services; "
+            "sys.exit('cryptography.hazmat.primitives.serialization' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(services.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- live services -----------------------------------------------------------------
@@ -421,10 +435,10 @@ def test_token_frames_hold_only_rows(monkeypatch, data_server, demo_keys, demo_f
     assert [len(body) for body in bodies] == [2 * 66, 2 * 66, 66]  # the 5-tuple chain
     # the frames carry generate_token's rows in counter order, each row its
     # positive token, then its negative one
-    pos, neg = services.generate_token(eq, demo_keys, 5)
     tokens = b"".join(bodies)
-    assert [[tokens[66 * c : 66 * c + 33]] for c in range(5)] == pos
-    assert [[tokens[66 * c + 33 : 66 * c + 66]] for c in range(5)] == neg
+    assert tokens == services.generate_token(eq, demo_keys, 5)
+    assert tokens == _pack(zip(probe_tokens(demo_keys, "2CC", 5, "4AG"),
+                               probe_tokens(demo_keys, "2CC", 5, "3CT")))
 
 
 def test_server_answers_after_the_last_counter(monkeypatch, data_server, demo_keys,
@@ -568,8 +582,8 @@ def test_round_two_streams_each_frame_as_it_is_made(monkeypatch, data_server, de
     fed = threading.Event()
     real_feed = services.SearchCore.feed
 
-    def feed(core, pos, neg):
-        real_feed(core, pos, neg)
+    def feed(core, body):
+        real_feed(core, body)
         if core.next_counter > 1:
             fed.set()
 
@@ -683,11 +697,11 @@ def test_rejected_first_batch_of_a_coalesced_stream_fails_cleanly(
         hung_up.set()
 
     def off_curve_at_counter_1(eq, keys, last, first=1):
-        pos, neg = real(eq, keys, last, first)
-        if first == 1:
-            return pos, [[OFF_CURVE] * len(neg[0])] + neg[1:]
+        body = real(eq, keys, last, first)
+        if first == 1:  # the query's one token: a negative one
+            return OFF_CURVE + body[33:]
         hung_up.wait(timeout=10)  # later frames go to a server that hung up
-        return pos, neg
+        return body
 
     broken = []
     real_send = services.send_frame
@@ -779,11 +793,6 @@ def _init_frame(demo_keys, sterm="Cancer B", gamma=1, n_pos=1, n_neg=0, **extra)
 def _hits(demo_keys, counters=3):
     """Tokens that hit on every tuple of the Cancer B chain."""
     return probe_tokens(demo_keys, "Cancer B", counters, "Cancer B")
-
-
-def _pack(rows) -> bytes:
-    """A token frame body: the rows in counter order, each row's tokens joined."""
-    return b"".join(b"".join(row) for row in rows)
 
 
 def test_server_rejects_unexpected_type(data_server):
@@ -1232,14 +1241,11 @@ def _expected_token_answer(egdb, keys, gamma, n_pos, n_neg, k_prime, body):
     """The answer a frame must get: "error", "open" (valid rows short of the
     chain's end), or the ResultSet of the same rows fed in process."""
     core = SearchCore(egdb, TSet.tag(keys.k_t, "Cancer B"), gamma, n_pos, n_neg, k_prime)
-    width = n_pos + n_neg
-    n_rows, rest = divmod(len(body), width * 33)
+    n_rows, rest = divmod(len(body), (n_pos + n_neg) * 33)
     if rest or not 0 < n_rows <= len(core.tuples) or not set(body[::33]) <= {2, 3}:
         return "error"
-    rows = [[body[(r * width + i) * 33 : (r * width + i + 1) * 33] for i in range(width)]
-            for r in range(n_rows)]
     try:
-        core.feed([row[:n_pos] for row in rows], [row[n_pos:] for row in rows])
+        core.feed(body)
     except WireError:
         return "error"
     return core.finish() if core.done else "open"
