@@ -6,12 +6,14 @@ without learning keywords, record ids, or query contents beyond the
 designed leakage: the query type, the anchor tag (stable per keyword), the
 anchor's chain length, the positive and negative cross-term counts (sent in
 round one, so learnt even for an empty chain), k', and the result size.
+The server evaluates the search itself, so up to each early exit it also
+learns which chain positions matched and which token positions hit in each
+tuple it evaluated; this is OXT's leakage profile (Cash et al., CRYPTO 2013).
 """
 
 __version__ = "0.1.0"
 
 from .crypto import (
-    AuthenticationError,
     KeySet,
     SeededRng,
     SystemRng,
@@ -20,17 +22,12 @@ from .crypto import (
     save_keys,
 )
 from .encoding import (
-    EncodedQuery,
-    Gdb,
     GdbParseError,
-    GdbRecord,
-    Predicate,
     Query,
     QueryError,
     encode_query,
     parse_gdb,
     parse_query,
-    record_keywords,
 )
 from .engine import (
     Policy,
@@ -48,7 +45,6 @@ from .index import (
     BloomFilter,
     CorruptIndexError,
     Egdb,
-    EgdbParams,
     IndexBuildError,
     TSet,
     build_egdb,

@@ -47,7 +47,7 @@ def _cmd_build(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             gdb = parse_gdb(fh)
-    except (GdbParseError, UnicodeDecodeError) as exc:
+    except GdbParseError as exc:
         return _error(f"{args.input}: {exc}")
     except OSError as exc:
         return _error(exc)

@@ -19,7 +19,9 @@ QUERY_TYPES = ("count", "boolean", "match")
 GAMMA = {"boolean": 1, "count": 2, "match": 3}
 
 _VALID_GENOTYPES = frozenset(a + b for a in "ACGT" for b in "ACGT")
-_SNP_NAME = re.compile(r"^snp_?([0-9]+)$", re.IGNORECASE)  # a CSV column or query field
+# a CSV column or query field; at most 9 significant digits, so that int()
+# never meets a number past its 4,300-digit limit
+_SNP_NAME = re.compile(r"^snp_?0*([0-9]{1,9})$", re.IGNORECASE)
 _TERM = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(!=|=)\s*(.*?)\s*$")
 
 ID_KEYWORD_PREFIX = "ID:"
@@ -89,17 +91,26 @@ class EncodedQuery:
 
 # --- cohort CSV ---------------------------------------------------------------
 
-def _open_text(source):
-    if isinstance(source, (str,)):
-        return io.StringIO(source)
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
+def _read_text(source) -> str:
+    """The text of a str, bytes or readable cohort source; bytes must be UTF-8."""
+    try:
+        data = source.read() if hasattr(source, "read") else source
+        if isinstance(data, (bytes, bytearray)):
             data = data.decode("utf-8")
-        return io.StringIO(data)
-    raise TypeError(f"cannot parse cohort data from {type(source).__name__}")
+    except UnicodeDecodeError as exc:
+        raise GdbParseError(f"input is not UTF-8 text: {exc}") from None
+    if not isinstance(data, str):
+        raise TypeError(f"cannot parse cohort data from {type(source).__name__}")
+    return data
+
+
+def _csv_rows(text: str):
+    """The CSV rows of text; raises GdbParseError where the CSV reader fails."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise GdbParseError(f"line {reader.line_num}: {exc}") from None
 
 
 def parse_gdb(source) -> Gdb:
@@ -109,7 +120,7 @@ def parse_gdb(source) -> Gdb:
     genotypes, duplicate or non-positive IDs, and empty phenotype/metadata
     values. An empty data section is a valid zero-record cohort.
     """
-    reader = csv.reader(_open_text(source))
+    reader = _csv_rows(_read_text(source))
     try:
         header = next(reader)
     except StopIteration:
@@ -205,6 +216,10 @@ def parse_query(where: str, query_type: str, k_prime: "int | None" = None,
         raise QueryError(f"unknown query type {query_type!r}")
     if not where or not where.strip():
         raise QueryError("empty predicate expression")
+    try:
+        where.encode("utf-8")  # as every keyword must be, for the PRFs
+    except UnicodeEncodeError as exc:
+        raise QueryError(f"query text has an unencodable character at {exc.start}") from None
     preds = []
     for raw in where.split(","):
         m = _TERM.match(raw)

@@ -11,16 +11,23 @@ there are.
 ``SearchCore`` is the only implementation of the server's side: the
 in-process ``run_query`` and the networked data server both feed it the
 bytes ``generate_token`` packs, one token row per tuple in counter order, so
-this module alone knows the row layout. It decodes a token and raises it to
-y (both inside OpenSSL) only when the evaluation actually reaches that token.
+this module alone knows the row layout. It keeps the anchor chain as the
+one array ``TSet.retrieve`` returns, from the open to the result: a search
+without cross-terms takes the row count or the ciphertext column, and a
+search with them cuts y out of the array for each tuple it evaluates. It
+decodes a token and raises it to y (both inside OpenSSL) only when the
+evaluation actually reaches that token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .crypto import (
     ELEMENT_LEN,
+    ENC_ID_LEN,
     ORDER,
     AuthenticationError,
     KeySet,
@@ -34,7 +41,7 @@ from .crypto import (
     sym_decrypt,
 )
 from .encoding import GAMMA, EncodedQuery, Query, encode_query
-from .index import BloomFilter, Egdb, TSet, parse_tuple
+from .index import Y_LEN, BloomFilter, Egdb, TSet, check_tuples
 from .wire import WireError
 
 GAMMA_BOOLEAN = GAMMA["boolean"]
@@ -126,37 +133,36 @@ def evaluate_tuple(bloom: BloomFilter, y: bytes, row: bytes, n_pos: int, gamma: 
 class SearchCore:
     """The server's side of one search over one anchor chain.
 
-    Opening it retrieves and parses the chain. ``n_pos`` and ``n_neg`` are
-    the positive and negative cross-term counts per counter. ``feed``
-    evaluates the next counters from a body of packed token rows, and the
-    search is ``done`` once every tuple is decided; ``finish`` then returns
-    the ResultSet. A search with no cross-terms is done when it opens: a
-    count or boolean takes the whole chain, a match (k' >= 1 hits among no
-    tokens) takes nothing. So is a search over an empty chain, and an
-    unknown anchor tag gives one, indistinguishable from a keyword with no
-    matches. Rows past the end of the chain are a protocol violation.
+    Opening it retrieves the chain as one checked (n, TUPLE_LEN) array,
+    ``tuples``, whose row c - 1 is counter c's y scalar and encrypted record
+    id; the array stays as it is to the result, and ``hits`` marks the rows
+    the result takes. ``n_pos`` and ``n_neg`` are the positive and negative
+    cross-term counts per counter. ``feed`` evaluates the next counters from
+    a body of packed token rows, and the search is ``done`` once every tuple
+    is decided; ``finish`` then returns the ResultSet. A search with no
+    cross-terms is done when it opens: a count or boolean takes the whole
+    chain (its row count, or its ciphertext column), a match (k' >= 1 hits
+    among no tokens) takes nothing. So is a search over an empty chain, and
+    an unknown anchor tag gives one, indistinguishable from a keyword with
+    no matches. Rows past the end of the chain are a protocol violation.
     """
 
-    __slots__ = ("bloom", "tuples", "gamma", "k_prime", "n_pos", "n_neg", "next_counter",
-                 "count", "matched")
+    __slots__ = ("bloom", "tuples", "hits", "gamma", "k_prime", "n_pos", "n_neg",
+                 "next_counter")
 
     def __init__(self, egdb: Egdb, stag: bytes, gamma: int, n_pos: int, n_neg: int,
                  k_prime: "int | None" = None):
         self.bloom = egdb.xfilter
-        self.tuples = [parse_tuple(p) for p in egdb.tset.retrieve(stag)]
+        self.tuples = check_tuples(egdb.tset.retrieve(stag))
+        self.hits = np.zeros(len(self.tuples), dtype=bool)
         self.gamma = gamma
         self.k_prime = k_prime
         self.n_pos = n_pos
         self.n_neg = n_neg
         self.next_counter = 1
-        self.count = 0
-        self.matched: list = []
         if not (n_pos or n_neg):
             self.next_counter = len(self.tuples) + 1
-            if gamma == GAMMA_COUNT:
-                self.count = len(self.tuples)
-            elif gamma == GAMMA_BOOLEAN:
-                self.matched = [enc_id for _, enc_id in self.tuples]
+            self.hits[:] = gamma != GAMMA_MATCH
 
     @property
     def done(self) -> bool:
@@ -189,23 +195,24 @@ class SearchCore:
                             f"prefix 0x{prefixes[i]:02x}, want 0x02 or 0x03")
         self.next_counter = last + 1
         bloom, gamma, k_prime, n_pos = self.bloom, self.gamma, self.k_prime, self.n_pos
-        for i, (y, enc_id) in enumerate(self.tuples[first - 1 : last]):
+        ys = self.tuples[first - 1 : last, :Y_LEN].tobytes()
+        hits = []
+        for i in range(last - first + 1):
             try:
-                hit = evaluate_tuple(bloom, y, body[i * row_len : (i + 1) * row_len],
-                                     n_pos, gamma, k_prime)
+                hits.append(evaluate_tuple(bloom, ys[i * Y_LEN : (i + 1) * Y_LEN],
+                                           body[i * row_len : (i + 1) * row_len],
+                                           n_pos, gamma, k_prime))
             except ValueError as exc:
                 raise WireError(f"malformed group element at counter {first + i}: "
                                 f"{exc}") from None
-            if hit:
-                if gamma == GAMMA_COUNT:
-                    self.count += 1
-                else:
-                    self.matched.append(enc_id)
+        self.hits[first - 1 : last] = hits
 
     def finish(self) -> ResultSet:
         if self.gamma == GAMMA_COUNT:
-            return ResultSet(self.gamma, count=self.count)
-        return ResultSet(self.gamma, enc_ids=tuple(self.matched))
+            return ResultSet(self.gamma, count=int(self.hits.sum()))
+        enc = self.tuples[self.hits, Y_LEN:].tobytes()
+        return ResultSet(self.gamma, enc_ids=tuple(
+            enc[i : i + ENC_ID_LEN] for i in range(0, len(enc), ENC_ID_LEN)))
 
 
 def decrypt_ids(enc_ids, sterm: str, keys: KeySet) -> list:

@@ -62,7 +62,7 @@ _QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
 # phenotype-scan on 2 cores, 8 was faster than 4, 16 and 32.
 FRAME_COUNTERS = 8
 # Connections each server serves at once, each with its own thread; on the
-# data server, each also holds at most one open search (its parsed chain).
+# data server, each also holds at most one open search (its chain array).
 MAX_CONNECTIONS = 256
 
 
@@ -242,22 +242,44 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
     server refuses a frame and hangs up while later frames are being sent,
     the search fails with the server's reason, not the broken pipe.
 
+    ``timeout`` is a deadline for the whole search, in seconds: it is
+    checked before each token frame, every socket operation may take only
+    the time left, and once it has passed the search fails with
+    ServiceError. So a data server that claims a huge chain in round one
+    holds the caller no longer than ``timeout``.
+
     ``on_frame(direction, msg_type, body_bytes)`` observes every frame; the
     transcript tests use it to audit exactly what a network eavesdropper (or
     the server itself) gets to see.
     """
+    deadline = time.monotonic() + timeout
+    late = f"search ran past its {timeout:g} s deadline"
+
+    def time_left() -> float:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise ServiceError(late)
+        return left
+
     with socket.create_connection(server_addr, timeout=timeout) as sock:
-        sock.settimeout(timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         rd = sock.makefile("rb")
 
         def send(mtype, obj):
-            frame = send_frame(sock, mtype, obj)
+            sock.settimeout(time_left())
+            try:
+                frame = send_frame(sock, mtype, obj)
+            except TimeoutError:
+                raise ServiceError(late) from None
             if on_frame:
                 on_frame("send", mtype, frame[5:])
 
         def recv():
-            mtype, obj, body = read_frame(rd)
+            sock.settimeout(time_left())
+            try:
+                mtype, obj, body = read_frame(rd)
+            except TimeoutError:
+                raise ServiceError(late) from None
             if mtype == 0:
                 raise ServiceError("server closed the connection")
             if on_frame:

@@ -368,6 +368,9 @@ def test_criterion_8_bench_records_absolute_numbers():
 
 
 # --- criterion 9: transcript exposes structure only ----------------------------------------
+# It checks the wire, the frames an eavesdropper or the server receives, not
+# what the server learns by computing the search: which chain positions
+# matched and which token positions hit (README, "Deployment assumptions").
 
 def _session_transcript(addr, keys, where, qtype, k_prime=None):
     eq = encode_query(parse_query(where, qtype, k_prime))

@@ -4,19 +4,18 @@ import privgendb
 
 PUBLIC_NAMES = {
     # keys and randomness
-    "AuthenticationError", "KeySet", "SeededRng", "SystemRng",
+    "KeySet", "SeededRng", "SystemRng",
     "keygen", "load_keys", "save_keys",
     # cohorts and queries
-    "EncodedQuery", "Gdb", "GdbParseError", "GdbRecord", "Predicate", "Query",
-    "QueryError", "encode_query", "keyword_frequencies", "parse_gdb",
-    "parse_query", "record_keywords",
+    "GdbParseError", "Query", "QueryError", "encode_query", "keyword_frequencies",
+    "parse_gdb", "parse_query",
     # tokens, results and vetting
     "Policy", "ResultSet", "TamperingError", "decrypt_ids", "generate_token",
     "parse_policy", "run_query", "vet_count", "vet_request",
     # the demo cohort
     "DEMO_COHORT_CSV", "load_demo_cohort",
     # the encrypted index
-    "BloomFilter", "CorruptIndexError", "Egdb", "EgdbParams", "IndexBuildError",
+    "BloomFilter", "CorruptIndexError", "Egdb", "IndexBuildError",
     "TSet", "build_egdb", "build_inverted_index", "load_egdb", "serialize_egdb",
 }
 

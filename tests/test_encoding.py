@@ -1,11 +1,13 @@
 """Cohort parsing, keyword mapping, and the query grammar."""
 
 import random
+import time
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privgendb.crypto import keyword_bytes
 from privgendb.encoding import (
     GdbParseError,
     QueryError,
@@ -251,3 +253,92 @@ def test_demo_csv_is_stable():
     # guard against accidental fixture edits: exact bytes matter for goldens
     assert DEMO_COHORT_CSV.count("\n") == 8
     assert parse_gdb(DEMO_COHORT_CSV).records[6].genotypes == ("AG", "CT", "CT", "AG")
+
+
+# --- fuzzing the plaintext parsers -------------------------------------------------
+
+_LONG_DIGITS = "1" * 5000  # past int()'s 4,300-digit limit
+_CSV_CHARS = "ID,SNP_1PhenotypeACGTacgt0-9 \t\r\n\"'#é\x00"
+_CSV_CELLS = ["ID", "id", "SNP_1", "SNP1", "snp_2", "SNP_3", "SNP_0", "SNP_" + _LONG_DIGITS,
+              "Phenotype", "Gender", "", " ", "1", "2", "-3", "0", _LONG_DIGITS, "AA", "ct",
+              "XY", "A", "Cancer A", '"q,uoted"', '"open', "\r", "é"]
+
+
+def _mutated(text: str):
+    """``text`` with one span deleted, replaced or inserted at a drawn place."""
+    return st.builds(lambda at, cut, put: text[:at] + put + text[at + cut:],
+                     st.integers(0, len(text)), st.integers(0, 8),
+                     st.text(alphabet=_CSV_CHARS, max_size=8))
+
+
+_CSV_TABLES = st.lists(st.lists(st.sampled_from(_CSV_CELLS), max_size=6), max_size=6).map(
+    lambda rows: "\n".join(",".join(row) for row in rows))
+_COHORT_INPUTS = st.one_of(
+    st.text(max_size=200),
+    st.text(alphabet=_CSV_CHARS, max_size=200),
+    _CSV_TABLES,
+    _mutated(DEMO_COHORT_CSV),
+    st.binary(max_size=200),
+    _mutated(DEMO_COHORT_CSV).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.builds(lambda t, at: t[:at] + b"\xff" + t[at:],
+              st.just(DEMO_COHORT_CSV.encode()), st.integers(0, len(DEMO_COHORT_CSV))),
+)
+
+
+def _within_seconds(fn, seconds: float = 2.0):
+    t0 = time.perf_counter()
+    try:
+        return fn()
+    finally:
+        assert time.perf_counter() - t0 < seconds
+
+
+@settings(max_examples=500, deadline=None)
+@given(_COHORT_INPUTS)
+def test_parse_gdb_fuzz(source):
+    """A cohort CSV, as text or as bytes, parses or raises GdbParseError, and
+    nothing else, in bounded time."""
+    try:
+        gdb = _within_seconds(lambda: parse_gdb(source))
+    except GdbParseError:
+        return
+    for rec in gdb.records:
+        assert len(rec.genotypes) == gdb.snp_count and rec.phenotype
+
+
+def test_parse_gdb_refuses_what_the_csv_reader_cannot_read():
+    header = "ID,SNP_1,Phenotype\n"
+    for text, error in ((header + "1,AA," + "x" * 200_000 + "\n", "field larger"),
+                        ("ID,SNP_1,Phenotype\r1,AA,x\r\n2,AA,y\n", "new-line character"),
+                        (header.encode() + b"1,AA,\xff\n", "not UTF-8")):
+        with pytest.raises(GdbParseError, match=error):
+            parse_gdb(text)
+
+
+_QUERY_FIELDS = ["SNP2", "snp_3", "SNP_0", "SNP" + _LONG_DIGITS, "SNP", "phenotype", "Phenotype",
+                 "gender", "ethnicity", "id", "ID", "bogus", "", "2SNP"]
+_QUERY_VALUES = ["AA", "cc", "XY", "A", "5", "-1", "0", _LONG_DIGITS, "", " Cancer B ",
+                 "\ud800", "é", "=", ","]
+_PREDICATES = st.builds(lambda f, op, v: f + op + v, st.sampled_from(_QUERY_FIELDS),
+                        st.sampled_from(["=", "!=", "==", "", " = "]),
+                        st.sampled_from(_QUERY_VALUES))
+_WHERES = st.one_of(
+    st.text(max_size=80),
+    st.lists(_PREDICATES, max_size=5).map(",".join),
+    st.lists(_PREDICATES, min_size=1, max_size=3).map(", ".join).flatmap(_mutated),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_WHERES, st.sampled_from(["count", "boolean", "match", "Count", ""]),
+       st.one_of(st.none(), st.integers(-2, 6), st.booleans(), st.just("2"), st.just(2.0)))
+def test_parse_query_fuzz(where, query_type, k_prime):
+    """A query parses or raises QueryError, and nothing else, in bounded
+    time; a parsed query's keywords encode to bytes for the PRFs."""
+    try:
+        query = _within_seconds(lambda: parse_query(where, query_type, k_prime))
+        eq = encode_query(query)
+    except QueryError:
+        return
+    for kw in (eq.sterm, *(kw for kw, _ in eq.xterms)):
+        keyword_bytes(kw)

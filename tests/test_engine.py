@@ -1,6 +1,7 @@
 """Trapdoor generation, encrypted search, decryption, and vetting."""
 
 import random
+import time
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -33,7 +34,7 @@ from privgendb.engine import (
     vet_count,
     vet_request,
 )
-from privgendb.index import TSet, build_egdb, build_inverted_index
+from privgendb.index import Y_LEN, TSet, build_egdb, build_inverted_index
 from privgendb.wire import WireError
 
 from conftest import (
@@ -244,7 +245,7 @@ def test_tokenless_search_is_decided_in_round_one(demo_keys, demo_egdb, monkeypa
     assert core.done and core.finish().count == 3
     core = SearchCore(demo_egdb, stag, GAMMA_BOOLEAN, 0, 0)
     assert core.done and core.next_counter == 4
-    assert core.finish().enc_ids == tuple(enc for _, enc in core.tuples)
+    assert core.finish().enc_ids == tuple(bytes(row[Y_LEN:]) for row in core.tuples)
     core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 0, 0, 1)
     assert core.done and core.finish().enc_ids == ()
     assert not SearchCore(demo_egdb, stag, GAMMA_BOOLEAN, 1, 0).done
@@ -400,6 +401,28 @@ def test_parse_policy():
         parse_policy("user eve role admin\n")
     with pytest.raises(ValueError):
         Policy({}, threshold=0)
+
+
+_POLICY_WORDS = ["user", "role", "threshold", "alice", "clinician", "analyst", "admin", "#",
+                 "0", "-1", "3", "1" * 5000, "many", "", "\t", "\r", "é", "\x00"]
+_POLICY_LINES = st.lists(st.sampled_from(_POLICY_WORDS), max_size=5).map(" ".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=200), st.lists(_POLICY_LINES, max_size=6).map("\n".join),
+                 st.builds(lambda at, put: POLICY_TEXT[:at] + put + POLICY_TEXT[at:],
+                           st.integers(0, len(POLICY_TEXT)), st.text(max_size=6))))
+def test_parse_policy_fuzz(text):
+    """A policy file parses or raises ValueError, and nothing else, in
+    bounded time; a parsed policy holds only known roles and a threshold >= 1."""
+    t0 = time.perf_counter()
+    try:
+        policy = parse_policy(text)
+    except ValueError:
+        return
+    finally:
+        assert time.perf_counter() - t0 < 2.0
+    assert policy.threshold >= 1 and set(policy.roles.values()) <= {"analyst", "clinician"}
 
 
 @pytest.mark.parametrize("user,qtype,allowed", [

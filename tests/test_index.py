@@ -26,9 +26,10 @@ from privgendb.crypto import (
     prf_fp,
     pow_x,
 )
+import privgendb.engine as engine_mod
 import privgendb.index as index_mod
 from privgendb.encoding import parse_gdb, parse_query
-from privgendb.engine import run_query
+from privgendb.engine import GAMMA_COUNT, SearchCore, run_query
 from privgendb.index import (
     EGDB_MAGIC,
     EGDB_VERSION,
@@ -41,8 +42,8 @@ from privgendb.index import (
     TSet,
     build_egdb,
     build_inverted_index,
+    check_tuples,
     load_egdb,
-    parse_tuple,
     serialize_egdb,
 )
 
@@ -188,6 +189,13 @@ def tset_setup(chains: dict, k_t: bytes, payload_len: int) -> TSet:
     return TSet(rows.reshape(-1, len(k_t) + 1 + payload_len), len(k_t), 1 + payload_len)
 
 
+def retrieved(ts: TSet, stag: bytes) -> list:
+    """The chain under stag as one byte string per tuple, checking the array's shape."""
+    bodies = ts.retrieve(stag)
+    assert bodies.dtype == np.uint8 and bodies.shape == (len(bodies), ts.payload_width - 1)
+    return [bytes(row) for row in bodies]
+
+
 def row_of(ts: TSet, label: bytes) -> int:
     """The index of the row filed at ``label``."""
     (at,) = np.flatnonzero((ts.rows[:, : ts.label_width] == list(label)).all(axis=1))
@@ -200,17 +208,18 @@ def _payloads(rng: SeededRng, n: int, width: int = TUPLE_LEN) -> list:
 
 @pytest.mark.parametrize("lam", [128, 256])
 def test_tset_bulk_derivation_matches_reference(lam):
-    # chain lengths around the first batch of 64 and one that runs six batches
+    # chain lengths around the first batch of 8, around 64, and one that runs
+    # nine batches
     rng = SeededRng(lam)
     k_t = rng.bytes(lam // 8)
-    chains = {f"kw{n}": _payloads(rng, n) for n in (1, 63, 64, 65, 2500)}
+    chains = {f"kw{n}": _payloads(rng, n) for n in (1, 7, 8, 9, 63, 64, 65, 2500)}
     ts = tset_setup(chains, k_t, TUPLE_LEN)
     for kw, payloads in chains.items():
         stag = TSet.tag(k_t, kw)
         assert TSet.chain(stag, payloads).tobytes() == b"".join(
             b"".join(ref_entry(stag, c, c == len(payloads), p))
             for c, p in enumerate(payloads, 1))
-        assert ts.retrieve(stag) == payloads
+        assert retrieved(ts, stag) == payloads
 
 
 def test_tset_chain_rejects_mixed_widths():
@@ -245,12 +254,12 @@ def test_tset_roundtrip():
     }
     ts = _mini_tset(k_t, chains)
     assert len(ts) == 4
-    assert ts.retrieve(TSet.tag(k_t, "alpha")) == chains["alpha"]
-    assert ts.retrieve(TSet.tag(k_t, "beta")) == chains["beta"]
-    assert ts.retrieve(TSet.tag(k_t, "gamma")) == []  # unknown keyword
-    assert ts.retrieve(b"\x00" * 16) == []
+    assert retrieved(ts, TSet.tag(k_t, "alpha")) == chains["alpha"]
+    assert retrieved(ts, TSet.tag(k_t, "beta")) == chains["beta"]
+    assert retrieved(ts, TSet.tag(k_t, "gamma")) == []  # unknown keyword
+    assert retrieved(ts, b"\x00" * 16) == []
     for stag in (b"", b"\x00" * 5, b"\x00" * 32):  # no AES key, or not this table's width
-        assert ts.retrieve(stag) == []
+        assert retrieved(ts, stag) == []
 
 
 def test_tset_payload_width_enforced(demo_egdb):
@@ -270,17 +279,18 @@ def test_tset_detects_truncated_chain():
     ts = TSet(np.delete(ts.rows, row_of(ts, ref_label(stag, 2)), axis=0), 16, 9)
     with pytest.raises(CorruptIndexError, match="truncated at counter 2$"):
         ts.retrieve(stag)
-    # counter 65 is the first of the second batch
-    ts = _mini_tset(k_t, {"kw": _payloads(SeededRng(38), 100, 8)})
-    ts = TSet(np.delete(ts.rows, row_of(ts, ref_label(stag, 65)), axis=0), 16, 9)
-    with pytest.raises(CorruptIndexError, match="truncated at counter 65$"):
-        ts.retrieve(stag)
+    # the fourth batch holds counters 57..120: its first, and one inside it
+    full = _mini_tset(k_t, {"kw": _payloads(SeededRng(38), 100, 8)})
+    for c in (57, 65):
+        ts = TSet(np.delete(full.rows, row_of(full, ref_label(stag, c)), axis=0), 16, 9)
+        with pytest.raises(CorruptIndexError, match=f"truncated at counter {c}$"):
+            ts.retrieve(stag)
 
 
 def test_tset_detects_bad_flag():
     k_t = SeededRng(36).bytes(16)
     stag = TSet.tag(k_t, "kw")
-    # a one-tuple chain, and counters 70 and 100 inside the second batch
+    # a one-tuple chain, and counters 70 and 100 inside a later batch
     for n, c in ((1, 1), (100, 70), (100, 100)):
         ts = _mini_tset(k_t, {"kw": _payloads(SeededRng(39), n, 8)})
         rows = ts.rows.copy()
@@ -309,7 +319,7 @@ def test_tset_retrieves_labels_with_nul_bytes(lam):
     chains = {kw: _payloads(rng, 3) for kw in [*wanted.values(), "other", "more"]}
     ts = tset_setup(chains, k_t, TUPLE_LEN)
     for kw, payloads in chains.items():
-        assert ts.retrieve(TSet.tag(k_t, kw)) == payloads
+        assert retrieved(ts, TSet.tag(k_t, kw)) == payloads
 
 
 def test_tset_label_uniqueness_over_random_databases():
@@ -483,21 +493,116 @@ def test_cross_tag_identity_via_independent_route(demo_keys, demo_iinx, demo_egd
         assert (recovered in demo_egdb.xfilter) == (rid in demo_iinx[g2])
 
 
+def parse_tuple(payload: bytes) -> "tuple[bytes, bytes]":
+    """Split one tuple body into (y scalar, encrypted record id), y checked
+    as an int: the scalar reference for ``check_tuples``."""
+    if len(payload) != TUPLE_LEN:
+        raise CorruptIndexError(f"tuple body has {len(payload)} bytes, want {TUPLE_LEN}")
+    if not 1 <= int.from_bytes(payload[:Y_LEN], "big") < ORDER:
+        raise CorruptIndexError("tuple blinding scalar out of range")
+    return payload[:Y_LEN], payload[Y_LEN:]
+
+
+def _chain(bodies) -> np.ndarray:
+    """Tuple bodies as the (n, width) array a retrieve returns: a column-1
+    slice of a wider array, so that it is not contiguous either."""
+    bodies = list(bodies)
+    width = len(bodies[0]) if bodies else TUPLE_LEN
+    wide = np.zeros((len(bodies), 1 + width), dtype=np.uint8)
+    wide[:, 1:] = np.frombuffer(b"".join(bodies), dtype=np.uint8).reshape(-1, width)
+    return wide[:, 1:]
+
+
 def test_parse_tuple_validation(demo_keys, demo_egdb, demo_iinx):
     stag = TSet.tag(demo_keys.k_t, "Cancer B")
-    payloads = demo_egdb.tset.retrieve(stag)
-    assert len(payloads) == 3
-    for p in payloads:
-        y, enc = parse_tuple(p)
+    bodies = demo_egdb.tset.retrieve(stag)
+    assert check_tuples(bodies) is bodies and bodies.shape == (3, TUPLE_LEN)
+    for p in bodies:
+        y, enc = parse_tuple(bytes(p))
         assert len(y) == Y_LEN and 1 <= int.from_bytes(y, "big") < ORDER and len(enc) == 36
     enc = b"\x05" * 36
     for y in (1, 2**248, ORDER - 1):  # the range's ends, and a short-looking scalar
-        assert parse_tuple(y.to_bytes(Y_LEN, "big") + enc) == (y.to_bytes(Y_LEN, "big"), enc)
+        body = y.to_bytes(Y_LEN, "big") + enc
+        assert parse_tuple(body) == (y.to_bytes(Y_LEN, "big"), enc)
+        assert bytes(check_tuples(_chain([body]))[0]) == body
     for y in (0, ORDER, ORDER + 1, 2**256 - 1):
+        body = y.to_bytes(Y_LEN, "big") + enc
         with pytest.raises(CorruptIndexError, match="out of range"):
-            parse_tuple(y.to_bytes(Y_LEN, "big") + enc)
+            parse_tuple(body)
+        with pytest.raises(CorruptIndexError, match="out of range"):
+            check_tuples(_chain([bytes(bodies[0]), body]))
     with pytest.raises(CorruptIndexError):
         parse_tuple(b"\x01" * 10)
+    with pytest.raises(CorruptIndexError, match="tuple body has 10 bytes"):
+        check_tuples(_chain([b"\x01" * 10]))
+    assert check_tuples(_chain([])).shape == (0, TUPLE_LEN)  # an empty chain
+
+
+def _trailing_zeros(value: int, nul_bytes: int) -> int:
+    """value's top bytes, its lowest ``nul_bytes`` bytes set to 0x00."""
+    return value >> (8 * nul_bytes) << (8 * nul_bytes)
+
+
+_Y_EDGES = [0, 1, ORDER - 1, ORDER, ORDER + 1, 2**256 - 1, 2**248]
+_Y_VALUES = st.one_of(
+    st.binary(min_size=Y_LEN, max_size=Y_LEN),
+    st.sampled_from(_Y_EDGES).map(lambda y: y.to_bytes(Y_LEN, "big")),
+    # trailing NUL bytes, which numpy's string compare ignores: below and
+    # above the range's ends, and anywhere else
+    st.builds(lambda base, k, step: ((_trailing_zeros(base, k) + (step << (8 * k))) % 2**256)
+              .to_bytes(Y_LEN, "big"),
+              st.sampled_from([0, 1, ORDER, 2**256 - 1]), st.integers(1, Y_LEN - 1),
+              st.integers(-1, 1)),
+    st.builds(lambda y, k: _trailing_zeros(y, k).to_bytes(Y_LEN, "big"),
+              st.integers(0, 2**256 - 1), st.integers(1, Y_LEN)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_Y_VALUES, min_size=1, max_size=6))
+def test_check_tuples_agrees_with_scalar_reference(ys):
+    """The whole-chain y check accepts a chain exactly when the scalar
+    reference accepts each of its tuples."""
+    bodies = [y + bytes(range(36)) for y in ys]
+    ok = []
+    for body in bodies:
+        try:
+            parse_tuple(body)
+            ok.append(True)
+        except CorruptIndexError:
+            ok.append(False)
+        try:
+            check_tuples(_chain([body]))
+            assert ok[-1], int.from_bytes(body[:Y_LEN], "big")
+        except CorruptIndexError as exc:
+            assert not ok[-1] and "out of range" in str(exc)
+    try:
+        check_tuples(_chain(bodies))
+        assert all(ok)
+    except CorruptIndexError:
+        assert not all(ok)
+
+
+def test_count_refuses_bad_y_in_a_later_batch(monkeypatch):
+    """A count without cross-terms evaluates no tuple, yet still refuses a
+    chain of 2,500 whose y at counter 2,100, in its last batch, is ORDER."""
+    rng = SeededRng(40)
+    k_t = rng.bytes(16)
+    good = [rng.bytes(1) + b"\x00" + rng.bytes(TUPLE_LEN - 2) for _ in range(2500)]
+    bad = list(good)
+    bad[2099] = ORDER.to_bytes(Y_LEN, "big") + bad[2099][Y_LEN:]
+    evaluated = []
+    monkeypatch.setattr(engine_mod, "evaluate_tuple", lambda *a: evaluated.append(a))
+    for payloads in (good, bad):
+        ts = tset_setup({"kw": payloads}, k_t, TUPLE_LEN)
+        egdb = index_mod.Egdb(ts, BloomFilter(64, 1), None)
+        open_count = lambda: SearchCore(egdb, TSet.tag(k_t, "kw"), GAMMA_COUNT, 0, 0)
+        if payloads is good:
+            assert open_count().finish().count == 2500
+        else:
+            with pytest.raises(CorruptIndexError, match="out of range"):
+                open_count()
+    assert evaluated == []
 
 
 # --- serialization ---------------------------------------------------------------------
@@ -552,7 +657,7 @@ def _egdb_blob(version=EGDB_VERSION, m=64, k=3, n_entries=0, label_w=16,
 def test_hand_built_header_is_well_formed():
     egdb = load_egdb(_egdb_blob())
     assert egdb.params.n_entries == 0 and len(egdb.tset) == 0
-    assert egdb.tset.retrieve(b"\x00" * 16) == []  # an empty table has no chains
+    assert retrieved(egdb.tset, b"\x00" * 16) == []  # an empty table has no chains
 
 
 def test_egdb_version_1_rejected(demo_egdb):
@@ -660,8 +765,8 @@ def _damaged_demo_files(draw, blob: bytes, table_off: int, row_w: int):
 
 
 def test_load_egdb_fuzz(demo_egdb, demo_keys, demo_iinx):
-    """Damaged input raises CorruptIndexError, at load or on retrieve, and
-    nothing else."""
+    """Damaged input raises CorruptIndexError, at load or on retrieve and
+    check, and nothing else."""
     demo_blob = egdb_to_bytes(demo_egdb)
     p = demo_egdb.params
     row_w = p.label_width + p.payload_width
@@ -681,7 +786,7 @@ def test_load_egdb_fuzz(demo_egdb, demo_keys, demo_iinx):
             return
         for stag in stags:
             try:
-                egdb.tset.retrieve(stag)
+                check_tuples(egdb.tset.retrieve(stag))
             except CorruptIndexError:
                 pass
 

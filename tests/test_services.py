@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from privgendb.encoding import encode_query, parse_gdb, parse_query
 from privgendb.crypto import IDENTITY, SeededRng, keygen
-from privgendb.engine import Policy, SearchCore, decrypt_ids, run_query
+from privgendb.engine import Policy, SearchCore, decrypt_ids, generate_token, run_query
 from privgendb.index import TSet, build_egdb, build_inverted_index, keyword_frequencies
 from privgendb import services, wire
 from privgendb.services import (
@@ -515,6 +515,49 @@ def test_vetter_rejects_a_chain_length_below_one(demo_keys, count):
         assert not thread.is_alive() and got == [0]  # no token frame went out
     finally:
         listener.close()
+
+
+def test_a_lying_chain_length_cannot_outlast_the_deadline(demo_keys):
+    """A server that claims 10^9 tuples in round one, then only reads, holds
+    the search no longer than its timeout: the search fails with
+    ServiceError after a bounded number of token frames, each the rows
+    generate_token makes for its counters."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    bodies = []
+
+    def lying_server():
+        conn, _ = listener.accept()
+        with conn:
+            rd = conn.makefile("rb")
+            read_frame(rd)
+            send_frame(conn, MSG_STERM_COUNT, {"count": 10**9})
+            while True:
+                try:
+                    mtype, _, body = read_frame(rd)
+                except (OSError, WireError):
+                    return
+                if mtype != MSG_XTOKENS:
+                    return
+                bodies.append(body)
+
+    thread = threading.Thread(target=lying_server, daemon=True)
+    thread.start()
+    try:
+        eq = encode_query(parse_query("id=2, SNP2=CC", "boolean"))
+        t0 = time.monotonic()
+        with pytest.raises(ServiceError, match="past its 0.5 s deadline"):
+            execute_search(listener.getsockname(), demo_keys, eq, timeout=0.5)
+        elapsed = time.monotonic() - t0
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
+    assert elapsed < 1.5
+    # at about 0.5 ms a frame, 0.5 s makes some hundreds
+    assert 0 < len(bodies) < 5000
+    n = services.FRAME_COUNTERS
+    for i in (0, 1, len(bodies) - 1):
+        assert bodies[i] == generate_token(eq, demo_keys, (i + 1) * n, i * n + 1)
 
 
 # SHA-256 of the bytes the vetter side wrote, and of the on_frame transcript
