@@ -65,17 +65,21 @@ def _cmd_build(args) -> int:
     t0 = time.perf_counter()
     iinx = build_inverted_index(gdb)
     egdb = build_egdb(keys, iinx, rng, p_fp=args.fp)
-    # new keys are saved only after the output is written, and a failure at
-    # either step removes what this build wrote: no new key file without its
-    # database, no partial database
+    # The database goes to a temporary file beside its target and replaces the
+    # target only after new keys are saved. A failure at any step removes
+    # what this build wrote: no new key file without its database, no partial
+    # database, and a previous database left as it was. A data server maps
+    # its file, so rewriting that file in place would change its table under it.
+    tmp = f"{args.egdb}.{os.getpid()}.tmp"
     written = []
     try:
-        with open(args.egdb, "wb") as fh:
-            written.append(args.egdb)
+        with open(tmp, "xb") as fh:
+            written.append(tmp)
             size = serialize_egdb(egdb, fh)
         if new_keys:
             written.append(args.keys)
             save_keys(keys, args.keys)
+        os.replace(tmp, args.egdb)
     except OSError as exc:
         for path in written:
             with contextlib.suppress(OSError):

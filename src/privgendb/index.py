@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import os
 import struct
 import threading
@@ -160,7 +161,8 @@ class BloomFilter:
         return struct.pack("<QB", self.m, self.k) + self.bits.tobytes()
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "BloomFilter":
+    def from_bytes(cls, blob) -> "BloomFilter":
+        """The filter serialized in blob, its bits a read-only view of blob."""
         if len(blob) < 9:
             raise CorruptIndexError("bloom header truncated")
         m, k = struct.unpack_from("<QB", blob, 0)
@@ -168,7 +170,7 @@ class BloomFilter:
         if len(body) != (m + 7) // 8:
             raise CorruptIndexError("bloom bit array truncated")
         try:
-            return cls(m, k, np.frombuffer(body, dtype=np.uint8).copy())
+            return cls(m, k, np.frombuffer(body, dtype=np.uint8))
         except ValueError as exc:
             raise CorruptIndexError(str(exc)) from None
 
@@ -488,12 +490,25 @@ def serialize_egdb(egdb: Egdb, fh) -> int:
 
 
 def load_egdb(source) -> Egdb:
-    """Parse a serialized database, its table uncopied; raises CorruptIndexError on damage."""
+    """Parse a serialized database; raises CorruptIndexError on damage.
+
+    ``source`` is the file's bytes or its path. A path is mapped read-only,
+    and the loaded table and Bloom bits are views of that mapping, as they
+    are of the bytes otherwise: nothing is copied. The checks read every
+    byte: the whole-file CRC-32, the header, and the table's search keys.
+    The pages they touched are then dropped from this process's resident
+    set, and each search maps back, from the page cache, only the pages it
+    reads. A file must therefore be replaced, never rewritten in place,
+    while a database loaded from it is in use.
+    """
     if isinstance(source, (bytes, bytearray)):
         blob = bytes(source)
     else:
         with open(str(source), "rb") as fh:
-            blob = fh.read()
+            try:
+                blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except ValueError:  # mmap refuses a file of length 0
+                raise CorruptIndexError("encrypted database file truncated") from None
     if len(blob) < len(EGDB_MAGIC) + 3 + 9 + 19 + 4:
         raise CorruptIndexError("encrypted database file truncated")
     if blob[: len(EGDB_MAGIC)] != EGDB_MAGIC:
@@ -509,7 +524,7 @@ def load_egdb(source) -> Egdb:
     if group_id != GROUP_P256:
         raise CorruptIndexError(f"unsupported group id {group_id}")
     (m,) = struct.unpack_from("<Q", blob, off)
-    bloom = BloomFilter.from_bytes(blob[off : off + 9 + (m + 7) // 8])
+    bloom = BloomFilter.from_bytes(memoryview(blob)[off : off + 9 + (m + 7) // 8])
     off += 9 + len(bloom.bits)
     if off + 19 > len(blob) - 4:
         raise CorruptIndexError("encrypted database file truncated")
@@ -527,4 +542,6 @@ def load_egdb(source) -> Egdb:
         tset = TSet(rows.reshape(n_entries, pair_w), label_w, payload_w)
     except ValueError as exc:
         raise CorruptIndexError(str(exc)) from None
+    if isinstance(blob, mmap.mmap):
+        blob.madvise(mmap.MADV_DONTNEED)
     return Egdb(tset, bloom, EgdbParams(p_fp, label_w, payload_w, n_entries, group_id))

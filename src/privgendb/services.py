@@ -13,6 +13,7 @@ to the vetter only.
 from __future__ import annotations
 
 import logging
+import os
 import socket
 import socketserver
 import threading
@@ -463,11 +464,14 @@ def submit_query(vetter_addr, user: str, query_type: str, where: str,
 # --- daemon entry points ------------------------------------------------------------------
 
 def serve_data(egdb_path, listen: str) -> None:
+    t0 = time.perf_counter()
     egdb = load_egdb(egdb_path)
+    load_ms = (time.perf_counter() - t0) * 1e3
+    nbytes = os.path.getsize(egdb_path)
     addr = parse_hostport(listen)
     with DataServer(addr, egdb) as srv:
-        log.info("data server on %s:%d (%d entries)", *srv.server_address,
-                 egdb.params.n_entries)
+        log.info("data server on %s:%d (%d entries, %d bytes, loaded in %.1f ms)",
+                 *srv.server_address, egdb.params.n_entries, nbytes, load_ms)
         srv.serve_forever()
 
 

@@ -1,5 +1,7 @@
 """The privgendb command-line interface, driven in-process via main(argv)."""
 
+import logging
+import re
 import socket
 import threading
 
@@ -8,10 +10,13 @@ import pytest
 from privgendb import cli
 from privgendb.cli import main
 from privgendb.crypto import load_keys
-from privgendb.engine import parse_policy
+from privgendb.encoding import parse_query
+from privgendb.engine import parse_policy, run_query
 from privgendb.fixtures import DEMO_COHORT_CSV
 from privgendb.index import load_egdb
-from privgendb.services import DataServer, Vetter
+from privgendb.services import DataServer, Vetter, serve_data
+
+from conftest import GOLDEN_COUNTS, GOLDEN_IDS
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +114,31 @@ def test_server_missing_egdb(tmp_path, capsys):
                "--listen", "127.0.0.1:0"])
     assert rc == 2
     assert "missing.egdb" in _assert_clean_error(capsys)
+
+
+@pytest.mark.parametrize("kind", ["empty", "directory"])
+def test_server_refuses_an_egdb_it_cannot_map(tmp_path, capsys, kind):
+    egdb = tmp_path / "bad.egdb"
+    if kind == "empty":
+        egdb.write_bytes(b"")
+    else:
+        egdb.mkdir()
+    rc = main(["server", "--egdb", str(egdb), "--listen", "127.0.0.1:0"])
+    assert rc == 2
+    err = _assert_clean_error(capsys)
+    assert "bad.egdb" in err and err.count("\n") == 1
+    if kind == "empty":
+        assert "truncated" in err
+
+
+def test_server_start_line_gives_size_and_load_time(built, caplog, monkeypatch):
+    _, _, egdb_path = built
+    monkeypatch.setattr(DataServer, "serve_forever", lambda self: None)
+    with caplog.at_level(logging.INFO, logger="privgendb.services"):
+        serve_data(egdb_path, "127.0.0.1:0")
+    (line,) = [r.getMessage() for r in caplog.records if "data server on" in r.getMessage()]
+    size = egdb_path.stat().st_size
+    assert re.search(rf"\(42 entries, {size} bytes, loaded in \d+\.\d ms\)$", line), line
 
 
 def test_server_address_in_use(built, capsys):
@@ -225,3 +255,45 @@ def test_build_failing_mid_write_leaves_no_partial_output(tmp_path, capsys, monk
     assert rc == 2
     assert "No space left" in _assert_clean_error(capsys)
     assert not keys.exists() and not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv"]  # no temporary file
+
+
+def test_failed_rebuild_leaves_the_previous_database(built, tmp_path, capsys, monkeypatch):
+    d, keys, _ = built
+    out = tmp_path / "x.egdb"
+    args = ["build", "--input", str(d / "cohort.csv"), "--keys", str(keys), "--egdb", str(out)]
+    assert main(args) == 0
+    before = out.read_bytes()
+
+    def fail_half_way(egdb, fh):
+        fh.write(b"PGDBEDB1")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "serialize_egdb", fail_half_way)
+    assert main(args) == 2
+    assert "No space left" in _assert_clean_error(capsys)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.egdb"]  # no temporary file
+
+
+def test_a_loaded_database_survives_a_rebuild_of_its_file(tmp_path, demo_freq):
+    """A rebuild replaces the file; a database mapped from the old one keeps
+    answering from it."""
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(DEMO_COHORT_CSV)
+    out = tmp_path / "demo.egdb"
+
+    def build(seed):
+        return main(["build", "--input", str(cohort), "--keys", str(tmp_path / f"{seed}.keys"),
+                     "--egdb", str(out), "--seed", seed])
+
+    assert build("42") == 0
+    old, old_bytes = load_egdb(out), out.read_bytes()
+    assert build("43") == 0
+    assert out.read_bytes() != old_bytes
+    old_keys = load_keys(tmp_path / "42.keys")
+    for where, expected in GOLDEN_COUNTS:
+        assert run_query(old_keys, old, parse_query(where, "count"), demo_freq) == expected
+    for qtype, where, k_prime, expected in GOLDEN_IDS:
+        query = parse_query(where, qtype, k_prime)
+        assert run_query(old_keys, old, query, demo_freq) == expected

@@ -3,9 +3,11 @@
 import concurrent.futures
 import hashlib
 import io
+import itertools
 import os
 import random
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -625,15 +627,31 @@ def test_egdb_file_roundtrip(tmp_path, demo_egdb):
     assert np.array_equal(loaded.tset.rows, demo_egdb.tset.rows)
 
 
-def test_egdb_corruption_detected(demo_egdb):
+@pytest.fixture
+def loaders(tmp_path):
+    """load_egdb on a file's bytes, and on a path to a file holding them (mapped)."""
+    names = itertools.count()
+
+    def from_file(blob: bytes):
+        path = tmp_path / f"{next(names)}.egdb"  # a new file: a loaded one stays mapped
+        path.write_bytes(blob)
+        return load_egdb(path)
+
+    return [load_egdb, from_file]
+
+
+def test_egdb_corruption_detected(demo_egdb, loaders):
     blob = bytearray(egdb_to_bytes(demo_egdb))
     blob[len(blob) // 2] ^= 0x40
-    with pytest.raises(CorruptIndexError):
-        load_egdb(bytes(blob))
-    with pytest.raises(CorruptIndexError):
-        load_egdb(b"NOTMAGIC" + bytes(blob[8:]))
-    with pytest.raises(CorruptIndexError):
-        load_egdb(bytes(blob[:40]))
+    for load in loaders:
+        with pytest.raises(CorruptIndexError, match="checksum"):
+            load(bytes(blob))
+        with pytest.raises(CorruptIndexError, match="bad magic"):
+            load(b"NOTMAGIC" + bytes(blob[8:]))
+        with pytest.raises(CorruptIndexError, match="truncated"):
+            load(bytes(blob[:40]))
+        with pytest.raises(CorruptIndexError, match="truncated"):
+            load(b"")  # mmap refuses a file of length 0
 
 
 def test_egdb_size_accounting(demo_egdb):
@@ -660,25 +678,27 @@ def test_hand_built_header_is_well_formed():
     assert retrieved(egdb.tset, b"\x00" * 16) == []  # an empty table has no chains
 
 
-def test_egdb_version_1_rejected(demo_egdb):
+def test_egdb_version_1_rejected(demo_egdb, loaders):
     assert EGDB_VERSION == 3
-    with pytest.raises(CorruptIndexError, match="version 1"):
-        load_egdb(_egdb_blob(version=1))
     # a real database relabelled as version 1, CRC recomputed
     blob = bytearray(egdb_to_bytes(demo_egdb)[:-4])
     struct.pack_into("<H", blob, len(EGDB_MAGIC), 1)
-    with pytest.raises(CorruptIndexError, match="version 1"):
-        load_egdb(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+    for load in loaders:
+        with pytest.raises(CorruptIndexError, match="version 1"):
+            load(_egdb_blob(version=1))
+        with pytest.raises(CorruptIndexError, match="version 1"):
+            load(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
 
 
-def test_egdb_version_2_rejected(demo_egdb):
+def test_egdb_version_2_rejected(demo_egdb, loaders):
     # version 2 held the same layout with HMAC/SHAKE labels and pads
-    with pytest.raises(CorruptIndexError, match="version 2"):
-        load_egdb(_egdb_blob(version=2))
     blob = bytearray(egdb_to_bytes(demo_egdb)[:-4])
     struct.pack_into("<H", blob, len(EGDB_MAGIC), 2)
-    with pytest.raises(CorruptIndexError, match="version 2"):
-        load_egdb(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+    for load in loaders:
+        with pytest.raises(CorruptIndexError, match="version 2"):
+            load(_egdb_blob(version=2))
+        with pytest.raises(CorruptIndexError, match="version 2"):
+            load(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
 
 
 @pytest.mark.parametrize("fields,match", [
@@ -691,9 +711,10 @@ def test_egdb_version_2_rejected(demo_egdb):
     ({"m": 7}, "geometry"),
     ({"k": 0}, "geometry"),
 ])
-def test_egdb_header_sanity(fields, match):
-    with pytest.raises(CorruptIndexError, match=match):
-        load_egdb(_egdb_blob(**fields))
+def test_egdb_header_sanity(fields, match, loaders):
+    for load in loaders:
+        with pytest.raises(CorruptIndexError, match=match):
+            load(_egdb_blob(**fields))
 
 
 def test_egdb_accepts_256_bit_labels():
@@ -717,10 +738,11 @@ def test_egdb_accepts_ascending_search_keys():
     [b"\x01" * 16, b"\x01" * 16],
     [b"\x01" * 8 + b"\x00" * 8, b"\x01" * 8 + b"\xff" * 8],
 ], ids=["out-of-order", "repeated", "shared-prefix"])
-def test_egdb_refuses_labels_whose_search_keys_do_not_ascend(labels):
+def test_egdb_refuses_labels_whose_search_keys_do_not_ascend(labels, loaders):
     blob = _egdb_blob(n_entries=2, body=b"".join(label + _BODY for label in labels))
-    with pytest.raises(CorruptIndexError, match="do not strictly ascend"):
-        load_egdb(blob)
+    for load in loaders:
+        with pytest.raises(CorruptIndexError, match="do not strictly ascend"):
+            load(blob)
 
 
 def test_reserialized_file_is_byte_identical(demo_egdb):
@@ -730,11 +752,55 @@ def test_reserialized_file_is_byte_identical(demo_egdb):
     assert buf.getvalue() == blob
 
 
-def test_loaded_table_is_read_only(demo_egdb):
-    tset = load_egdb(egdb_to_bytes(demo_egdb)).tset
-    with pytest.raises(ValueError, match="read-only"):
-        tset.rows[0, 0] ^= 1
-    assert not tset.rows.flags.writeable
+def test_loaded_table_is_read_only(demo_egdb, loaders):
+    for load in loaders:
+        egdb = load(egdb_to_bytes(demo_egdb))
+        with pytest.raises(ValueError, match="read-only"):
+            egdb.tset.rows[0, 0] ^= 1
+        with pytest.raises(ValueError, match="read-only"):
+            egdb.xfilter.bits[0] ^= 1
+        assert not egdb.tset.rows.flags.writeable and not egdb.xfilter.bits.flags.writeable
+
+
+def test_loading_a_file_maps_it_instead_of_copying_it(tmp_path, demo_keys):
+    """load_egdb on a path allocates a small part of the file's size.
+
+    The table and the Bloom bits are views of the read-only mapping; the
+    search keys (8 bytes a row) are the load's largest allocation.
+    """
+    rng = random.Random(5)
+    iinx = {f"kw{i}": sorted(rng.sample(range(1, 5001), 100)) for i in range(200)}
+    path = tmp_path / "big.egdb"
+    with open(path, "wb") as fh:
+        serialize_egdb(build_egdb(demo_keys, iinx, SeededRng(6)), fh)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        egdb = load_egdb(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert egdb.params.n_entries == 20_000
+    assert peak < 0.25 * size, f"load allocated {peak} bytes for a {size}-byte file"
+    assert not egdb.tset.rows.flags.writeable and not egdb.xfilter.bits.flags.writeable
+    if os.path.exists("/proc/self/smaps"):  # Linux: the load's checks left no page resident
+        assert _resident_kb(path) < size / 1024 / 10
+    buf = io.BytesIO()
+    serialize_egdb(egdb, buf)
+    assert buf.getvalue() == path.read_bytes()
+
+
+def _resident_kb(path) -> int:
+    """Resident kB of this process's mappings of path, from /proc/self/smaps."""
+    total, ours = 0, False
+    with open("/proc/self/smaps", encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.split()
+            if "-" in fields[0]:  # a mapping's header line: address range ... [path]
+                ours = line.rstrip("\n").endswith(f" {path}")
+            elif ours and fields[0] == "Rss:":
+                total += int(fields[1])
+    return total
 
 
 # --- load_egdb fuzzing ----------------------------------------------------------------
@@ -764,9 +830,9 @@ def _damaged_demo_files(draw, blob: bytes, table_off: int, row_w: int):
     return _with_crc(bytes(body))
 
 
-def test_load_egdb_fuzz(demo_egdb, demo_keys, demo_iinx):
+def test_load_egdb_fuzz(demo_egdb, demo_keys, demo_iinx, loaders):
     """Damaged input raises CorruptIndexError, at load or on retrieve and
-    check, and nothing else."""
+    check, and nothing else, whether it is loaded as bytes or from a file."""
     demo_blob = egdb_to_bytes(demo_egdb)
     p = demo_egdb.params
     row_w = p.label_width + p.payload_width
@@ -780,14 +846,15 @@ def test_load_egdb_fuzz(demo_egdb, demo_keys, demo_iinx):
         _damaged_demo_files(demo_blob, table_off, row_w),
     ))
     def check(blob):
-        try:
-            egdb = load_egdb(blob)
-        except CorruptIndexError:
-            return
-        for stag in stags:
+        for load in loaders:
             try:
-                check_tuples(egdb.tset.retrieve(stag))
+                egdb = load(blob)
             except CorruptIndexError:
-                pass
+                continue
+            for stag in stags:
+                try:
+                    check_tuples(egdb.tset.retrieve(stag))
+                except CorruptIndexError:
+                    pass
 
     check()
