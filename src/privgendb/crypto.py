@@ -4,35 +4,35 @@ Five independent symmetric keys drive the scheme: k_s derives per-keyword
 record-encryption keys, k_x and k_i produce the exponents behind cross-tags,
 k_z produces the per-counter blinding exponents, and k_t keys the tuple-set
 labels. Group exponentiation lives on P-256 (prime order, cofactor 1) and
-runs entirely inside OpenSSL: fixed-base ``h^e`` through key derivation, and
-the server's variable-base step through ECDH, which yields only the
-x-coordinate of ``X^y``. Cross-tags are therefore filed under their
-x-coordinate. The test suite checks both paths against an independent
-pure-Python ladder.
+goes straight to ``EC_POINT_mul`` in the system's OpenSSL 3 libcrypto (the
+one Python's ``hashlib`` links) through ``ctypes``: fixed-base ``h^e`` from
+the generator's precomputed table, and the server's variable-base step,
+which keeps only the x-coordinate of ``X^y``. Cross-tags are therefore filed
+under their x-coordinate. No key object is built around a scalar. AES-GCM
+and the tuple-set AES still go through the ``cryptography`` package. The
+test suite checks the exponentiation against an independent pure-Python
+ladder and against the ``cryptography`` key-object route.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import hmac
 import os
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-# the enums `serialization` re-exports, from the module `ec` already loads:
-# importing `serialization` itself would load its key-file loaders too
-from cryptography.hazmat.primitives._serialization import Encoding, PublicFormat
 
 from . import p256
 
 ORDER = p256.N
 SUPPORTED_LAMBDA_BITS = (128, 256)
 
-_CURVE = ec.SECP256R1()
-_ECDH = ec.ECDH()
 NONCE_LEN = 12
 _ID_LEN = 8
 _TAG_LEN = 16
@@ -175,30 +175,143 @@ def batch_inverse(zs) -> list:
 
 
 # --- group exponentiation ---------------------------------------------------
+#
+# libcrypto.so.3 is already mapped into the process: hashlib's _hashlib links
+# it, and hmac above loads _hashlib. ctypes releases the GIL for each call, so
+# the only C state threads share is the read-only group; each thread gets its
+# own BN_CTX, BIGNUMs, EC_POINTs and output buffer (_Scratch).
+
+_LIBCRYPTO = "libcrypto.so.3"
+_NID_P256 = 415  # NID_X9_62_prime256v1
+_COMPRESSED = 2  # POINT_CONVERSION_COMPRESSED
+_BN_FLG_CONSTTIME = 0x04
+_SCALAR_LEN = 32
+
+_PTR, _INT, _BUF = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+_SIGNATURES = {  # name: (restype, argtypes)
+    "BN_CTX_new": (_PTR, ()),
+    "BN_CTX_free": (None, (_PTR,)),
+    "BN_new": (_PTR, ()),
+    "BN_clear_free": (None, (_PTR,)),
+    "BN_set_flags": (None, (_PTR, _INT)),
+    "BN_bin2bn": (_PTR, (_BUF, _INT, _PTR)),
+    "BN_bn2binpad": (_INT, (_PTR, _BUF, _INT)),
+    "EC_GROUP_new_by_curve_name": (_PTR, (_INT,)),
+    "EC_POINT_new": (_PTR, (_PTR,)),
+    "EC_POINT_clear_free": (None, (_PTR,)),
+    "EC_POINT_mul": (_INT, (_PTR, _PTR, _PTR, _PTR, _PTR, _PTR)),
+    "EC_POINT_oct2point": (_INT, (_PTR, _PTR, _BUF, ctypes.c_size_t, _PTR)),
+    "EC_POINT_point2oct": (ctypes.c_size_t, (_PTR, _PTR, _INT, _BUF, ctypes.c_size_t, _PTR)),
+    "EC_POINT_get_affine_coordinates": (_INT, (_PTR, _PTR, _PTR, _PTR, _PTR)),
+    "ERR_clear_error": (None, ()),
+}
+
+
+def _load_libcrypto():
+    try:
+        lib = ctypes.CDLL(_LIBCRYPTO)
+    except OSError as exc:
+        raise ImportError(f"privgendb needs OpenSSL 3's {_LIBCRYPTO}, the library "
+                          f"Python's hashlib links: {exc}") from None
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        try:
+            fn = getattr(lib, name)
+        except AttributeError:
+            raise ImportError(f"{_LIBCRYPTO} has no {name}") from None
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib
+
+
+_lib = _load_libcrypto()
+_GROUP = _lib.EC_GROUP_new_by_curve_name(_NID_P256)  # shared, never written
+if not _GROUP:
+    raise ImportError(f"{_LIBCRYPTO} does not provide the P-256 group")
+_bin2bn, _bn2binpad = _lib.BN_bin2bn, _lib.BN_bn2binpad
+_mul, _oct2point, _point2oct = _lib.EC_POINT_mul, _lib.EC_POINT_oct2point, _lib.EC_POINT_point2oct
+_affine, _clear_error = _lib.EC_POINT_get_affine_coordinates, _lib.ERR_clear_error
+
+
+def _free(ctx, scalar, x, point, result):
+    _lib.BN_clear_free(scalar)
+    _lib.BN_clear_free(x)
+    _lib.EC_POINT_clear_free(point)
+    _lib.EC_POINT_clear_free(result)
+    _lib.BN_CTX_free(ctx)
+
+
+class _Scratch:
+    """One thread's libcrypto working set, freed when the thread ends.
+
+    Not at interpreter exit: a daemon thread may still be using its own.
+    """
+
+    __slots__ = ("ctx", "scalar", "x", "point", "result", "buf", "__weakref__")
+
+    def __init__(self):
+        self.ctx = _lib.BN_CTX_new()
+        self.scalar = _lib.BN_new()
+        self.x = _lib.BN_new()
+        self.point = _lib.EC_POINT_new(_GROUP)
+        self.result = _lib.EC_POINT_new(_GROUP)
+        handles = (self.ctx, self.scalar, self.x, self.point, self.result)
+        if not all(handles):
+            _free(*handles)  # each free function accepts NULL
+            raise MemoryError("libcrypto could not allocate a thread's scratch objects")
+        weakref.finalize(self, _free, *handles).atexit = False
+        _lib.BN_set_flags(self.scalar, _BN_FLG_CONSTTIME)  # as EC_KEY marks a private key
+        self.buf = ctypes.create_string_buffer(ELEMENT_LEN)
+
+
+class _PerThread(threading.local):
+    def __init__(self):  # runs again on each thread's first use
+        self.scratch = _Scratch()
+
+
+_tls = _PerThread()
+
+
+def _failed(what: str) -> ValueError:
+    _clear_error()  # hashlib shares this library and this thread's error queue
+    return ValueError(what)
+
 
 def base_pow(e: int) -> GroupElement:
-    """h^e for the fixed generator h (OpenSSL fixed-base path)."""
+    """h^e for the fixed generator h (libcrypto's fixed-base table)."""
     e %= ORDER
     if e == 0:
         return IDENTITY
-    pub = ec.derive_private_key(e, _CURVE).public_key()
-    return GroupElement(pub.public_bytes(Encoding.X962, PublicFormat.CompressedPoint))
+    s = _tls.scratch
+    if not (_bin2bn(e.to_bytes(_SCALAR_LEN, "big"), _SCALAR_LEN, s.scalar)
+            and _mul(_GROUP, s.result, s.scalar, None, None, s.ctx)
+            and _point2oct(_GROUP, s.result, _COMPRESSED, s.buf, ELEMENT_LEN, s.ctx)
+            == ELEMENT_LEN):
+        raise _failed("libcrypto failed to compute h^e")
+    return GroupElement(s.buf.raw)
 
 
-def exponent_key(e: int) -> ec.EllipticCurvePrivateKey:
-    """OpenSSL key for the scalar e (1 <= e < ORDER), the exponent of ``pow_x``."""
-    return ec.derive_private_key(e, _CURVE)
+def exponent_key(e: int) -> bytes:
+    """The scalar e (1 <= e < ORDER) as ``pow_x`` takes it: 32 big-endian bytes."""
+    if not 0 < e < ORDER:
+        raise ValueError("exponent must lie in 1..n-1")
+    return e.to_bytes(_SCALAR_LEN, "big")
 
 
-def pow_x(key: ec.EllipticCurvePrivateKey, encoded: bytes) -> bytes:
-    """32-byte big-endian x-coordinate of X^e, computed inside OpenSSL.
+def pow_x(key: bytes, encoded: bytes) -> bytes:
+    """32-byte big-endian x-coordinate of X^e, computed inside libcrypto.
 
-    ``encoded`` is the compressed encoding of X and ``key`` comes from
-    ``exponent_key(e)``; ECDH returns exactly x(X^e). Raises ValueError when
-    ``encoded`` is not a point on the curve; the identity is not one.
+    ``encoded`` is the compressed encoding of X, as bytes, and ``key`` comes
+    from ``exponent_key(e)``. Raises ValueError when ``encoded`` is not a
+    point on the curve; the identity is not one.
     """
-    peer = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, encoded)
-    return key.exchange(_ECDH, peer)
+    s = _tls.scratch
+    if not _oct2point(_GROUP, s.point, encoded, len(encoded), s.ctx):
+        raise _failed("not the encoding of a point on P-256")
+    if not (_bin2bn(key, len(key), s.scalar)
+            and _mul(_GROUP, s.result, None, s.point, s.scalar, s.ctx)
+            and _affine(_GROUP, s.result, s.x, None, s.ctx)
+            and _bn2binpad(s.x, s.buf, _SCALAR_LEN) == _SCALAR_LEN):
+        raise _failed("libcrypto failed to compute X^e")
+    return s.buf.raw[:_SCALAR_LEN]
 
 
 # --- authenticated record-id encryption --------------------------------------

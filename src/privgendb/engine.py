@@ -15,7 +15,7 @@ this module alone knows the row layout. It keeps the anchor chain as the
 one array ``TSet.retrieve`` returns, from the open to the result: a search
 without cross-terms takes the row count or the ciphertext column, and a
 search with them cuts y out of the array for each tuple it evaluates. It
-decodes a token and raises it to y (both inside OpenSSL) only when the
+decodes a token and raises it to y (both inside libcrypto) only when the
 evaluation actually reaches that token.
 """
 
@@ -98,8 +98,8 @@ def evaluate_tuple(bloom: BloomFilter, y: bytes, row: bytes, n_pos: int, gamma: 
     """Decide one tuple: raise tokens to y and test their x in the filter.
 
     ``y`` is the tuple's 32-byte big-endian scalar and ``row`` its packed
-    tokens, the ``n_pos`` positive ones first. The scalar's int and its
-    OpenSSL key are built only if some token must be raised, and each token
+    tokens, the ``n_pos`` positive ones first. The scalar is checked and
+    converted for ``pow_x`` only if some token must be raised, and each token
     is cut out and decoded only when the evaluation reaches it, so an early
     exit skips the rest. Raises ValueError for a reached token that is not a
     curve point.

@@ -1,12 +1,12 @@
 """NIST P-256 constants and the SEC1 point encoding.
 
-Every exponentiation the protocol needs runs inside OpenSSL through the
-``cryptography`` package (see the crypto module): fixed-base ``h^e`` for the
-index build and token generation, and the server's variable-base step as an
-ECDH exchange that yields the x-coordinate of ``X^y``. This module keeps only
-what sits around those calls: the curve constants and the 33-byte compressed
-encoding that tokens travel in. An independent pure-Python ladder lives in the
-test suite as the reference the OpenSSL path is checked against.
+Every exponentiation the protocol needs runs inside the system's libcrypto
+(see the crypto module): fixed-base ``h^e`` for the index build and token
+generation, and the server's variable-base step, which yields the
+x-coordinate of ``X^y``. This module keeps only what sits around those calls:
+the curve constants and the 33-byte compressed encoding that tokens travel
+in. An independent pure-Python ladder lives in the test suite as the
+reference the libcrypto path is checked against.
 
 Points are affine ``(x, y)`` int tuples; ``None`` is the point at infinity.
 The curve has prime order with cofactor 1, so every finite point generated

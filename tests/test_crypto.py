@@ -1,11 +1,20 @@
 """Key handling, PRFs, group exponentiation, and authenticated encryption."""
 
+import ctypes
+import gc
+import hmac
 import os
 import stat
+import subprocess
+import sys
+import threading
+import weakref
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from privgendb import crypto, p256
 from privgendb.crypto import (
@@ -144,7 +153,7 @@ def test_base_pow_matches_reference_ladder():
 
 
 def test_group_pow_dual_route_agreement():
-    """Reference ladder vs the production OpenSSL ECDH route on random cases."""
+    """Reference ladder vs the production libcrypto route on random cases."""
     rng = SeededRng(9)
     for _ in range(12):
         e1 = prf_fp(rng.bytes(16), b"a")
@@ -159,8 +168,9 @@ def test_group_pow_dual_route_agreement():
         expected = ref.mul(ref.point_of(elem), e)
         assert pow_x(exponent_key(e), elem.encode()) == ref.x_bytes(expected)
     assert ref.mul(ref.point_of(elem), 0) is None
-    with pytest.raises(ValueError):
-        exponent_key(0)
+    for e in (0, -1, ORDER, ORDER + 1):
+        with pytest.raises(ValueError):
+            exponent_key(e)
 
 
 def test_pow_x_rejects_non_points():
@@ -171,6 +181,169 @@ def test_pow_x_rejects_non_points():
         pow_x(key, OFF_CURVE)
     with pytest.raises(ValueError):
         pow_x(key, b"\x02" + p256.P.to_bytes(32, "big"))  # x >= p
+
+
+# --- the key-object route the production exponentiation replaced --------------
+
+_CURVE = ec.SECP256R1()
+
+
+def ec_base_pow(e: int) -> bytes:
+    """h^e as cryptography builds it: a private key for e, then its public point."""
+    return ec.derive_private_key(e, _CURVE).public_key().public_bytes(
+        serialization.Encoding.X962, serialization.PublicFormat.CompressedPoint)
+
+
+def ec_pow_x(e: int, encoded: bytes) -> bytes:
+    """x(X^e) as cryptography computes it: ECDH between a key for e and X."""
+    peer = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, encoded)
+    return ec.derive_private_key(e, _CURVE).exchange(ec.ECDH(), peer)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "refused"
+
+
+_SCALARS = st.integers(min_value=1, max_value=ORDER - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCALARS)
+@example(1)
+@example(ORDER - 1)
+def test_base_pow_matches_the_key_object_route(e):
+    assert base_pow(e).encode() == ec_base_pow(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCALARS, st.one_of(st.sampled_from([2, 3]), st.integers(0, 255)),
+       st.binary(min_size=32, max_size=32))
+@example(7, 0, bytes(32))  # the identity's all-zero encoding
+@example(7, 2, p256.P.to_bytes(32, "big"))  # x >= p
+@example(7, 3, OFF_CURVE[1:])  # x with no point on the curve
+@example(7, 4, base_pow(5).x_bytes())  # an uncompressed prefix on 33 bytes
+def test_pow_x_accepts_and_refuses_as_the_key_object_route(e, prefix, x):
+    encoded = bytes([prefix]) + x
+    got = _outcome(pow_x, exponent_key(e), encoded)
+    assert got == _outcome(ec_pow_x, e, encoded)
+    if prefix not in (2, 3):
+        assert got == "refused"
+
+
+def test_threads_get_the_serial_results():
+    """Threads share only the read-only group: four at once, with a short
+    switch interval, reproduce the serial answers, and each frees its
+    libcrypto scratch objects when it ends."""
+    es = [prf_fp(b"\x05" * 16, i.to_bytes(4, "big")) for i in range(4 * 64)]
+    points = [base_pow(e).encode() for e in es]
+    serial = [(points[i], pow_x(exponent_key(e), points[i - 1])) for i, e in enumerate(es)]
+    results, scratch = {}, []
+
+    def work(t):
+        scratch.append(weakref.ref(crypto._tls.scratch))
+        results[t] = [(base_pow(es[i]).encode(), pow_x(exponent_key(es[i]), points[i - 1]))
+                      for _ in range(3) for i in range(t, len(es), 4)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for t in range(4):
+        assert results[t] == [serial[i] for _ in range(3) for i in range(t, len(es), 4)]
+    gc.collect()
+    assert len(scratch) == 4 and all(ref() is None for ref in scratch)
+
+
+def _err_peek_error():
+    peek = ctypes.CDLL("libcrypto.so.3").ERR_peek_error
+    peek.restype, peek.argtypes = ctypes.c_ulong, ()
+    return peek()
+
+
+@pytest.mark.parametrize("bad", [OFF_CURVE, bytes(33), b"\x02" + p256.P.to_bytes(32, "big"),
+                                 b"\x05" + OFF_CURVE[1:], OFF_CURVE[:32]],
+                         ids=["off-curve", "identity", "x>=p", "prefix", "short"])
+def test_a_refused_point_leaves_the_error_queue_empty(bad):
+    with pytest.raises(ValueError):
+        pow_x(exponent_key(7), bad)
+    assert _err_peek_error() == 0
+    assert hmac.digest(b"k", b"m", "sha256") == hmac.new(b"k", b"m", "sha256").digest()
+    aead = AESGCM(b"\x01" * 16)
+    assert aead.decrypt(b"\x00" * 12, aead.encrypt(b"\x00" * 12, b"m", None), None) == b"m"
+
+
+_IMPORT_WITHOUT = """
+import ctypes, sys
+missing, real = sys.argv[1], ctypes.CDLL
+
+class Lacking(real):
+    def __getattr__(self, name):
+        if name == missing:
+            raise AttributeError(name)
+        return super().__getattr__(name)
+
+def cdll(name, *args, **kwargs):
+    if name != "libcrypto.so.3":
+        return real(name, *args, **kwargs)
+    if missing == name:
+        raise OSError(name + ": cannot open shared object file")
+    return Lacking(name, *args, **kwargs)
+
+ctypes.CDLL = cdll
+try:
+    import privgendb
+except ImportError as exc:
+    print("ImportError:", exc)
+"""
+
+
+@pytest.mark.parametrize("missing", ["libcrypto.so.3", "EC_POINT_mul",
+                                     "EC_POINT_get_affine_coordinates"])
+def test_import_names_what_libcrypto_lacks(missing):
+    src = os.path.dirname(os.path.dirname(crypto.__file__))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_WITHOUT, missing],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("ImportError:") and missing in out.stdout, out.stdout
+
+
+_EXIT_WHILE_BUSY = """
+import threading
+from privgendb.crypto import base_pow, exponent_key, pow_x
+
+point = base_pow(5).encode()
+
+def spin():
+    while True:
+        pow_x(exponent_key(7), point)
+
+threading.Thread(target=spin, daemon=True).start()
+ended = threading.Thread(target=base_pow, args=(3,))
+ended.start()
+ended.join()
+print(pow_x(exponent_key(3), point).hex())
+"""
+
+
+def test_interpreter_exit_is_silent():
+    """Exit frees nothing a daemon thread may still be using, and prints nothing."""
+    src = os.path.dirname(os.path.dirname(crypto.__file__))
+    out = subprocess.run([sys.executable, "-c", _EXIT_WHILE_BUSY],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.strip() == base_pow(15).x_bytes().hex()
 
 
 def decode_element(data: bytes) -> GroupElement:

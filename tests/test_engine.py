@@ -4,7 +4,6 @@ import random
 import time
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings, strategies as st
 
 from privgendb import engine
@@ -217,7 +216,7 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_tokenless_chain_builds_no_key(demo_keys, demo_egdb, monkeypatch):
-    keys_made = _count_calls(monkeypatch, ec, "derive_private_key")
+    keys_made = _count_calls(monkeypatch, engine, "exponent_key")
     assert run_query(demo_keys, demo_egdb, parse_query("SNP2=CC", "count")) == 5
     assert keys_made == []
     # with cross-terms: one key per tuple, however many tokens it has
