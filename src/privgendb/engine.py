@@ -38,6 +38,7 @@ from .crypto import (
     prf_f,
     prf_fp,
     pow_x,
+    record_aead,
     sym_decrypt,
 )
 from .encoding import GAMMA, EncodedQuery, Query, encode_query
@@ -217,11 +218,11 @@ class SearchCore:
 
 def decrypt_ids(enc_ids, sterm: str, keys: KeySet) -> list:
     """Recover and sort the record ids behind a returned ciphertext list."""
-    k_e = prf_f(keys.k_s, keyword_bytes(sterm))
+    aead = record_aead(prf_f(keys.k_s, keyword_bytes(sterm)))
     ids = set()
     for i, blob in enumerate(enc_ids):
         try:
-            ids.add(sym_decrypt(k_e, blob))
+            ids.add(sym_decrypt(aead, blob))
         except AuthenticationError as exc:
             raise TamperingError(f"result ciphertext {i} failed authentication") from exc
     return sorted(ids)

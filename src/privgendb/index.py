@@ -22,10 +22,10 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .crypto import (
+    AES_CTR,
+    AES_ECB,
     ENC_ID_LEN,
     NONCE_LEN,
     ORDER,
@@ -33,6 +33,8 @@ from .crypto import (
     KeySet,
     Rng,
     SystemRng,
+    aes_in_place,
+    aes_key,
     base_pow,
     batch_inverse,
     id_bytes,
@@ -40,6 +42,7 @@ from .crypto import (
     keyword_counter,
     prf_f,
     prf_fp,
+    record_aead,
     seal_record_id,
 )
 from .encoding import record_keywords
@@ -207,7 +210,9 @@ class TSet:
     16-byte labels, two for 32); its pad is ``ceil(payload_width / 16)``
     blocks of one AES-CTR keystream under k_M (initial counter block 0),
     starting at block ``ceil(payload_width / 16) * (c - 1)``. A whole
-    chain's labels and pads are thus one cipher call each. Without the stag,
+    chain's labels and pads are thus one cipher call each, made through
+    libcrypto's EVP calls on the calling thread's two AES contexts and
+    written in place into the arrays that hold them. Without the stag,
     entries are indistinguishable from random.
 
     ``rows`` holds the read-only (label || masked body) rows, sorted by
@@ -231,30 +236,30 @@ class TSet:
         return prf_f(k_t, keyword_bytes(keyword))
 
     @staticmethod
-    def _ciphers(stag: bytes):
-        """The label (AES-ECB) and pad (AES-CTR from block 0) encryptors of a chain."""
-        labels = Cipher(algorithms.AES(prf_f(stag, b"L")), modes.ECB()).encryptor()
-        pads = Cipher(algorithms.AES(prf_f(stag, b"M")), modes.CTR(bytes(_BLOCK))).encryptor()
-        return labels, pads
+    def _set_keys(stag: bytes) -> None:
+        """Key this thread's label (AES-ECB) and pad (AES-CTR from block 0)
+        contexts for the chain under stag."""
+        aes_key(AES_ECB, prf_f(stag, b"L"))
+        aes_key(AES_CTR, prf_f(stag, b"M"))
 
     @staticmethod
-    def _derive(ciphers, first: int, n: int, label_width: int,
+    def _derive(first: int, n: int, label_width: int,
                 payload_width: int) -> "tuple[np.ndarray, np.ndarray]":
-        """Labels and pads of counters first .. first + n - 1.
+        """Labels and pads of counters first .. first + n - 1 of the chain
+        ``_set_keys`` last keyed on this thread.
 
         Returns them as (n, label_width) and (n, payload_width) uint8 arrays.
-        The pad stream is read on from where the last call on the same
-        ``ciphers`` stopped, so calls must go in counter order.
+        The pad stream is read on from where the last call stopped, so calls
+        must go in counter order, with no other chain keyed in between.
         """
-        labels, pads = ciphers
         halves = label_width // _BLOCK
-        blocks = np.empty((n, halves, 2), dtype="<u8")
-        blocks[:, :, 0] = np.arange(first, first + n, dtype=np.uint64)[:, None]
-        blocks[:, :, 1] = np.arange(halves, dtype=np.uint64)
-        raw = np.frombuffer(labels.update(blocks.tobytes()), dtype=np.uint8)
-        per = -(-payload_width // _BLOCK) * _BLOCK
-        stream = np.frombuffer(pads.update(bytes(n * per)), dtype=np.uint8)
-        return raw.reshape(n, label_width), stream.reshape(n, per)[:, :payload_width]
+        labels = np.empty((n, halves, 2), dtype="<u8")
+        labels[:, :, 0] = np.arange(first, first + n, dtype=np.uint64)[:, None]
+        labels[:, :, 1] = np.arange(halves, dtype=np.uint64)
+        aes_in_place(AES_ECB, labels)
+        pads = np.zeros((n, -(-payload_width // _BLOCK) * _BLOCK), dtype=np.uint8)
+        aes_in_place(AES_CTR, pads)  # the keystream, XORed onto zeros
+        return labels.view(np.uint8).reshape(n, label_width), pads[:, :payload_width]
 
     @classmethod
     def chain(cls, stag: bytes, payloads) -> np.ndarray:
@@ -263,7 +268,8 @@ class TSet:
         if len(widths) != 1:
             raise ValueError("a chain needs one or more payloads of one width")
         n, label_w, width = len(payloads), len(stag), widths.pop()
-        labels, pads = cls._derive(cls._ciphers(stag), 1, n, label_w, 1 + width)
+        cls._set_keys(stag)
+        labels, pads = cls._derive(1, n, label_w, 1 + width)
         rows = np.zeros((n, label_w + 1 + width), dtype=np.uint8)
         rows[:, :label_w] = labels
         rows[-1, label_w] = 1  # the flag that ends the chain
@@ -284,11 +290,11 @@ class TSet:
         no_chain = np.empty((0, width - 1), dtype=np.uint8)
         if len(stag) != label_w or not len(self.keys):
             return no_chain  # no stag of this width ever filed a chain here
-        ciphers = self._ciphers(stag)
+        self._set_keys(stag)
         parts: list = []
         first, n = 1, _FIRST_BATCH
         while True:
-            labels, pads = self._derive(ciphers, first, n, label_w, width)
+            labels, pads = self._derive(first, n, label_w, width)
             probes = _search_keys(labels)
             order = np.argsort(probes) if n >= _SORTED_PROBES else slice(None)
             at = np.empty(n, dtype=np.intp)
@@ -360,7 +366,7 @@ def _encrypt_keywords(job) -> "tuple[np.ndarray, list]":
     for g, rids, xids, nonces in chunk:
         gb = keyword_bytes(g)
         x_g = prf_fp(k_x, gb)
-        aead = AESGCM(prf_f(k_s, gb))
+        aead = record_aead(prf_f(k_s, gb))
         z_inv = batch_inverse(
             prf_fp(k_z, keyword_counter(g, c)) for c in range(1, len(rids) + 1)
         )

@@ -1,4 +1,5 @@
-"""Key handling, PRFs, group exponentiation, and authenticated encryption."""
+"""Key handling, PRFs, group exponentiation, tuple-set AES, and authenticated
+encryption."""
 
 import ctypes
 import gc
@@ -10,19 +11,25 @@ import sys
 import threading
 import weakref
 
+import numpy as np
 import pytest
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import example, given, settings, strategies as st
 
 from privgendb import crypto, p256
 from privgendb.crypto import (
+    AES_CTR,
+    AES_ECB,
     ORDER,
     AuthenticationError,
     GroupElement,
     SeededRng,
     SystemRng,
+    aes_in_place,
+    aes_key,
     base_pow,
     batch_inverse,
     exponent_key,
@@ -34,6 +41,7 @@ from privgendb.crypto import (
     prf_f,
     prf_fp,
     pow_x,
+    record_aead,
     save_keys,
     seal_record_id,
     sym_decrypt,
@@ -308,7 +316,7 @@ except ImportError as exc:
 
 
 @pytest.mark.parametrize("missing", ["libcrypto.so.3", "EC_POINT_mul",
-                                     "EC_POINT_get_affine_coordinates"])
+                                     "EC_POINT_get_affine_coordinates", "EVP_EncryptUpdate"])
 def test_import_names_what_libcrypto_lacks(missing):
     src = os.path.dirname(os.path.dirname(crypto.__file__))
     out = subprocess.run([sys.executable, "-c", _IMPORT_WITHOUT, missing],
@@ -320,13 +328,16 @@ def test_import_names_what_libcrypto_lacks(missing):
 
 _EXIT_WHILE_BUSY = """
 import threading
-from privgendb.crypto import base_pow, exponent_key, pow_x
+import numpy as np
+from privgendb.crypto import AES_CTR, aes_in_place, aes_key, base_pow, exponent_key, pow_x
 
 point = base_pow(5).encode()
 
 def spin():
     while True:
         pow_x(exponent_key(7), point)
+        aes_key(AES_CTR, bytes(16))
+        aes_in_place(AES_CTR, np.zeros(4096, np.uint8))
 
 threading.Thread(target=spin, daemon=True).start()
 ended = threading.Thread(target=base_pow, args=(3,))
@@ -344,6 +355,113 @@ def test_interpreter_exit_is_silent():
                          env={**os.environ, "PYTHONPATH": src})
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.strip() == base_pow(15).x_bytes().hex()
+
+
+# --- tuple-set AES against cryptography's ---------------------------------------
+
+def ref_aes(mode: int, key: bytes, data: bytes) -> bytes:
+    """``data`` encrypted in one pass by cryptography: ECB, or CTR from block 0."""
+    m = modes.ECB() if mode == AES_ECB else modes.CTR(bytes(16))
+    return Cipher(algorithms.AES(key), m).encryptor().update(data)
+
+
+def evp_aes(mode: int, key: bytes, data: bytes, cuts=()) -> bytes:
+    """``data`` encrypted in place by ``aes_in_place``, one call per piece
+    between the sorted offsets ``cuts``."""
+    buf = np.frombuffer(bytearray(data), dtype=np.uint8)
+    aes_key(mode, key)
+    bounds = [0, *cuts, len(buf)]
+    for a, b in zip(bounds, bounds[1:]):
+        aes_in_place(mode, buf[a:b])
+    return buf.tobytes()
+
+
+_AES_KEYS = st.sampled_from([16, 32]).flatmap(lambda w: st.binary(min_size=w, max_size=w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_AES_KEYS, st.integers(1, 64).flatmap(lambda n: st.binary(min_size=16 * n,
+                                                                 max_size=16 * n)))
+def test_aes_ecb_matches_cryptography(key, data):
+    assert evp_aes(AES_ECB, key, data) == ref_aes(AES_ECB, key, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_AES_KEYS, st.binary(min_size=1, max_size=3000), st.lists(st.integers(0, 3000),
+                                                                 max_size=6))
+def test_aes_ctr_in_pieces_matches_one_pass(key, data, cuts):
+    cuts = sorted(min(c, len(data)) for c in cuts)
+    assert evp_aes(AES_CTR, key, data, cuts) == ref_aes(AES_CTR, key, data)
+
+
+@pytest.mark.parametrize("mode", [AES_ECB, AES_CTR], ids=["ecb", "ctr"])
+def test_aes_splits_long_updates(monkeypatch, mode):
+    """An update longer than ``_UPDATE_MAX`` goes to libcrypto in pieces."""
+    key, data = b"\x07" * 32, SeededRng(3).bytes(16 * 40)
+    monkeypatch.setattr(crypto, "_UPDATE_MAX", 48)
+    calls = []
+    real = crypto._aes_update
+    monkeypatch.setattr(crypto, "_aes_update", lambda *a: calls.append(a[-1]) or real(*a))
+    assert evp_aes(mode, key, data) == ref_aes(mode, key, data)
+    assert calls == [48] * 13 + [16]
+
+
+def test_a_refused_aes_call_leaves_the_error_queue_empty():
+    for width in (0, 15, 24, 33):
+        with pytest.raises(ValueError, match="16- or 32-byte key"):
+            aes_key(AES_CTR, bytes(width))
+    aes_key(AES_ECB, bytes(16))
+    with pytest.raises(ValueError, match="whole 16-byte blocks"):
+        aes_in_place(AES_ECB, np.zeros(24, np.uint8))
+    for buf in (np.zeros((2, 32), np.uint8)[:, :16], np.frombuffer(bytes(16), np.uint8)):
+        with pytest.raises(TypeError):  # no pointer to a strided or read-only array
+            aes_in_place(AES_CTR, buf)
+    assert _err_peek_error() == 0
+
+    # libcrypto itself refuses an update on a context no key was ever set on;
+    # the error queue is the thread's own, so it is read in that thread
+    seen = []
+
+    def fresh_thread():
+        try:
+            aes_in_place(AES_CTR, np.zeros(16, np.uint8))
+        except ValueError as exc:
+            seen.append((str(exc), _err_peek_error()))
+
+    th = threading.Thread(target=fresh_thread)
+    th.start()
+    th.join(timeout=60)
+    assert seen == [("libcrypto failed to encrypt with AES", 0)]
+    assert hmac.digest(b"k", b"m", "sha256") == hmac.new(b"k", b"m", "sha256").digest()
+    assert evp_aes(AES_CTR, bytes(16), bytes(32)) == ref_aes(AES_CTR, bytes(16), bytes(32))
+
+
+def test_threads_get_the_serial_aes_bytes():
+    """Each thread keys its own two contexts: four threads at once, with a
+    short switch interval, reproduce the serial bytes."""
+    rng = SeededRng(4)
+    jobs = [(rng.bytes(16 * (1 + i % 2)), rng.bytes(16 * (1 + i % 50)), (7 * i % 16,))
+            for i in range(4 * 32)]
+    serial = [(evp_aes(AES_ECB, k, d), evp_aes(AES_CTR, k, d, cuts)) for k, d, cuts in jobs]
+    results = {}
+
+    def work(t):
+        results[t] = [(evp_aes(AES_ECB, k, d), evp_aes(AES_CTR, k, d, cuts))
+                      for _ in range(3) for k, d, cuts in jobs[t::4]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for t in range(4):
+        assert results[t] == serial[t::4] * 3
 
 
 def decode_element(data: bytes) -> GroupElement:
@@ -383,16 +501,22 @@ def sym_encrypt(key: bytes, record_id: int, rng=None) -> bytes:
     if not (1 <= record_id <= crypto.MAX_RECORD_ID):
         raise ValueError(f"record id out of range: {record_id}")
     rng = rng or SystemRng()
-    return seal_record_id(AESGCM(key), rng.bytes(crypto.NONCE_LEN), record_id)
+    return seal_record_id(record_aead(key), rng.bytes(crypto.NONCE_LEN), record_id)
+
+
+def open_id(key: bytes, blob: bytes) -> int:
+    """``sym_decrypt`` under a new ``record_aead`` for ``key``."""
+    return sym_decrypt(record_aead(key), blob)
 
 
 def test_sym_encrypt_roundtrip_and_width():
     key = SeededRng(11).bytes(16)
     ct = sym_encrypt(key, 7, SeededRng(12))
     assert len(ct) == crypto.ENC_ID_LEN == 36
-    assert sym_decrypt(key, ct) == 7
+    assert open_id(key, ct) == 7
+    assert AESGCM(key).decrypt(ct[:12], ct[12:], None) == (7).to_bytes(8, "big")
     big = sym_encrypt(key, crypto.MAX_RECORD_ID, SystemRng())
-    assert sym_decrypt(key, big) == crypto.MAX_RECORD_ID
+    assert open_id(key, big) == crypto.MAX_RECORD_ID
     with pytest.raises(ValueError):
         sym_encrypt(key, 0)
 
@@ -407,19 +531,19 @@ def test_sym_decrypt_rejects_tampering():
     ct = bytearray(sym_encrypt(key, 99, SeededRng(15)))
     ct[20] ^= 1
     with pytest.raises(AuthenticationError):
-        sym_decrypt(key, bytes(ct))
+        open_id(key, bytes(ct))
     with pytest.raises(AuthenticationError):
-        sym_decrypt(key, b"short")
+        open_id(key, b"short")
     other = SeededRng(16).bytes(16)
     with pytest.raises(AuthenticationError):
-        sym_decrypt(other, sym_encrypt(key, 99))
+        open_id(other, sym_encrypt(key, 99))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=crypto.MAX_RECORD_ID))
 def test_sym_roundtrip_property(rid):
     key = b"\x42" * 16
-    assert sym_decrypt(key, sym_encrypt(key, rid)) == rid
+    assert open_id(key, sym_encrypt(key, rid)) == rid
 
 
 def test_id_bytes_fixed_width():

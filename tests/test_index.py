@@ -16,6 +16,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from privgendb.crypto import (
+    AES_CTR,
+    AES_ECB,
     ORDER,
     SeededRng,
     base_pow,
@@ -232,16 +234,18 @@ def test_tset_chain_rejects_mixed_widths():
 
 
 def test_retrieve_makes_two_cipher_contexts(monkeypatch):
+    """A retrieve keys the thread's two AES contexts once each, however many
+    batches its chain takes."""
     rng = SeededRng(37)
     k_t = rng.bytes(16)
     ts = tset_setup({"long": _payloads(rng, 2500), "one": _payloads(rng, 1)}, k_t, TUPLE_LEN)
-    made = []
-    real = index_mod.Cipher
-    monkeypatch.setattr(index_mod, "Cipher", lambda *a, **kw: made.append(a) or real(*a, **kw))
+    keyed = []
+    real = index_mod.aes_key
+    monkeypatch.setattr(index_mod, "aes_key", lambda mode, key: keyed.append(mode) or real(mode, key))
     for kw, n in (("long", 2500), ("one", 1)):
-        made.clear()
+        keyed.clear()
         assert len(ts.retrieve(TSet.tag(k_t, kw))) == n
-        assert len(made) == 2  # one label and one pad context, whatever the length
+        assert sorted(keyed) == [AES_ECB, AES_CTR]  # one label and one pad key, whatever the length
 
 
 def _mini_tset(k_t, chains):

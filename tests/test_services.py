@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import signal
 import socket
 import struct
 import subprocess
@@ -19,7 +20,13 @@ from hypothesis import example, given, settings, strategies as st
 from privgendb.encoding import encode_query, parse_gdb, parse_query
 from privgendb.crypto import IDENTITY, SeededRng, keygen
 from privgendb.engine import Policy, SearchCore, decrypt_ids, generate_token, run_query
-from privgendb.index import TSet, build_egdb, build_inverted_index, keyword_frequencies
+from privgendb.index import (
+    TSet,
+    build_egdb,
+    build_inverted_index,
+    keyword_frequencies,
+    serialize_egdb,
+)
 from privgendb import services, wire
 from privgendb.services import (
     DataServer,
@@ -108,15 +115,48 @@ def test_parse_hostport():
         parse_hostport("host:notaport")
 
 
-def test_importing_services_leaves_serialization_unloaded():
-    """The data server's process needs the point-encoding enums only, which
-    ``ec`` already loads; ``serialization`` would add its key-file loaders."""
-    code = ("import sys, privgendb.services; "
-            "sys.exit('cryptography.hazmat.primitives.serialization' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(services.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+_SERVE_AND_REPORT = """
+import atexit, sys
+from privgendb.cli import main
+
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("cryptography"))))
+sys.exit(main(["server", "--egdb", sys.argv[1], "--listen", "127.0.0.1:0"]))
+"""
+
+
+def test_serving_data_server_never_loads_cryptography(tmp_path, demo_egdb, demo_keys,
+                                                      demo_freq):
+    """A data server started through ``privgendb server`` loads an .egdb and
+    answers a two-round search without importing ``cryptography`` or mapping
+    its statically linked OpenSSL: its tuple-set AES runs in the system's."""
+    egdb_path = tmp_path / "demo.egdb"
+    with open(egdb_path, "wb") as fh:
+        serialize_egdb(demo_egdb, fh)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(services.__file__).parents[1]),
+               PRIVGENDB_LOG="INFO")
+    proc = subprocess.Popen([sys.executable, "-c", _SERVE_AND_REPORT, str(egdb_path)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        start = re.search(r"data server on ([\d.]+):(\d+)", proc.stderr.readline())
+        assert start, "the server printed no start line"
+        eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"),
+                          demo_freq)
+        frames = []
+        res = execute_search((start[1], int(start[2])), demo_keys, eq,
+                             on_frame=lambda d, t, b: frames.append(t))
+        assert frames == [MSG_SEARCH_INIT, MSG_STERM_COUNT, MSG_XTOKENS, MSG_RESULT]
+        assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == [2, 5]
+        if sys.platform.startswith("linux"):
+            maps = pathlib.Path(f"/proc/{proc.pid}/maps").read_text()
+            assert "cryptography" not in maps
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert out.strip() == "", f"cryptography modules loaded: {out}"
 
 
 # --- live services -----------------------------------------------------------------
