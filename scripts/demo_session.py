@@ -9,7 +9,6 @@ denial and a look at what actually crosses the wire.
     python3 scripts/demo_session.py
 """
 
-import json
 import sys
 import threading
 
@@ -19,7 +18,15 @@ from privgendb.engine import Policy
 from privgendb.fixtures import load_demo_cohort
 from privgendb.index import build_egdb, build_inverted_index
 from privgendb.services import DataServer, Vetter, execute_search, submit_query
-from privgendb.wire import MSG_ANSWER, MSG_DENIED, MSG_XTOKENS
+from privgendb.wire import (
+    COUNT,
+    INIT_FIELDS,
+    MSG_ANSWER,
+    MSG_DENIED,
+    MSG_SEARCH_INIT,
+    MSG_STERM_COUNT,
+    MSG_XTOKENS,
+)
 
 
 def show(label: str, reply) -> None:
@@ -39,12 +46,19 @@ def dump_search(server_addr, keys, where: str, qtype: str) -> None:
                    on_frame=lambda d, t, b: frames.append((d, t, b)))
     width = len(eq.positive_xterms) + len(eq.negative_xterms)
     for direction, mtype, body in frames:
-        if mtype == MSG_XTOKENS:  # raw token rows, 33 bytes a token
+        if mtype == MSG_SEARCH_INIT:  # the anchor tag, then fixed-width fields
+            tag = body[:-INIT_FIELDS.size]
+            fields = INIT_FIELDS.unpack(body[len(tag):])
+            desc = {"stag": tag.hex()[:12] + "...",
+                    **dict(zip(("gamma", "n_pos", "n_neg", "k_prime"), fields))}
+        elif mtype == MSG_STERM_COUNT:
+            desc = f"<chain length {COUNT.unpack(body)[0]}>"
+        elif mtype == MSG_XTOKENS:  # raw token rows, 33 bytes a token
             desc = f"<{len(body) // (33 * width)} rows of {width} tokens, {len(body)} raw bytes>"
+        elif qtype == "count":
+            desc = f"<count {COUNT.unpack(body)[0]}>"
         else:
-            desc = {k: (f"<{len(v)} b64 blobs>" if isinstance(v, list) else
-                        (v[:12] + "..." if isinstance(v, str) and len(v) > 15 else v))
-                    for k, v in json.loads(body).items()}
+            desc = f"<{len(body) // 36} ciphertexts, 36 B each>"
         print(f"  {direction:<4} type={mtype} {desc}")
 
 

@@ -6,9 +6,10 @@ without learning keywords, record ids, or query contents beyond the
 designed leakage: the query type, the anchor tag (stable per keyword), the
 anchor's chain length, the positive and negative cross-term counts (sent in
 round one, so learnt even for an empty chain), k', and the result size.
-The server evaluates the search itself, so up to each early exit it also
-learns which chain positions matched and which token positions hit in each
-tuple it evaluated; this is OXT's leakage profile (Cash et al., CRYPTO 2013).
+The server evaluates the search itself, and every row's tokens reach it, not
+only those its early exit reaches. So it can raise them all and learn, for
+every tuple of the chain, which of the query's cross-terms hold. This is
+within OXT's leakage profile (Cash et al., CRYPTO 2013).
 """
 
 __version__ = "0.1.0"

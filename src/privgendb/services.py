@@ -4,7 +4,8 @@ The data server holds only the encrypted database and executes the search
 protocol: round one opens a search on the anchor tag and answers the result
 itself when that already decides the search (no cross-terms, or an empty
 chain), and the chain's tuple count otherwise; round two then takes exactly
-one token row per tuple and answers the result after the last. The vetter
+one token row per tuple and answers the result after the last. These search
+frames have the raw layouts that ``wire`` defines. The vetter
 holds the keys and the policy: it admits or denies user queries, drives the
 search, decrypts results, and applies release vetting. Users speak plaintext
 to the vetter only.
@@ -20,7 +21,7 @@ import threading
 import time
 from datetime import datetime, timezone
 
-from .crypto import KeySet, load_keys
+from .crypto import ENC_ID_LEN, KeySet, load_keys
 from .encoding import QueryError, encode_query, parse_query
 from .engine import (
     GAMMA_COUNT,
@@ -37,6 +38,8 @@ from .engine import (
 )
 from .index import CorruptIndexError, Egdb, TSet, load_egdb
 from .wire import (
+    COUNT,
+    INIT_FIELDS,
     MSG_ANSWER,
     MSG_DENIED,
     MSG_ERROR,
@@ -45,9 +48,8 @@ from .wire import (
     MSG_SEARCH_INIT,
     MSG_STERM_COUNT,
     MSG_XTOKENS,
+    RAW_TYPES,
     WireError,
-    b64d,
-    b64e,
     read_frame,
     send_frame,
 )
@@ -182,29 +184,28 @@ class _DataHandler(socketserver.StreamRequestHandler):
         except OSError:
             pass
 
-    def _init(self, obj: dict) -> "SearchCore | None":
+    def _init(self, body: bytes) -> "SearchCore | None":
         """Open a search; returns its core, or None when round one answered it."""
-        gamma = obj.get("gamma")
+        tag_len = len(body) - INIT_FIELDS.size
+        if tag_len not in (16, 32):
+            raise WireError(f"a search init must be a 16- or 32-byte tag and "
+                            f"{INIT_FIELDS.size} bytes of fields; got {len(body)} bytes")
+        gamma, n_pos, n_neg, k_prime = INIT_FIELDS.unpack_from(body, tag_len)
         if gamma not in (1, 2, 3):
-            raise WireError(f"bad gamma {gamma!r}")
-        k_prime = obj.get("k_prime")
+            raise WireError(f"bad gamma {gamma}")
         if gamma == GAMMA_MATCH:
-            if not isinstance(k_prime, int) or k_prime < 1:
-                raise WireError("match searches need integer k_prime >= 1")
-        elif k_prime is not None:
+            if k_prime < 1:
+                raise WireError("match searches need k_prime >= 1")
+            if n_neg:
+                raise WireError("match searches cannot carry negative tokens")
+        elif k_prime:
             raise WireError("k_prime only applies to match searches")
-        n_pos = obj.get("n_pos")
-        n_neg = obj.get("n_neg")
-        if type(n_pos) is not int or type(n_neg) is not int or n_pos < 0 or n_neg < 0:
-            raise WireError("n_pos and n_neg must be non-negative integers")
-        if gamma == GAMMA_MATCH and n_neg:
-            raise WireError("match searches cannot carry negative tokens")
-        core = SearchCore(self.server.egdb, b64d(obj.get("stag")), gamma, n_pos, n_neg,
-                          k_prime)
+        core = SearchCore(self.server.egdb, body[:tag_len], gamma, n_pos, n_neg,
+                          k_prime or None)
         if core.done:
             self._result(core.finish())
             return None
-        send_frame(self.connection, MSG_STERM_COUNT, {"count": len(core.tuples)})
+        send_frame(self.connection, MSG_STERM_COUNT, COUNT.pack(len(core.tuples)))
         return core
 
     def _tokens(self, core: SearchCore, body: bytes) -> "SearchCore | None":
@@ -216,11 +217,8 @@ class _DataHandler(socketserver.StreamRequestHandler):
         return None
 
     def _result(self, res: ResultSet) -> None:
-        if res.gamma == GAMMA_COUNT:
-            send_frame(self.connection, MSG_RESULT, {"count": res.count})
-        else:
-            send_frame(self.connection, MSG_RESULT,
-                       {"enc_ids": [b64e(e) for e in res.enc_ids]})
+        send_frame(self.connection, MSG_RESULT, COUNT.pack(res.count)
+                   if res.gamma == GAMMA_COUNT else b"".join(res.enc_ids))
 
 
 # --- vetter-side search client ------------------------------------------------------
@@ -289,15 +287,11 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
                 raise ServiceError(obj.get("error", "server error"))
             return mtype, obj
 
-        init = {"stag": b64e(TSet.tag(keys.k_t, eq.sterm)), "gamma": eq.gamma,
-                "n_pos": len(eq.positive_xterms), "n_neg": len(eq.negative_xterms)}
-        if eq.gamma == GAMMA_MATCH:
-            init["k_prime"] = eq.k_prime
-        send(MSG_SEARCH_INIT, init)
-        mtype, obj = recv()
+        send(MSG_SEARCH_INIT, TSet.tag(keys.k_t, eq.sterm) + INIT_FIELDS.pack(
+            eq.gamma, len(eq.positive_xterms), len(eq.negative_xterms), eq.k_prime or 0))
+        mtype, body = recv()
         if mtype == MSG_STERM_COUNT:
-            inv_len = obj.get("count")
-            if not isinstance(inv_len, int) or inv_len < 1:
+            if len(body) != COUNT.size or (inv_len := COUNT.unpack(body)[0]) < 1:
                 raise ServiceError("malformed tuple-count response")
             for first in range(1, inv_len + 1, FRAME_COUNTERS):
                 last = min(first + FRAME_COUNTERS - 1, inv_len)
@@ -312,18 +306,17 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
                     except (OSError, WireError):
                         pass
                     raise
-            mtype, obj = recv()
+            mtype, body = recv()
         if mtype != MSG_RESULT:
             raise ServiceError(f"expected result, got message type {mtype}")
         if eq.gamma == GAMMA_COUNT:
-            count = obj.get("count")
-            if not isinstance(count, int) or count < 0:
+            if len(body) != COUNT.size:
                 raise ServiceError("malformed count result")
-            return ResultSet(eq.gamma, count=count)
-        enc = obj.get("enc_ids")
-        if not isinstance(enc, list):
+            return ResultSet(eq.gamma, count=COUNT.unpack(body)[0])
+        if len(body) % ENC_ID_LEN:
             raise ServiceError("malformed id result")
-        return ResultSet(eq.gamma, enc_ids=tuple(b64d(x) for x in enc))
+        return ResultSet(eq.gamma, enc_ids=tuple(
+            body[i : i + ENC_ID_LEN] for i in range(0, len(body), ENC_ID_LEN)))
 
 
 # --- vetter ---------------------------------------------------------------------------
@@ -364,6 +357,8 @@ class _VetterHandler(socketserver.StreamRequestHandler):
             except WireError as exc:
                 self._send(MSG_ERROR, {"error": f"bad frame: {exc}"})
                 return
+            except (TimeoutError, ConnectionError):
+                return  # idle past the handler's timeout, or reset by the peer
             if mtype == 0:
                 return
             if mtype != MSG_QUERY:
@@ -456,8 +451,8 @@ def submit_query(vetter_addr, user: str, query_type: str, where: str,
         mtype, body, _ = read_frame(rd)
         if mtype == 0:
             raise ServiceError("vetter closed the connection")
-        if mtype == MSG_XTOKENS:
-            raise ServiceError("the vetter sent a token frame")
+        if mtype in RAW_TYPES:
+            raise ServiceError(f"the vetter sent a data-server frame (type {mtype})")
         return mtype, body
 
 

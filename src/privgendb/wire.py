@@ -1,31 +1,36 @@
 """Framed wire protocol shared by the data server and the vetter.
 
 Frame layout, little-endian: u32 length, u8 message type, body; the length
-counts the type byte plus the body. Every body is a UTF-8 JSON object, in
-which binary fields (tags, ciphertexts) travel as base64 strings, except a
-``MSG_XTOKENS`` body: that is raw bytes, the round-two token rows as
-``engine.generate_token`` packs them and ``engine.SearchCore.feed`` reads and
-checks them. This module passes them through unread.
+counts the type byte plus the body. The four search frames of the vetter ↔
+data-server hop (``RAW_TYPES``) have raw bodies of the fixed layouts given at
+their types below; the token rows are ``engine.generate_token``'s, and
+``engine.SearchCore.feed`` reads and checks them. This module passes raw
+bodies through unread. Every other body, on the client hop and
+``MSG_ERROR`` on both hops, is a UTF-8 JSON object.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 
 MAX_PAYLOAD = 64 * 1024 * 1024
 
-MSG_SEARCH_INIT = 1   # vetter -> server: stag, gamma, n_pos, n_neg, k_prime?
-MSG_STERM_COUNT = 2   # server -> vetter: tuple count
-MSG_XTOKENS = 3       # vetter -> server: raw token rows, one per counter
-MSG_RESULT = 4        # server -> vetter: count or ciphertext list, after the
-                      # chain's last counter, or in round one for a search
-                      # without cross-terms or over an empty chain
+MSG_SEARCH_INIT = 1   # vetter -> server: stag (16 or 32 B), then INIT_FIELDS
+MSG_STERM_COUNT = 2   # server -> vetter: chain length, one COUNT
+MSG_XTOKENS = 3       # vetter -> server: token rows, one per counter
+MSG_RESULT = 4        # server -> vetter: one COUNT, or the ciphertexts back to
+                      # back, 36 B each; after the chain's last counter, or in
+                      # round one for a search without cross-terms or over an
+                      # empty chain
 MSG_QUERY = 5         # user -> vetter: plaintext query
 MSG_ANSWER = 6        # vetter -> user: count or id list
 MSG_DENIED = 7        # vetter -> user: policy rejection
 MSG_ERROR = 8         # either direction: protocol/internal failure
+
+RAW_TYPES = frozenset({MSG_SEARCH_INIT, MSG_STERM_COUNT, MSG_XTOKENS, MSG_RESULT})
+INIT_FIELDS = struct.Struct("<BIII")  # gamma, n_pos, n_neg, k' (0 unless a match)
+COUNT = struct.Struct("<Q")
 
 _KNOWN_TYPES = frozenset(range(1, 9))
 _HEADER = struct.Struct("<IB")
@@ -35,24 +40,11 @@ class WireError(Exception):
     """Malformed frame or violated protocol invariant."""
 
 
-def b64e(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-def b64d(text) -> bytes:
-    if not isinstance(text, str):
-        raise WireError("expected base64 string")
-    try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise WireError("bad base64 field") from exc
-
-
 def encode_frame(msg_type: int, obj: "dict | bytes") -> bytes:
-    """One frame; ``obj`` is the raw body for ``MSG_XTOKENS``, a dict otherwise."""
+    """One frame; ``obj`` is the raw body for ``RAW_TYPES``, a dict otherwise."""
     if msg_type not in _KNOWN_TYPES:
         raise WireError(f"unknown message type {msg_type}")
-    body = obj if msg_type == MSG_XTOKENS else \
+    body = obj if msg_type in RAW_TYPES else \
         json.dumps(obj, separators=(",", ":")).encode("utf-8")
     if len(body) + 1 > MAX_PAYLOAD:
         raise WireError("frame too large")
@@ -81,7 +73,7 @@ def _read_exact(reader, n: int) -> bytes:
 def read_frame(reader) -> "tuple[int, dict | bytes, bytes]":
     """Read one frame from a binary reader; returns (type, object, raw body).
 
-    The object of a ``MSG_XTOKENS`` frame is its raw body. Returns type 0
+    The object of a frame in ``RAW_TYPES`` is its raw body. Returns type 0
     on clean EOF before any header byte.
     """
     first = reader.read(1)
@@ -94,7 +86,7 @@ def read_frame(reader) -> "tuple[int, dict | bytes, bytes]":
     if msg_type not in _KNOWN_TYPES:
         raise WireError(f"unknown message type {msg_type}")
     body = _read_exact(reader, length - 1)
-    if msg_type == MSG_XTOKENS:
+    if msg_type in RAW_TYPES:
         return msg_type, body, body
     try:
         obj = json.loads(body.decode("utf-8"))

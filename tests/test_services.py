@@ -1,5 +1,6 @@
 """Wire protocol and the networked data-server / vetter deployment."""
 
+import base64
 import hashlib
 import io
 import json
@@ -37,6 +38,8 @@ from privgendb.services import (
     submit_query,
 )
 from privgendb.wire import (
+    COUNT,
+    INIT_FIELDS,
     MAX_PAYLOAD,
     MSG_ANSWER,
     MSG_DENIED,
@@ -46,9 +49,8 @@ from privgendb.wire import (
     MSG_SEARCH_INIT,
     MSG_STERM_COUNT,
     MSG_XTOKENS,
+    RAW_TYPES,
     WireError,
-    b64d,
-    b64e,
     encode_frame,
     read_frame,
     send_frame,
@@ -62,14 +64,15 @@ from oracle import SyntheticSpec, evaluate_plain, gen_synthetic
 
 def test_frame_roundtrip():
     for mtype in range(1, 9):
-        obj = {"n": mtype, "blob": b64e(bytes(range(mtype)))}
-        if mtype == MSG_XTOKENS:  # the one type whose body is raw bytes
-            obj = b"\xff\x00{" * 11
+        obj = {"n": mtype, "text": "é" * mtype}
+        if mtype in RAW_TYPES:  # the search frames, whose bodies are raw bytes
+            obj = b"\xff\x00{" * (mtype + 10)
         frame = encode_frame(mtype, obj)
         got_type, got_obj, body = read_frame(io.BytesIO(frame))
         assert got_type == mtype and got_obj == obj
-        assert (body if mtype == MSG_XTOKENS else json.loads(body)) == obj
-    assert read_frame(io.BytesIO(encode_frame(MSG_XTOKENS, b"")))[1:] == (b"", b"")
+        assert (body if mtype in RAW_TYPES else json.loads(body)) == obj
+    for mtype in RAW_TYPES:
+        assert read_frame(io.BytesIO(encode_frame(mtype, b"")))[1:] == (b"", b"")
 
 
 def test_frame_eof_and_garbage(monkeypatch):
@@ -85,9 +88,9 @@ def test_frame_eof_and_garbage(monkeypatch):
     with pytest.raises(WireError):
         read_frame(io.BytesIO(struct.pack("<IB", 3, 1) + b"{"))  # truncated body
     with pytest.raises(WireError):
-        read_frame(io.BytesIO(struct.pack("<IB", 4, 1) + b"not"))  # not JSON
+        read_frame(io.BytesIO(struct.pack("<IB", 4, MSG_QUERY) + b"not"))  # not JSON
     with pytest.raises(WireError):
-        read_frame(io.BytesIO(struct.pack("<IB", 4, 1) + b"[1]"))  # not an object
+        read_frame(io.BytesIO(struct.pack("<IB", 4, MSG_ERROR) + b"[1]"))  # not an object
     with pytest.raises(WireError):
         read_frame(io.BytesIO(struct.pack("<IB", 34, MSG_XTOKENS) + b"\x02" * 32))
     with pytest.raises(WireError):
@@ -96,14 +99,6 @@ def test_frame_eof_and_garbage(monkeypatch):
     encode_frame(MSG_XTOKENS, bytes(99))
     with pytest.raises(WireError, match="too large"):
         encode_frame(MSG_XTOKENS, bytes(100))
-
-
-def test_b64_helpers():
-    assert b64d(b64e(b"\x00\xffhello")) == b"\x00\xffhello"
-    with pytest.raises(WireError):
-        b64d("not base64!!")
-    with pytest.raises(WireError):
-        b64d(123)
 
 
 def test_parse_hostport():
@@ -326,20 +321,27 @@ def test_audit_log_written(vetter, audit_file):
         assert 0 <= ms_upstream <= ms_total
 
 
-def test_client_refuses_a_token_frame_from_the_vetter():
-    """A token frame's body is raw bytes, so it is no reply a client can read."""
+@pytest.mark.parametrize("mtype,body", [
+    (MSG_SEARCH_INIT, bytes(16) + INIT_FIELDS.pack(2, 0, 0, 0)),
+    (MSG_STERM_COUNT, COUNT.pack(5)),
+    (MSG_XTOKENS, b"\x02" * 33),
+    (MSG_RESULT, COUNT.pack(5)),
+], ids=["init", "chain-length", "tokens", "result"])
+def test_client_refuses_a_token_frame_from_the_vetter(mtype, body):
+    """A data-server hop frame's body is raw bytes, so it is no reply a
+    client can read."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def fake_vetter():
         conn, _ = listener.accept()
         with conn:
             read_frame(conn.makefile("rb"))
-            send_frame(conn, MSG_XTOKENS, b"\x02" * 33)
+            send_frame(conn, mtype, body)
 
     thread = threading.Thread(target=fake_vetter, daemon=True)
     thread.start()
     try:
-        with pytest.raises(ServiceError, match="token frame"):
+        with pytest.raises(ServiceError, match=f"data-server frame \\(type {mtype}\\)"):
             submit_query(listener.getsockname(), "bob", "count", "SNP2=CC", timeout=10)
         thread.join(timeout=10)
         assert not thread.is_alive()
@@ -374,25 +376,20 @@ def test_transcript_shape_and_leakage(data_server, demo_keys, demo_freq):
         ("send", MSG_XTOKENS),
         ("recv", MSG_RESULT),
     ]
-    # every field of every frame fits a fixed schema of opaque values, so no
-    # slot exists for query plaintext, keywords, or record ids to travel in
-    init = json.loads(frames[0][2])
-    assert set(init) == {"stag", "gamma", "n_pos", "n_neg"}
-    assert len(b64d(init["stag"])) == 16 and init["gamma"] == 1
-    assert (init["n_pos"], init["n_neg"]) == (2, 0)
-    count = json.loads(frames[1][2])
-    assert count == {"count": 3}
+    # every frame is a fixed layout of opaque values, so no slot exists for
+    # query plaintext, keywords, or record ids to travel in
+    init = frames[0][2]
+    assert len(init) == 16 + INIT_FIELDS.size
+    assert INIT_FIELDS.unpack(init[16:]) == (1, 2, 0, 0)  # gamma, n_pos, n_neg, k'
+    assert frames[1][2] == COUNT.pack(3)
     # 3 rows of exactly the tokens round one declared, nothing else: 33
     # bytes each, every one a compressed point's 0x02 or 0x03 prefix
     tokens = frames[2][2]
-    assert len(tokens) == 3 * (init["n_pos"] + init["n_neg"]) * 33
+    assert len(tokens) == 3 * 2 * 33
     assert set(tokens[::33]) <= {2, 3}
-    result = json.loads(frames[3][2])
-    assert set(result) == {"enc_ids"}
-    assert all(len(b64d(e)) == 36 for e in result["enc_ids"])
-    # a space never occurs in base64, so the multi-word keyword is checkable raw
+    # the result is its two ciphertexts back to back
+    assert frames[3][2] == b"".join(res.enc_ids) and len(res.enc_ids) == 2
     assert b"Cancer B" not in b"".join(b for _, _, b in frames)
-    assert len(res.enc_ids) == 2
 
 
 @pytest.fixture
@@ -422,10 +419,9 @@ def test_cross_term_free_search_ends_in_round_one(data_server, demo_keys, demo_f
                          on_frame=lambda d, t, b: frames.append((d, t, b)))
     assert [(d, t) for d, t, _ in frames] == [("send", MSG_SEARCH_INIT), ("recv", MSG_RESULT)]
     assert len(upstream_writes) == 1
-    init = json.loads(frames[0][2])
-    assert (init["n_pos"], init["n_neg"]) == (0, 0)
+    assert INIT_FIELDS.unpack(frames[0][2][16:])[1:3] == (0, 0)  # n_pos, n_neg
     if qtype == "count":
-        assert json.loads(frames[1][2]) == {"count": expected} and res.count == expected
+        assert frames[1][2] == COUNT.pack(expected) and res.count == expected
     else:
         assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == expected
 
@@ -501,16 +497,16 @@ def test_server_answers_after_the_last_counter(monkeypatch, data_server, demo_ke
     with socket.create_connection(data_server.server_address, timeout=10) as sock:
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys, sterm="2CC", gamma=2))
-        assert read_frame(rd)[:2] == (MSG_STERM_COUNT, {"count": 5})
+        assert read_frame(rd)[:2] == (MSG_STERM_COUNT, COUNT.pack(5))
         sock.sendall(b"".join(encode_frame(MSG_XTOKENS, h) for h in hits[:4]))
         sock.sendall(encode_frame(MSG_XTOKENS, hits[4])
                      + _init_frame(demo_keys, sterm="2CC", gamma=2, n_pos=0))
-        assert read_frame(rd)[:2] == (MSG_RESULT, {"count": 5})
-        assert read_frame(rd)[:2] == (MSG_RESULT, {"count": 5})
+        assert read_frame(rd)[:2] == (MSG_RESULT, COUNT.pack(5))
+        assert read_frame(rd)[:2] == (MSG_RESULT, COUNT.pack(5))
 
 
-@pytest.mark.parametrize("qtype,expected", [("count", {"count": 0}),
-                                            ("boolean", {"enc_ids": []})])
+@pytest.mark.parametrize("qtype,expected", [("count", COUNT.pack(0)), ("boolean", b"")],
+                         ids=["count-expected0", "boolean-expected1"])
 def test_empty_chain_search_ends_in_round_one(data_server, demo_keys, demo_egdb, demo_freq,
                                               upstream_writes, qtype, expected):
     query = parse_query("phenotype=Cancer Z, SNP2=CC", qtype)
@@ -520,18 +516,21 @@ def test_empty_chain_search_ends_in_round_one(data_server, demo_keys, demo_egdb,
                          on_frame=lambda d, t, b: frames.append((d, t, b)))
     assert [(d, t) for d, t, _ in frames] == [("send", MSG_SEARCH_INIT), ("recv", MSG_RESULT)]
     assert len(upstream_writes) == 1
-    init = json.loads(frames[0][2])
-    assert (init["n_pos"], init["n_neg"]) == (1, 0)  # declared, as for any chain
-    assert json.loads(frames[1][2]) == expected
+    # declared, as for any chain
+    assert INIT_FIELDS.unpack(frames[0][2][16:])[1:3] == (1, 0)
+    assert frames[1][2] == expected
     networked = res.count if qtype == "count" else decrypt_ids(res.enc_ids, eq.sterm,
                                                                  demo_keys)
     assert networked == run_query(demo_keys, demo_egdb, query, demo_freq) == (
         0 if qtype == "count" else [])
 
 
-@pytest.mark.parametrize("count", [0, -1])
-def test_vetter_rejects_a_chain_length_below_one(demo_keys, count):
-    """A server that asks for tokens over no chain is answered with an error."""
+@pytest.mark.parametrize("body", [COUNT.pack(0), COUNT.pack(5)[:7], COUNT.pack(5) + b"\0",
+                                  b'{"count":5}'], ids=["0", "short", "long", "json"])
+def test_vetter_rejects_a_chain_length_below_one(demo_keys, body):
+    """A server that asks for tokens over no chain, or whose chain length is
+    not one 8-byte count, as an older server's JSON one is not, is answered
+    with an error."""
     listener = socket.create_server(("127.0.0.1", 0))
     got = []
 
@@ -540,10 +539,10 @@ def test_vetter_rejects_a_chain_length_below_one(demo_keys, count):
         with conn:
             rd = conn.makefile("rb")
             read_frame(rd)
-            send_frame(conn, MSG_STERM_COUNT, {"count": count})
+            send_frame(conn, MSG_STERM_COUNT, body)
             got.append(read_frame(rd)[0])  # 0: the vetter hung up
             if got[0]:
-                send_frame(conn, MSG_RESULT, {"count": 0})
+                send_frame(conn, MSG_RESULT, COUNT.pack(0))
 
     thread = threading.Thread(target=fake_server, daemon=True)
     thread.start()
@@ -570,7 +569,7 @@ def test_a_lying_chain_length_cannot_outlast_the_deadline(demo_keys):
         with conn:
             rd = conn.makefile("rb")
             read_frame(rd)
-            send_frame(conn, MSG_STERM_COUNT, {"count": 10**9})
+            send_frame(conn, MSG_STERM_COUNT, COUNT.pack(10**9))
             while True:
                 try:
                     mtype, _, body = read_frame(rd)
@@ -602,20 +601,21 @@ def test_a_lying_chain_length_cannot_outlast_the_deadline(demo_keys):
 
 # SHA-256 of the bytes the vetter side wrote, and of the on_frame transcript
 # (direction, type, u32 length, body per frame), with FRAME_COUNTERS set to
-# the fourth column. They equal the transcripts of JSON token frames
-# ({"pos": [[base64, ...], ...], "neg": [...]}) with every token frame's
-# body replaced by its rows packed as raw bytes and the frame lengths
-# adjusted; the count ends in round one and has no token frame.
+# the fourth column. They equal the transcripts of JSON search frames with
+# base64 fields, and raw token frames, with every JSON body re-encoded into
+# its raw layout (init: stag + INIT_FIELDS; chain length and count: COUNT;
+# ids: the ciphertexts joined) and the frame lengths adjusted; the token
+# frames are unchanged. The count ends in round one and has no token frame.
 WIRE_GOLDENS = [
     ("boolean", "SNP2=CC, SNP4!=AG", None, 1,
-     "0cdbd69d1d1973bd320cf1c3696678ea0de99ac217aaecde5c9fb49d381d5e53",
-     "a3c098875fdfd258c51553daf5c958c5e5f732fe0266a54f2abe47d808f2d44f"),
+     "4e5a6046ec503d0beb8c398e647367f4709e4b9fa7b3250acb288f24f1fc5ab5",
+     "280f0479a0c89c5f4a4bb6dff9c7bc645e474ef89a9b527ca5ca4405c1f96813"),
     ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 1, 2,
-     "5b3ab21eade6acf5626fb82196c62321785e0021f8e78972f9492fdb02a82d72",
-     "ab09bd1cf1d965dcfe24216105abc2a292d23571b69046b466018dfce3736ec2"),
+     "6f406fb4409cb7ccab9dc5e6ed4980f6278a0debcc720f96a2a118404c7f2a56",
+     "da2c95bf4bb2c08a9f717c6be5b7dd0e23162f6e20540395dec9ff06eff4a404"),
     ("count", "SNP2=CC", None, 256,
-     "506f6e93b92894ed888a38924b45a4ec01dd1e9f9d996767cd6550404b151dd4",
-     "9251a678754eea30eae37714a4838b8d78ed4eb02bbc41d4bbd0a9d182a6cd59"),
+     "e6a32f9c9b2d21aa38982dad16820ec800e90b236a20974b38e6ce2e3336c107",
+     "bbbe6d5aba8d766f6453b4c2ed57f97b0cd8a760c3bdd274d4502032b0b18b96"),
 ]
 
 
@@ -866,11 +866,14 @@ def test_concurrent_searches(monkeypatch, demo_egdb, demo_keys, demo_freq):
 
 # --- data-server protocol robustness ---------------------------------------------------
 
-def _init_frame(demo_keys, sterm="Cancer B", gamma=1, n_pos=1, n_neg=0, **extra):
-    """A search init; a field given as None is left out."""
-    obj = {"stag": b64e(TSet.tag(demo_keys.k_t, sterm)), "gamma": gamma,
-           "n_pos": n_pos, "n_neg": n_neg, **extra}
-    return encode_frame(MSG_SEARCH_INIT, {k: v for k, v in obj.items() if v is not None})
+def _init_body(demo_keys, sterm="Cancer B", gamma=1, n_pos=1, n_neg=0, k_prime=None):
+    """A search init's body; k_prime None is sent as 0, as for a non-match."""
+    return TSet.tag(demo_keys.k_t, sterm) + INIT_FIELDS.pack(gamma, n_pos, n_neg,
+                                                             k_prime or 0)
+
+
+def _init_frame(demo_keys, **fields):
+    return encode_frame(MSG_SEARCH_INIT, _init_body(demo_keys, **fields))
 
 
 def _hits(demo_keys, counters=3):
@@ -891,12 +894,15 @@ def test_server_rejects_bad_gamma(data_server, demo_keys):
 
 
 @pytest.mark.parametrize("gamma,k_prime,why", [
-    (3, None, "need integer k_prime"), (3, 0, "need integer k_prime"),
-    (3, "1", "need integer k_prime"), (1, 1, "only applies to match"),
-], ids=["match-missing", "match-zero", "match-string", "boolean-with-k"])
+    (3, None, "16- or 32-byte tag"), (3, 0, "need k_prime >= 1"),
+    (1, 1, "only applies to match"),
+], ids=["match-missing", "match-zero", "boolean-with-k"])
 def test_server_rejects_bad_k_prime(data_server, demo_keys, gamma, k_prime, why):
-    [(mtype, obj)] = _raw(data_server.server_address,
-                          _init_frame(demo_keys, gamma=gamma, k_prime=k_prime))
+    """A k' field cut off leaves the init short, refused by its length."""
+    body = _init_body(demo_keys, gamma=gamma, k_prime=k_prime)
+    if k_prime is None:
+        body = body[:-4]
+    [(mtype, obj)] = _raw(data_server.server_address, encode_frame(MSG_SEARCH_INIT, body))
     assert mtype == MSG_ERROR and why in obj["error"]
 
 
@@ -908,7 +914,7 @@ def test_server_rejects_unequal_token_arrays(data_server, demo_keys):
                               [[h1, miss[0]], [h2, miss[1]], [h3]], n_neg=1)
     assert mtype == MSG_ERROR and "rows of the 2 declared tokens" in obj["error"]
     # a JSON token frame, as an older vetter sent it, is refused the same way
-    legacy = json.dumps({"pos": [[b64e(h1)]], "neg": [[]]}).encode()
+    legacy = json.dumps({"pos": [[base64.b64encode(h1).decode()]], "neg": [[]]}).encode()
     assert len(legacy) % 33
     [(mtype, _), (mtype2, obj)] = _raw(data_server.server_address, _init_frame(demo_keys)
                                        + encode_frame(MSG_XTOKENS, legacy), 2)
@@ -916,14 +922,29 @@ def test_server_rejects_unequal_token_arrays(data_server, demo_keys):
     assert "rows of the 1 declared tokens" in obj["error"]
 
 
-@pytest.mark.parametrize("counts", [
-    {"n_pos": None}, {"n_neg": None}, {"n_pos": -1}, {"n_neg": -1},
-    {"n_pos": True}, {"n_neg": False}, {"n_pos": 1.0}, {"n_neg": "0"}, {"n_pos": [1]},
-], ids=["pos-missing", "neg-missing", "pos-negative", "neg-negative", "pos-bool",
-        "neg-bool", "pos-float", "neg-string", "pos-list"])
-def test_server_rejects_bad_cross_term_counts(data_server, demo_keys, counts):
-    [(mtype, obj)] = _raw(data_server.server_address, _init_frame(demo_keys, **counts))
-    assert mtype == MSG_ERROR and "n_pos and n_neg" in obj["error"]
+@pytest.mark.parametrize("cut", [12, 8], ids=["pos-missing", "neg-missing"])
+def test_server_rejects_bad_cross_term_counts(data_server, demo_keys, cut):
+    """An init that ends before its n_pos or n_neg field is refused by its
+    length; the unsigned fields themselves hold any count."""
+    body = _init_body(demo_keys)[:-cut]
+    [(mtype, obj)] = _raw(data_server.server_address, encode_frame(MSG_SEARCH_INIT, body))
+    assert mtype == MSG_ERROR and "16- or 32-byte tag" in obj["error"]
+
+
+def test_server_refuses_an_init_by_its_length(data_server, demo_keys):
+    """Only a 16- or 32-byte tag and the fields make an init. An older
+    vetter's JSON init is refused by its length too."""
+    addr = data_server.server_address
+    good = _init_body(demo_keys)
+    legacy = json.dumps({"stag": base64.b64encode(good[:16]).decode(), "gamma": 1,
+                         "n_pos": 1, "n_neg": 0}).encode()
+    for body in (b"", good[:13], good[1:], b"\0" + good, bytes(17) + good, legacy):
+        [(mtype, obj)] = _raw(addr, encode_frame(MSG_SEARCH_INIT, body))
+        assert mtype == MSG_ERROR, body
+        assert f"got {len(body)} bytes" in obj["error"]
+    # a 32-byte tag, as a λ = 256 index has, is taken; its chain here is empty
+    [(mtype, obj)] = _raw(addr, encode_frame(MSG_SEARCH_INIT, bytes(16) + good))
+    assert (mtype, obj) == (MSG_RESULT, b"")
 
 
 def test_server_rejects_oversize_header(data_server):
@@ -942,7 +963,7 @@ def test_server_rejects_rows_past_the_chain(data_server, demo_keys):
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys))
         mtype, obj, _ = read_frame(rd)
-        assert (mtype, obj) == (MSG_STERM_COUNT, {"count": 3})
+        assert (mtype, obj) == (MSG_STERM_COUNT, COUNT.pack(3))
         sock.sendall(encode_frame(MSG_XTOKENS, h1 + h2) + encode_frame(MSG_XTOKENS, h3 + h1))
         mtype, obj, _ = read_frame(rd)
         assert mtype == MSG_ERROR and "counters 3..4 run past the chain" in obj["error"]
@@ -992,7 +1013,7 @@ def test_server_rejects_token_rows_of_undeclared_width(data_server, demo_keys):
         assert mtype == MSG_ERROR and "rows of the 1 declared tokens" in obj["error"]
     # the same search at the declared width is answered
     mtype, obj = _send_tokens(addr, demo_keys, [[h1], [h2], [h3]])
-    assert mtype == MSG_RESULT and len(obj["enc_ids"]) == 3
+    assert mtype == MSG_RESULT and len(obj) == 3 * 36
 
 
 def test_server_refuses_a_token_frame_of_no_rows(data_server, demo_keys):
@@ -1062,10 +1083,10 @@ def test_protocol_error_drops_the_session(data_server, demo_keys):
         send_frame(sock, MSG_XTOKENS, h1)
         send_frame(sock, MSG_XTOKENS, h2 + h3)
         mtype, obj, _ = read_frame(rd)
-        assert mtype == MSG_RESULT and len(obj["enc_ids"]) == 3
+        assert mtype == MSG_RESULT and len(obj) == 3 * 36
         sock.sendall(_init_frame(demo_keys, n_pos=0))
         mtype, obj, _ = read_frame(rd)
-        assert mtype == MSG_RESULT and len(obj["enc_ids"]) == 3
+        assert mtype == MSG_RESULT and len(obj) == 3 * 36
 
 
 def _poll(cond, seconds: float = 5.0) -> bool:
@@ -1087,7 +1108,7 @@ def _chain_count(addr, demo_keys):
             mtype, obj, _ = read_frame(sock.makefile("rb"))
     except OSError:  # refused: the server may reset a connection it never read
         return None
-    return obj["count"] if mtype == MSG_STERM_COUNT else None
+    return COUNT.unpack(obj)[0] if mtype == MSG_STERM_COUNT else None
 
 
 @pytest.fixture
@@ -1117,7 +1138,7 @@ def _send_tokens(addr, demo_keys, rows, **init):
         rd = sock.makefile("rb")
         sock.sendall(_init_frame(demo_keys, **init))
         mtype, obj, _ = read_frame(rd)
-        assert mtype == MSG_STERM_COUNT and obj["count"] == 3
+        assert (mtype, obj) == (MSG_STERM_COUNT, COUNT.pack(3))
         send_frame(sock, MSG_XTOKENS, _pack(rows))
         return read_frame(rd)[:2]
 
@@ -1245,17 +1266,49 @@ def test_session_expiry(monkeypatch, small_server, demo_keys):
     assert _poll(lambda: _chain_count(addr, demo_keys) == 3)
 
 
+def test_vetter_ends_idle_and_reset_connections_quietly(monkeypatch, demo_keys, data_server):
+    """An idle client is hung up on after the handler's timeout, and a
+    client that resets is let go; neither reaches handle_error, which would
+    print a traceback."""
+    monkeypatch.setattr(services._VetterHandler, "timeout", 0.1)
+    errors, closed = [], []
+
+    class RecordingVetter(Vetter):
+        def handle_error(self, request, client_address):
+            errors.append(sys.exc_info()[1])
+
+        def shutdown_request(self, request):
+            super().shutdown_request(request)
+            closed.append(request)
+
+    srv = RecordingVetter(("127.0.0.1", 0), demo_keys, POLICY, data_server.server_address)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        with socket.create_connection(srv.server_address, timeout=10) as idle:
+            t0 = time.monotonic()
+            assert read_frame(idle.makefile("rb"))[0] == 0  # the vetter hung up
+            assert time.monotonic() - t0 < 5
+        reset = socket.create_connection(srv.server_address, timeout=10)
+        reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        reset.close()  # a zero linger sends RST, not FIN
+        assert _poll(lambda: len(closed) == 2)
+    finally:
+        srv.shutdown()
+        srv.server_close()
+    assert errors == []
+
+
 # --- fuzzing ---------------------------------------------------------------------------
 
 @st.composite
 def _frame_streams(draw):
-    """Byte strings that hold frame headers, token-frame ones most of all,
+    """Byte strings that hold frame headers, search-frame ones most of all,
     with bodies that may be short, long, cut or garbage."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=300))
     out = b""
     for _ in range(draw(st.integers(1, 3))):
-        mtype = draw(st.sampled_from([MSG_XTOKENS] * 4 + list(range(0, 11))))
+        mtype = draw(st.sampled_from(sorted(RAW_TYPES) * 2 + list(range(0, 11))))
         body = draw(st.binary(max_size=200))
         length = draw(st.one_of(st.just(len(body) + 1), st.integers(0, 400),
                                 st.integers(0, 2**32 - 1)))
@@ -1271,7 +1324,7 @@ def test_read_frame_fuzz(data):
     try:
         while (frame := read_frame(rd))[0]:
             mtype, obj, body = frame
-            assert obj == body if mtype == MSG_XTOKENS else isinstance(obj, dict)
+            assert obj is body if mtype in RAW_TYPES else isinstance(obj, dict)
     except WireError:
         pass
     assert time.perf_counter() - t0 < 1
@@ -1356,7 +1409,7 @@ def test_data_server_token_path_fuzz(fuzz_server, demo_egdb, demo_keys):
                                      k_prime=k_prime)
                          + encode_frame(MSG_XTOKENS, body))
             sock.shutdown(socket.SHUT_WR)
-            assert read_frame(rd)[:2] == (MSG_STERM_COUNT, {"count": 3})
+            assert read_frame(rd)[:2] == (MSG_STERM_COUNT, COUNT.pack(3))
             mtype, obj, _ = read_frame(rd)
             assert read_frame(rd)[0] == 0  # then the server hangs up
         assert not fuzz_server.errors
@@ -1365,11 +1418,121 @@ def test_data_server_token_path_fuzz(fuzz_server, demo_egdb, demo_keys):
         elif expected == "open":
             assert mtype == 0  # the search waited for more rows until the close
         elif gamma == 2:
-            assert (mtype, obj) == (MSG_RESULT, {"count": expected.count})
+            assert (mtype, obj) == (MSG_RESULT, COUNT.pack(expected.count))
         else:
-            assert mtype == MSG_RESULT
-            assert tuple(b64d(e) for e in obj["enc_ids"]) == expected.enc_ids
+            assert (mtype, obj) == (MSG_RESULT, b"".join(expected.enc_ids))
         seen.add(expected if isinstance(expected, str) else "result")
 
     check()
     assert seen == {"error", "open", "result"}
+
+
+
+@st.composite
+def _init_bodies(draw):
+    """Arbitrary bytes, or an init of a drawn tag length and drawn fields."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=80))
+    tag = draw(st.sampled_from([0, 15, 16, 16, 16, 17, 31, 32, 32, 33]))
+    small = st.integers(0, 3)
+    fields = [draw(st.one_of(st.integers(0, 4), st.integers(0, 255))),
+              *(draw(st.one_of(small, small, st.integers(0, 2**32 - 1))) for _ in range(3))]
+    return draw(st.binary(min_size=tag, max_size=tag)) + INIT_FIELDS.pack(*fields)
+
+
+def _valid_init(body: bytes) -> bool:
+    tag_len = len(body) - INIT_FIELDS.size
+    if tag_len not in (16, 32):
+        return False
+    gamma, _, n_neg, k_prime = INIT_FIELDS.unpack_from(body, tag_len)
+    if gamma == 3:
+        return k_prime >= 1 and not n_neg
+    return gamma in (1, 2) and not k_prime
+
+
+def test_data_server_init_fuzz(fuzz_server, demo_keys):
+    """Every init gets a chain length, a result or an error within a second;
+    an error exactly when the init breaks a rule of its layout."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_init_bodies())
+    # one of each answer on every run, whatever the strategy draws
+    @example(_init_body(demo_keys))
+    @example(_init_body(demo_keys, n_pos=0))
+    @example(b"")
+    def check(body):
+        with socket.create_connection(fuzz_server.server_address, timeout=10) as sock:
+            rd = sock.makefile("rb")
+            t0 = time.perf_counter()
+            sock.sendall(encode_frame(MSG_SEARCH_INIT, body))
+            mtype, obj, _ = read_frame(rd)
+            assert time.perf_counter() - t0 < 1
+        assert not fuzz_server.errors
+        assert mtype in (MSG_STERM_COUNT, MSG_RESULT, MSG_ERROR)
+        assert (mtype == MSG_ERROR) == (not _valid_init(body)), (body, obj)
+        if mtype == MSG_STERM_COUNT:
+            assert len(obj) == COUNT.size
+        seen.add(mtype)
+
+    check()
+    assert seen == {MSG_STERM_COUNT, MSG_RESULT, MSG_ERROR}
+
+
+def test_a_confused_data_server_gets_a_typed_refusal(demo_keys, demo_freq):
+    """Whatever frames a data server answers a search with, the search
+    returns a ResultSet or fails with ServiceError or WireError."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    replies = []
+
+    def fake_server():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # the listener closed
+            with conn:
+                try:
+                    rd = conn.makefile("rb")
+                    read_frame(rd)
+                    conn.sendall(b"".join(struct.pack("<IB", len(body) + 1, mtype) + body
+                                          for mtype, body in replies.pop()))
+                    conn.shutdown(socket.SHUT_WR)
+                    while rd.read(1 << 16):  # take any token frames until the close
+                        pass
+                except OSError:
+                    pass  # the vetter gave up and reset the connection
+
+    threading.Thread(target=fake_server, daemon=True).start()
+    count, boolean, match = (
+        encode_query(parse_query(where, qtype, k), demo_freq) for qtype, where, k in (
+            ("count", "SNP2=CC, SNP4=AG", None), ("boolean", "SNP2=CC, SNP4!=AG", None),
+            ("match", "phenotype=Cancer B, SNP2=CC, SNP4=AG", 1)))
+    body = st.one_of(st.integers(0, 4).map(COUNT.pack),
+                     st.binary(max_size=120).filter(lambda b: len(b) != COUNT.size),
+                     st.integers(0, 3).map(lambda n: bytes(36 * n)))
+    reply = st.tuples(st.sampled_from([MSG_STERM_COUNT, MSG_RESULT, MSG_RESULT, MSG_ERROR,
+                                       MSG_XTOKENS, MSG_ANSWER]), body)
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([count, boolean, match]), st.lists(reply, min_size=1, max_size=2))
+    # one of each outcome on every run, whatever the strategy draws
+    @example(count, [(MSG_STERM_COUNT, COUNT.pack(2)), (MSG_RESULT, COUNT.pack(1))])
+    @example(boolean, [(MSG_RESULT, bytes(35))])
+    @example(match, [(MSG_ERROR, b"not json")])
+    def check(eq, answers):
+        replies.append(answers)
+        try:
+            res = execute_search(listener.getsockname(), demo_keys, eq, timeout=10)
+        except (ServiceError, WireError) as exc:
+            seen.add(type(exc))
+            return
+        assert res.gamma == eq.gamma
+        seen.add(type(res))
+
+    try:
+        check()
+    finally:
+        listener.close()
+    assert len(seen) == 3, seen
