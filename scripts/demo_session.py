@@ -14,13 +14,12 @@ import threading
 
 from privgendb.crypto import SeededRng, keygen
 from privgendb.encoding import encode_query, parse_query
-from privgendb.engine import Policy
+from privgendb.engine import Policy, SearchCore
 from privgendb.fixtures import load_demo_cohort
 from privgendb.index import build_egdb, build_inverted_index
 from privgendb.services import DataServer, Vetter, execute_search, submit_query
 from privgendb.wire import (
     COUNT,
-    INIT_FIELDS,
     MSG_ANSWER,
     MSG_DENIED,
     MSG_SEARCH_INIT,
@@ -39,7 +38,7 @@ def show(label: str, reply) -> None:
         print(f"  {label:<58} -> ERROR {body}")
 
 
-def dump_search(server_addr, keys, where: str, qtype: str) -> None:
+def dump_search(server_addr, keys, egdb, where: str, qtype: str) -> None:
     eq = encode_query(parse_query(where, qtype))
     frames = []
     execute_search(server_addr, keys, eq,
@@ -47,10 +46,9 @@ def dump_search(server_addr, keys, where: str, qtype: str) -> None:
     width = len(eq.positive_xterms) + len(eq.negative_xterms)
     for direction, mtype, body in frames:
         if mtype == MSG_SEARCH_INIT:  # the anchor tag, then fixed-width fields
-            tag = body[:-INIT_FIELDS.size]
-            fields = INIT_FIELDS.unpack(body[len(tag):])
-            desc = {"stag": tag.hex()[:12] + "...",
-                    **dict(zip(("gamma", "n_pos", "n_neg", "k_prime"), fields))}
+            core = SearchCore(egdb, body)  # read as the data server reads it
+            desc = {"stag": body[:6].hex() + "...", "gamma": core.gamma, "n_pos": core.n_pos,
+                    "n_neg": core.n_neg, "k_prime": core.k_prime}
         elif mtype == MSG_STERM_COUNT:
             desc = f"<chain length {COUNT.unpack(body)[0]}>"
         elif mtype == MSG_XTOKENS:  # raw token rows, 33 bytes a token
@@ -96,11 +94,11 @@ def main() -> int:
          submit_query(addr, "bob", "boolean", "SNP2=CC"))
 
     print("\nwhat the data server sees for one boolean query:")
-    dump_search(data.server_address, keys, "phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean")
+    dump_search(data.server_address, keys, egdb, "phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean")
     print("\nand for a count without cross-terms, answered in round one:")
-    dump_search(data.server_address, keys, "SNP2=CC", "count")
+    dump_search(data.server_address, keys, egdb, "SNP2=CC", "count")
     print("\nand for one over an empty anchor chain, also answered in round one:")
-    dump_search(data.server_address, keys, "phenotype=Cancer Z, SNP2=CC", "count")
+    dump_search(data.server_address, keys, egdb, "phenotype=Cancer Z, SNP2=CC", "count")
 
     vetter.shutdown(); vetter.server_close()
     data.shutdown(); data.server_close()

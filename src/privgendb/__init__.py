@@ -32,7 +32,6 @@ from .encoding import (
 )
 from .engine import (
     Policy,
-    ResultSet,
     TamperingError,
     decrypt_ids,
     generate_token,

@@ -11,7 +11,7 @@ import time
 
 from . import __version__
 from .crypto import SeededRng, SystemRng, keygen, load_keys, save_keys
-from .encoding import GdbParseError, parse_gdb
+from .encoding import GdbParseError, QueryError, parse_gdb, parse_query
 from .index import (
     BloomFilter,
     CorruptIndexError,
@@ -136,7 +136,7 @@ def _cmd_query(args) -> int:
         print(f"count: {body['count']}")
         return 0
     ids = body.get("ids", [])
-    if args.type == "match" and "id=" in args.where.replace(" ", "").lower():
+    if args.type == "match" and _names_a_patient(args.where, args.kprime):
         if ids:
             print(f"match: yes (id {ids[0]})")
         else:
@@ -147,6 +147,14 @@ def _cmd_query(args) -> int:
     else:
         print("ids: (none)")
     return 0
+
+
+def _names_a_patient(where: str, k_prime) -> bool:
+    """Whether a match query has an ``id`` predicate: a yes/no question about one patient."""
+    try:
+        return any(p.kind == "id" for p in parse_query(where, "match", k_prime).predicates)
+    except QueryError:
+        return False
 
 
 def _fp_arg(text: str) -> float:

@@ -29,9 +29,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
-from . import p256
-
-ORDER = p256.N
+# the order n of P-256's group, which has cofactor 1
+ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 SUPPORTED_LAMBDA_BITS = (128, 256)
 
 NONCE_LEN = 12
@@ -97,8 +96,8 @@ class GroupElement:
         return self.data[1:]
 
 
-IDENTITY = GroupElement(p256.encode_point(None))
-ELEMENT_LEN = p256.ENCODED_LEN
+ELEMENT_LEN = 33  # SEC1 compressed: a 0x02 or 0x03 prefix, then x
+IDENTITY = GroupElement(bytes(ELEMENT_LEN))
 
 
 @dataclass(frozen=True, slots=True)

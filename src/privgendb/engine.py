@@ -8,14 +8,15 @@ queries instead count hits among a single token list and compare against k'.
 The server never learns which keywords are behind the tokens, only how many
 there are.
 
-``SearchCore`` is the only implementation of the server's side: the
-in-process ``run_query`` and the networked data server both feed it the
-bytes ``generate_token`` packs, one token row per tuple in counter order, so
-this module alone knows the row layout. It keeps the anchor chain as the
-one array ``TSet.retrieve`` returns, from the open to the result: a search
-without cross-terms takes the row count or the ciphertext column, and a
-search with them cuts y out of the array for each tuple it evaluates. It
-decodes a token and raises it to y (both inside libcrypto) only when the
+This module alone writes and reads the bodies of a search: ``search_init``
+packs the init and ``generate_token`` the token rows, and ``SearchCore``,
+the only implementation of the server's side, opens from the init, reads the
+rows and finishes into the result body. The in-process ``run_query`` and
+the networked data server both go through it, with the same checks. The core
+keeps the anchor chain as the one array ``TSet.retrieve`` returns, from the
+open to the result: a search without cross-terms takes the row count or the
+ciphertext column, and a search with them cuts y out of the array for each
+tuple it evaluates. It decodes a token and raises it to y (both inside libcrypto) only when the
 evaluation actually reaches that token.
 """
 
@@ -43,7 +44,7 @@ from .crypto import (
 )
 from .encoding import GAMMA, EncodedQuery, Query, encode_query
 from .index import Y_LEN, BloomFilter, Egdb, TSet, check_tuples
-from .wire import WireError
+from .wire import COUNT, INIT_FIELDS, WireError
 
 GAMMA_BOOLEAN = GAMMA["boolean"]
 GAMMA_COUNT = GAMMA["count"]
@@ -54,20 +55,14 @@ class TamperingError(Exception):
     """A result ciphertext failed authentication; the server misbehaved."""
 
 
-@dataclass(frozen=True, slots=True)
-class ResultSet:
-    """Server's answer: a bare count for count queries, ciphertexts otherwise."""
+def search_init(eq: EncodedQuery, keys: KeySet) -> bytes:
+    """The ``MSG_SEARCH_INIT`` body of an encoded query, as ``SearchCore`` reads it.
 
-    gamma: int
-    count: "int | None" = None
-    enc_ids: "tuple | None" = None
-
-    def __post_init__(self):
-        if self.gamma == GAMMA_COUNT:
-            if self.count is None or self.enc_ids is not None:
-                raise ValueError("count results carry a count and nothing else")
-        elif self.enc_ids is None or self.count is not None:
-            raise ValueError("id results carry ciphertexts and nothing else")
+    The anchor keyword's tuple-set tag, then ``wire.INIT_FIELDS``: gamma, the
+    positive and negative cross-term counts, and k' (0 unless a match).
+    """
+    return TSet.tag(keys.k_t, eq.sterm) + INIT_FIELDS.pack(
+        eq.gamma, len(eq.positive_xterms), len(eq.negative_xterms), eq.k_prime or 0)
 
 
 def generate_token(eq: EncodedQuery, keys: KeySet, last: int, first: int = 1) -> bytes:
@@ -134,27 +129,44 @@ def evaluate_tuple(bloom: BloomFilter, y: bytes, row: bytes, n_pos: int, gamma: 
 class SearchCore:
     """The server's side of one search over one anchor chain.
 
-    Opening it retrieves the chain as one checked (n, TUPLE_LEN) array,
-    ``tuples``, whose row c - 1 is counter c's y scalar and encrypted record
-    id; the array stays as it is to the result, and ``hits`` marks the rows
-    the result takes. ``n_pos`` and ``n_neg`` are the positive and negative
-    cross-term counts per counter. ``feed`` evaluates the next counters from
-    a body of packed token rows, and the search is ``done`` once every tuple
-    is decided; ``finish`` then returns the ResultSet. A search with no
-    cross-terms is done when it opens: a count or boolean takes the whole
-    chain (its row count, or its ciphertext column), a match (k' >= 1 hits
-    among no tokens) takes nothing. So is a search over an empty chain, and
-    an unknown anchor tag gives one, indistinguishable from a keyword with
-    no matches. Rows past the end of the chain are a protocol violation.
+    It opens from a ``search_init`` body. Before it retrieves anything, it
+    refuses as WireError an init that is not a 16- or 32-byte tag and the
+    fields, a gamma that is no query type, a match with k' = 0 or negative
+    cross-terms, and a k' on any other search. It then retrieves the chain
+    as one checked (n, TUPLE_LEN) array, ``tuples``, whose row c - 1 is
+    counter c's y scalar and encrypted record id; the array stays as it is
+    to the result, and ``hits`` marks the rows the result takes. ``n_pos``
+    and ``n_neg`` are the positive and negative cross-term counts per
+    counter. ``feed`` evaluates the next counters from a body of packed
+    token rows, and the search is ``done`` once every tuple is decided;
+    ``finish`` then returns the result body. A search with no cross-terms is
+    done when it opens: a count or boolean takes the whole chain (its row
+    count, or its ciphertext column), a match (k' >= 1 hits among no tokens)
+    takes nothing. So is a search over an empty chain, and an unknown anchor
+    tag gives one, indistinguishable from a keyword with no matches. Rows
+    past the end of the chain are a protocol violation.
     """
 
     __slots__ = ("bloom", "tuples", "hits", "gamma", "k_prime", "n_pos", "n_neg",
                  "next_counter")
 
-    def __init__(self, egdb: Egdb, stag: bytes, gamma: int, n_pos: int, n_neg: int,
-                 k_prime: "int | None" = None):
+    def __init__(self, egdb: Egdb, init: bytes):
+        tag_len = len(init) - INIT_FIELDS.size
+        if tag_len not in (16, 32):
+            raise WireError(f"a search init must be a 16- or 32-byte tag and "
+                            f"{INIT_FIELDS.size} bytes of fields; got {len(init)} bytes")
+        gamma, n_pos, n_neg, k_prime = INIT_FIELDS.unpack_from(init, tag_len)
+        if gamma not in (GAMMA_BOOLEAN, GAMMA_COUNT, GAMMA_MATCH):
+            raise WireError(f"bad gamma {gamma}")
+        if gamma == GAMMA_MATCH:
+            if k_prime < 1:
+                raise WireError("match searches need k_prime >= 1")
+            if n_neg:
+                raise WireError("match searches cannot carry negative tokens")
+        elif k_prime:
+            raise WireError("k_prime only applies to match searches")
         self.bloom = egdb.xfilter
-        self.tuples = check_tuples(egdb.tset.retrieve(stag))
+        self.tuples = check_tuples(egdb.tset.retrieve(init[:tag_len]))
         self.hits = np.zeros(len(self.tuples), dtype=bool)
         self.gamma = gamma
         self.k_prime = k_prime
@@ -208,42 +220,48 @@ class SearchCore:
                                 f"{exc}") from None
         self.hits[first - 1 : last] = hits
 
-    def finish(self) -> ResultSet:
+    def finish(self) -> bytes:
+        """The ``MSG_RESULT`` body: one ``COUNT``, or the hit rows' ciphertexts
+        back to back."""
         if self.gamma == GAMMA_COUNT:
-            return ResultSet(self.gamma, count=int(self.hits.sum()))
-        enc = self.tuples[self.hits, Y_LEN:].tobytes()
-        return ResultSet(self.gamma, enc_ids=tuple(
-            enc[i : i + ENC_ID_LEN] for i in range(0, len(enc), ENC_ID_LEN)))
+            return COUNT.pack(int(self.hits.sum()))
+        return self.tuples[self.hits, Y_LEN:].tobytes()
 
 
-def decrypt_ids(enc_ids, sterm: str, keys: KeySet) -> list:
-    """Recover and sort the record ids behind a returned ciphertext list."""
+def decrypt_ids(body: bytes, sterm: str, keys: KeySet) -> list:
+    """Recover and sort the record ids behind an id result body.
+
+    The body is ciphertexts back to back, ``ENC_ID_LEN`` bytes each, as
+    ``SearchCore.finish`` writes them. Each slice must authenticate under the
+    anchor keyword's key, so a cut last ciphertext fails as TamperingError.
+    """
     aead = record_aead(prf_f(keys.k_s, keyword_bytes(sterm)))
     ids = set()
-    for i, blob in enumerate(enc_ids):
+    for i in range(0, len(body), ENC_ID_LEN):
         try:
-            ids.add(sym_decrypt(aead, blob))
+            ids.add(sym_decrypt(aead, body[i : i + ENC_ID_LEN]))
         except AuthenticationError as exc:
-            raise TamperingError(f"result ciphertext {i} failed authentication") from exc
+            raise TamperingError(f"result ciphertext {i // ENC_ID_LEN} "
+                                 f"failed authentication") from exc
     return sorted(ids)
 
 
 def run_query(keys: KeySet, egdb: Egdb, query: Query, freq: "dict | None" = None):
     """Full in-process pipeline; returns a count or a sorted id list.
 
-    Mirrors the networked flow exactly: round one opens the search, which
-    already decides it when it has no cross-terms or an empty chain; round
-    two generates a token row per tuple of the chain and feeds them.
+    Mirrors the networked flow exactly, through the same bodies: round one
+    opens the search from its init, which already decides it when it has no
+    cross-terms or an empty chain; round two generates a token row per tuple
+    of the chain and feeds them.
     """
     eq = encode_query(query, freq)
-    core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma,
-                      len(eq.positive_xterms), len(eq.negative_xterms), eq.k_prime)
+    core = SearchCore(egdb, search_init(eq, keys))
     if not core.done:
         core.feed(generate_token(eq, keys, len(core.tuples)))
-    res = core.finish()
+    body = core.finish()
     if eq.gamma == GAMMA_COUNT:
-        return res.count
-    return decrypt_ids(res.enc_ids, eq.sterm, keys)
+        return COUNT.unpack(body)[0]
+    return decrypt_ids(body, eq.sterm, keys)
 
 
 # --- vetting -----------------------------------------------------------------------

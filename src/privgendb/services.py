@@ -5,10 +5,13 @@ protocol: round one opens a search on the anchor tag and answers the result
 itself when that already decides the search (no cross-terms, or an empty
 chain), and the chain's tuple count otherwise; round two then takes exactly
 one token row per tuple and answers the result after the last. These search
-frames have the raw layouts that ``wire`` defines. The vetter
-holds the keys and the policy: it admits or denies user queries, drives the
-search, decrypts results, and applies release vetting. Users speak plaintext
-to the vetter only.
+frames have the raw layouts that ``wire`` defines, and the engine writes and
+reads every body: ``search_init`` and ``generate_token`` on the vetter,
+``SearchCore`` on the data server, which opens from the init and finishes
+into the result. This module only moves the bytes. The vetter holds the keys
+and the policy: it admits or denies user queries, drives the search, decrypts
+results, and applies release vetting. Users speak plaintext to the vetter
+only.
 """
 
 from __future__ import annotations
@@ -25,21 +28,19 @@ from .crypto import ENC_ID_LEN, KeySet, load_keys
 from .encoding import QueryError, encode_query, parse_query
 from .engine import (
     GAMMA_COUNT,
-    GAMMA_MATCH,
     Policy,
-    ResultSet,
     SearchCore,
     TamperingError,
     decrypt_ids,
     generate_token,
     parse_policy,
+    search_init,
     vet_count,
     vet_request,
 )
-from .index import CorruptIndexError, Egdb, TSet, load_egdb
+from .index import CorruptIndexError, Egdb, load_egdb
 from .wire import (
     COUNT,
-    INIT_FIELDS,
     MSG_ANSWER,
     MSG_DENIED,
     MSG_ERROR,
@@ -74,10 +75,13 @@ class ServiceError(Exception):
 
 
 def parse_hostport(text: str) -> "tuple[str, int]":
+    """``host:port`` as an address tuple; ValueError unless the port is 0-65535."""
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {text!r}")
-    return host, int(port)
+    if not 0 <= (number := int(port)) <= 65535:
+        raise ValueError(f"port must be 0-65535, got {port} in {text!r}")
+    return host, number
 
 
 class _BoundedServer(socketserver.ThreadingTCPServer):
@@ -186,24 +190,9 @@ class _DataHandler(socketserver.StreamRequestHandler):
 
     def _init(self, body: bytes) -> "SearchCore | None":
         """Open a search; returns its core, or None when round one answered it."""
-        tag_len = len(body) - INIT_FIELDS.size
-        if tag_len not in (16, 32):
-            raise WireError(f"a search init must be a 16- or 32-byte tag and "
-                            f"{INIT_FIELDS.size} bytes of fields; got {len(body)} bytes")
-        gamma, n_pos, n_neg, k_prime = INIT_FIELDS.unpack_from(body, tag_len)
-        if gamma not in (1, 2, 3):
-            raise WireError(f"bad gamma {gamma}")
-        if gamma == GAMMA_MATCH:
-            if k_prime < 1:
-                raise WireError("match searches need k_prime >= 1")
-            if n_neg:
-                raise WireError("match searches cannot carry negative tokens")
-        elif k_prime:
-            raise WireError("k_prime only applies to match searches")
-        core = SearchCore(self.server.egdb, body[:tag_len], gamma, n_pos, n_neg,
-                          k_prime or None)
+        core = SearchCore(self.server.egdb, body)
         if core.done:
-            self._result(core.finish())
+            send_frame(self.connection, MSG_RESULT, core.finish())
             return None
         send_frame(self.connection, MSG_STERM_COUNT, COUNT.pack(len(core.tuples)))
         return core
@@ -213,19 +202,19 @@ class _DataHandler(socketserver.StreamRequestHandler):
         core.feed(body)
         if not core.done:
             return core
-        self._result(core.finish())
+        send_frame(self.connection, MSG_RESULT, core.finish())
         return None
-
-    def _result(self, res: ResultSet) -> None:
-        send_frame(self.connection, MSG_RESULT, COUNT.pack(res.count)
-                   if res.gamma == GAMMA_COUNT else b"".join(res.enc_ids))
 
 
 # --- vetter-side search client ------------------------------------------------------
 
 def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
-                   timeout: float = 60.0) -> ResultSet:
-    """Drive the search protocol against a data server.
+                   timeout: float = 60.0) -> bytes:
+    """Drive the search protocol against a data server; returns the result body.
+
+    The body is ``SearchCore.finish``'s: one ``wire.COUNT`` for a count, or
+    the ciphertexts back to back for ``decrypt_ids``. A body of the wrong
+    shape for the query fails with ServiceError.
 
     Round one carries the result when it already decides the search (no
     cross-terms, or an empty chain); otherwise it carries the chain length,
@@ -287,8 +276,7 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
                 raise ServiceError(obj.get("error", "server error"))
             return mtype, obj
 
-        send(MSG_SEARCH_INIT, TSet.tag(keys.k_t, eq.sterm) + INIT_FIELDS.pack(
-            eq.gamma, len(eq.positive_xterms), len(eq.negative_xterms), eq.k_prime or 0))
+        send(MSG_SEARCH_INIT, search_init(eq, keys))
         mtype, body = recv()
         if mtype == MSG_STERM_COUNT:
             if len(body) != COUNT.size or (inv_len := COUNT.unpack(body)[0]) < 1:
@@ -312,11 +300,9 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
         if eq.gamma == GAMMA_COUNT:
             if len(body) != COUNT.size:
                 raise ServiceError("malformed count result")
-            return ResultSet(eq.gamma, count=COUNT.unpack(body)[0])
-        if len(body) % ENC_ID_LEN:
+        elif len(body) % ENC_ID_LEN:
             raise ServiceError("malformed id result")
-        return ResultSet(eq.gamma, enc_ids=tuple(
-            body[i : i + ENC_ID_LEN] for i in range(0, len(body), ENC_ID_LEN)))
+        return body
 
 
 # --- vetter ---------------------------------------------------------------------------
@@ -398,7 +384,7 @@ class _VetterHandler(socketserver.StreamRequestHandler):
             return
         t_upstream = time.perf_counter()
         try:
-            res = execute_search(srv.server_addr, srv.keys, eq)
+            result = execute_search(srv.server_addr, srv.keys, eq)
             failure = None
         except (OSError, WireError, ServiceError) as exc:
             failure = exc
@@ -414,7 +400,7 @@ class _VetterHandler(socketserver.StreamRequestHandler):
             self._send(MSG_ERROR, {"error": f"data server unavailable: {failure}"})
             return
         if eq.gamma == GAMMA_COUNT:
-            released = vet_count(res.count, srv.policy)
+            released = vet_count(COUNT.unpack(result)[0], srv.policy)
             if released is None:
                 audit("denied:threshold")
                 self._send(MSG_DENIED, {
@@ -426,7 +412,7 @@ class _VetterHandler(socketserver.StreamRequestHandler):
             self._send(MSG_ANSWER, {"count": released})
             return
         try:
-            ids = decrypt_ids(res.enc_ids, eq.sterm, srv.keys)
+            ids = decrypt_ids(result, eq.sterm, srv.keys)
         except TamperingError as exc:
             audit("error:tampering")
             self._send(MSG_ERROR, {"error": str(exc)})
@@ -459,11 +445,11 @@ def submit_query(vetter_addr, user: str, query_type: str, where: str,
 # --- daemon entry points ------------------------------------------------------------------
 
 def serve_data(egdb_path, listen: str) -> None:
+    addr = parse_hostport(listen)  # a bad address fails before a long load
     t0 = time.perf_counter()
     egdb = load_egdb(egdb_path)
     load_ms = (time.perf_counter() - t0) * 1e3
     nbytes = os.path.getsize(egdb_path)
-    addr = parse_hostport(listen)
     with DataServer(addr, egdb) as srv:
         log.info("data server on %s:%d (%d entries, %d bytes, loaded in %.1f ms)",
                  *srv.server_address, egdb.params.n_entries, nbytes, load_ms)

@@ -3,9 +3,9 @@
 Frame layout, little-endian: u32 length, u8 message type, body; the length
 counts the type byte plus the body. The four search frames of the vetter ↔
 data-server hop (``RAW_TYPES``) have raw bodies of the fixed layouts given at
-their types below; the token rows are ``engine.generate_token``'s, and
-``engine.SearchCore.feed`` reads and checks them. This module passes raw
-bodies through unread. Every other body, on the client hop and
+their types below; the engine writes and reads every one of them
+(``search_init``, ``generate_token`` and ``SearchCore``). This module passes
+raw bodies through unread. Every other body, on the client hop and
 ``MSG_ERROR`` on both hops, is a UTF-8 JSON object.
 """
 

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from privgendb import p256
 from privgendb.crypto import (
     ORDER,
     SeededRng,
@@ -17,7 +16,7 @@ from privgendb.crypto import (
     prf_fp,
 )
 from privgendb.encoding import parse_gdb
-from privgendb.engine import ResultSet, SearchCore
+from privgendb.engine import SearchCore
 from privgendb.fixtures import load_demo_cohort
 from privgendb.index import (
     Egdb,
@@ -27,6 +26,7 @@ from privgendb.index import (
     keyword_frequencies,
     serialize_egdb,
 )
+from privgendb.wire import INIT_FIELDS
 
 import ref_p256
 
@@ -59,7 +59,7 @@ def demo_freq(demo_gdb):
 def _off_curve_encoding() -> bytes:
     """A well-formed compressed encoding whose x has no point on P-256."""
     for x in range(1, 100):
-        if ref_p256.sqrt_mod_p((x * x * x + p256.A * x + p256.B) % p256.P) is None:
+        if ref_p256.sqrt_mod_p((x * x * x + ref_p256.A * x + ref_p256.B) % ref_p256.P) is None:
             return b"\x02" + x.to_bytes(32, "big")
     raise AssertionError("no off-curve x below 100")
 
@@ -80,16 +80,20 @@ def egdb_to_bytes(egdb: Egdb) -> bytes:
     return buf.getvalue()
 
 
-def search(egdb: Egdb, eq, keys, body: bytes) -> ResultSet:
-    """Run one query over the encrypted database (the untrusted-server role).
+def init_body(keys, sterm="Cancer B", gamma=1, n_pos=1, n_neg=0, k_prime=None) -> bytes:
+    """A ``MSG_SEARCH_INIT`` body packed from its fields, as ``search_init``
+    packs one; k_prime None is sent as 0, as for a non-match."""
+    return TSet.tag(keys.k_t, sterm) + INIT_FIELDS.pack(gamma, n_pos, n_neg, k_prime or 0)
 
-    ``body`` is the packed rows ``generate_token`` returns. The core sees
-    only what the data server does: the anchor tag, the query type, k', the
-    cross-term counts and the rows. Like ``run_query``, it takes no rows for
-    a search decided when it opens.
+
+def search(egdb: Egdb, init: bytes, body: bytes = b"") -> bytes:
+    """Run one search over the encrypted database (the untrusted-server role).
+
+    The core opens from ``init``, as the data server's does, and is fed
+    ``body``, the packed rows ``generate_token`` returns, unless it is
+    decided when it opens, as ``run_query`` does. Returns the result body.
     """
-    core = SearchCore(egdb, TSet.tag(keys.k_t, eq.sterm), eq.gamma,
-                      len(eq.positive_xterms), len(eq.negative_xterms), eq.k_prime)
+    core = SearchCore(egdb, init)
     if not core.done:
         core.feed(body)
     return core.finish()

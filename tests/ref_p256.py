@@ -5,13 +5,36 @@ code with OpenSSL, so the production exponentiation (``crypto.base_pow`` and
 ``crypto.pow_x``, both inside OpenSSL) is checked against it. Far too slow
 for the search path: about 4 ms per multiplication.
 
-It also holds the SEC1 decoding, which the library does not need: OpenSSL
-decodes every point the search path reads.
+It also holds the curve constants and the SEC1 encoding and decoding,
+which the library does not need: OpenSSL encodes and decodes every point the
+protocol uses, and the library keeps only the group order and the encoded
+length.
 
 Points are affine ``(x, y)`` int tuples; ``None`` is the point at infinity.
+The curve has prime order with cofactor 1, so every finite point generated
+from the base point has full order n.
 """
 
-from privgendb.p256 import A, B, ENCODED_LEN, GX, GY, N, P, encode_point
+# curve: y^2 = x^3 + ax + b over GF(p); group order n; base point G
+P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
+A = -3 % P
+B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
+N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
+GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
+
+ENCODED_LEN = 33
+
+
+def encode_point(pt) -> bytes:
+    """SEC1 compressed encoding, 33 bytes; the identity is all-zero.
+
+    Injective on valid points: one byte string per group element.
+    """
+    if pt is None:
+        return bytes(ENCODED_LEN)
+    x, y = pt
+    return bytes([2 | (y & 1)]) + x.to_bytes(32, "big")
 
 
 def sqrt_mod_p(v: int) -> "int | None":

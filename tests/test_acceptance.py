@@ -35,7 +35,7 @@ from privgendb.encoding import (
     parse_gdb,
     parse_query,
 )
-from privgendb.engine import decrypt_ids, generate_token, run_query
+from privgendb.engine import decrypt_ids, generate_token, run_query, search_init
 from privgendb.fixtures import load_demo_cohort
 from privgendb.index import (
     BloomFilter,
@@ -250,7 +250,7 @@ def _anchored_search_setup(r, l, alpha, n_terms, seed):
     eq = encode_query(Query(tuple(preds), "count"))
     inv_len = len(egdb.tset.retrieve(TSet.tag(keys.k_t, eq.sterm)))
     assert inv_len == alpha
-    return egdb, eq, keys, generate_token(eq, keys, inv_len)
+    return egdb, search_init(eq, keys), generate_token(eq, keys, inv_len)
 
 
 def _interleaved_medians(setup_a, setup_b, alpha, runs=5):
@@ -259,11 +259,11 @@ def _interleaved_medians(setup_a, setup_b, alpha, runs=5):
         t0 = time.perf_counter()
         res = search(*setup_a)
         times_a.append(time.perf_counter() - t0)
-        assert res.count == alpha
+        assert res == COUNT.pack(alpha)
         t0 = time.perf_counter()
         res = search(*setup_b)
         times_b.append(time.perf_counter() - t0)
-        assert res.count == alpha
+        assert res == COUNT.pack(alpha)
     return statistics.median(times_a), statistics.median(times_b)
 
 
@@ -349,12 +349,12 @@ def _timed_stages(query_type, seed=81, runs=3):
         t0 = time.perf_counter()
         rows = generate_token(eq, keys, inv_len)
         t1 = time.perf_counter()
-        res = search(egdb, eq, keys, rows)
+        res = search(egdb, search_init(eq, keys), rows)
         tokgen.append(t1 - t0)
         searching.append(time.perf_counter() - t1)
     stages["tokgen"] = statistics.median(tokgen)
     stages["search"] = statistics.median(searching)
-    answer = res.count if query_type == "count" else decrypt_ids(res.enc_ids, eq.sterm, keys)
+    answer = COUNT.unpack(res)[0] if query_type == "count" else decrypt_ids(res, eq.sterm, keys)
     return stages, answer, evaluate_plain(gdb, query)
 
 

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from privgendb import cli
+from privgendb import cli, services
 from privgendb.cli import main
 from privgendb.crypto import load_keys
 from privgendb.encoding import parse_query
@@ -15,6 +15,7 @@ from privgendb.engine import parse_policy, run_query
 from privgendb.fixtures import DEMO_COHORT_CSV
 from privgendb.index import load_egdb
 from privgendb.services import DataServer, Vetter, serve_data
+from privgendb.wire import MSG_ANSWER
 
 from conftest import GOLDEN_COUNTS, GOLDEN_IDS
 
@@ -223,6 +224,51 @@ def test_query_unreachable_vetter(capsys):
                "--type", "count", "--where", "SNP2=CC"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,k_prime,ids,printed", [
+    ("phenotype=Lipid=high,SNP1=AA,SNP2=CC", "1", [3, 5, 9], "ids: 3 5 9"),
+    ("id=3, SNP1=AA, SNP2=CC", "1", [3], "match: yes (id 3)"),
+    ("ID = 3, SNP1=AA, SNP2=CC", "2", [], "match: no"),
+], ids=["id-in-a-value", "id-predicate", "spaced-id-predicate"])
+def test_query_match_names_a_patient_only_by_an_id_predicate(monkeypatch, capsys, where,
+                                                             k_prime, ids, printed):
+    """A match prints its one patient only when the query has an id predicate,
+    not whenever the text holds "id=" (here inside a phenotype value)."""
+    monkeypatch.setattr(cli, "submit_query", lambda *args: (MSG_ANSWER, {"ids": ids}))
+    rc = main(["query", "--vetter", "127.0.0.1:9", "--user", "alice", "--type", "match",
+               "--where", where, "--kprime", k_prime])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == printed
+
+
+@pytest.mark.parametrize("command", ["server", "vetter", "query"])
+def test_a_port_out_of_range_is_refused_before_any_socket(built, tmp_path, capsys,
+                                                          monkeypatch, command):
+    d, keys, egdb = built
+    policy = tmp_path / "policy.txt"
+    policy.write_text("user alice role clinician\n")
+    touched = []
+
+    def refuse(*args):
+        touched.append(args)
+        raise OSError("the command got past its address check")
+
+    monkeypatch.setattr(socket.socket, "bind", refuse)
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    monkeypatch.setattr(services, "load_egdb", refuse)
+    bad = "127.0.0.1:70000"
+    argv = {
+        "server": ["server", "--egdb", str(egdb), "--listen", bad],
+        "vetter": ["vetter", "--keys", str(keys), "--policy", str(policy),
+                   "--server", "127.0.0.1:9", "--listen", bad,
+                   "--audit", str(tmp_path / "audit.log")],
+        "query": ["query", "--vetter", bad, "--user", "alice", "--type", "count",
+                  "--where", "SNP2=CC"],
+    }[command]
+    assert main(argv) == 2
+    assert "port must be 0-65535" in _assert_clean_error(capsys)
+    assert touched == []
 
 
 def test_build_unwritable_output_leaves_no_key_file(built, tmp_path, capsys):

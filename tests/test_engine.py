@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from privgendb import engine
 from privgendb.crypto import (
+    ENC_ID_LEN,
     ORDER,
     IDENTITY,
     SeededRng,
@@ -23,24 +24,25 @@ from privgendb.engine import (
     GAMMA_COUNT,
     GAMMA_MATCH,
     Policy,
-    ResultSet,
     SearchCore,
     TamperingError,
     decrypt_ids,
     generate_token,
     parse_policy,
     run_query,
+    search_init,
     vet_count,
     vet_request,
 )
-from privgendb.index import Y_LEN, TSet, build_egdb, build_inverted_index
-from privgendb.wire import WireError
+from privgendb.index import Y_LEN, build_egdb, build_inverted_index
+from privgendb.wire import COUNT, WireError
 
 from conftest import (
     GOLDEN_COUNTS,
     GOLDEN_IDS,
     OFF_CURVE,
     _pack,
+    init_body,
     probe_tokens,
     random_cohort,
     search,
@@ -99,17 +101,6 @@ def test_token_counter_range_is_a_slice_of_the_chain(demo_keys):
     for first, last in [(0, 3), (4, 2)]:
         with pytest.raises(ValueError, match="counter range"):
             generate_token(eq, demo_keys, last, first)
-
-
-def test_result_set_invariants():
-    with pytest.raises(ValueError):
-        ResultSet(2)  # count query without a count
-    with pytest.raises(ValueError):
-        ResultSet(2, count=1, enc_ids=())
-    with pytest.raises(ValueError):
-        ResultSet(1)  # id query without ciphertexts
-    assert ResultSet(2, count=0).count == 0
-    assert ResultSet(3, enc_ids=()).enc_ids == ()
 
 
 # --- golden query answers over the encrypted pipeline -------------------------------
@@ -174,31 +165,31 @@ def test_match_full_threshold_equals_boolean(demo_keys, demo_egdb, demo_freq):
 def test_search_refuses_rows_past_the_chain(demo_keys, demo_egdb):
     # every Cancer B tuple holds Cancer B, so each fed counter is a hit
     hits = probe_tokens(demo_keys, "Cancer B", 4, "Cancer B")  # the chain has 3
-    stag = TSet.tag(demo_keys.k_t, "Cancer B")
-    core = SearchCore(demo_egdb, stag, GAMMA_COUNT, 1, 0)
+    init = init_body(demo_keys, gamma=GAMMA_COUNT)
+    core = SearchCore(demo_egdb, init)
     with pytest.raises(WireError, match="counters 1..4 run past the chain of 3"):
         core.feed(b"".join(hits))
     # counter by counter: done after the third, and a fourth row is refused
-    core = SearchCore(demo_egdb, stag, GAMMA_COUNT, 1, 0)
+    core = SearchCore(demo_egdb, init)
     for c in range(3):
         assert not core.done
         core.feed(hits[c])
-    assert core.done and core.finish().count == 3
+    assert core.done and core.finish() == COUNT.pack(3)
     with pytest.raises(WireError, match="past the chain"):
         core.feed(hits[3])
     # a search decided when it opens takes no row at all: an empty chain
     # refuses a row, and a search without cross-terms any body
-    empty = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer Z"), GAMMA_COUNT, 1, 0)
+    empty = SearchCore(demo_egdb, init_body(demo_keys, "Cancer Z", GAMMA_COUNT))
     with pytest.raises(WireError, match="counters 1..1 run past the chain of 0"):
         empty.feed(hits[0])
     for body in (b"", hits[0]):
         with pytest.raises(WireError, match="rows of the 0 declared tokens"):
-            SearchCore(demo_egdb, stag, GAMMA_COUNT, 0, 0).feed(body)
+            SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_COUNT, n_pos=0)).feed(body)
 
 
 def test_search_unknown_anchor_is_empty(demo_keys, demo_egdb):
     eq = encode_query(parse_query("phenotype=Nope, SNP2=CC", "boolean"))
-    assert search(demo_egdb, eq, demo_keys, generate_token(eq, demo_keys, 0)).enc_ids == ()
+    assert search(demo_egdb, search_init(eq, demo_keys), generate_token(eq, demo_keys, 0)) == b""
 
 
 # --- the search core ----------------------------------------------------------------
@@ -223,7 +214,7 @@ def test_tokenless_chain_builds_no_key(demo_keys, demo_egdb, monkeypatch):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"))
     rows = generate_token(eq, demo_keys, 3)
     keys_made.clear()
-    assert len(search(demo_egdb, eq, demo_keys, rows).enc_ids) == 2
+    assert len(search(demo_egdb, search_init(eq, demo_keys), rows)) == 2 * ENC_ID_LEN
     assert len(keys_made) == 3
 
 
@@ -239,47 +230,45 @@ def test_tokenless_search_is_decided_in_round_one(demo_keys, demo_egdb, monkeypa
     assert tokens_made == [] and raised == []
     # the core expects no rows: a count takes the chain length, a boolean
     # every ciphertext, a match (k' of no tokens) nothing
-    stag = TSet.tag(demo_keys.k_t, "Cancer B")
-    core = SearchCore(demo_egdb, stag, GAMMA_COUNT, 0, 0)
-    assert core.done and core.finish().count == 3
-    core = SearchCore(demo_egdb, stag, GAMMA_BOOLEAN, 0, 0)
+    core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_COUNT, n_pos=0))
+    assert core.done and core.finish() == COUNT.pack(3)
+    core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_BOOLEAN, n_pos=0))
     assert core.done and core.next_counter == 4
-    assert core.finish().enc_ids == tuple(bytes(row[Y_LEN:]) for row in core.tuples)
-    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 0, 0, 1)
-    assert core.done and core.finish().enc_ids == ()
-    assert not SearchCore(demo_egdb, stag, GAMMA_BOOLEAN, 1, 0).done
-    empty = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer Z"), GAMMA_BOOLEAN, 1, 1)
-    assert empty.done and empty.finish().enc_ids == ()
+    assert core.finish() == b"".join(bytes(row[Y_LEN:]) for row in core.tuples)
+    core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_MATCH, n_pos=0, k_prime=1))
+    assert core.done and core.finish() == b""
+    assert not SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_BOOLEAN)).done
+    empty = SearchCore(demo_egdb, init_body(demo_keys, "Cancer Z", GAMMA_BOOLEAN, 1, 1))
+    assert empty.done and empty.finish() == b""
 
 
 def test_boolean_early_exit_leaves_tokens_undecoded(demo_keys, demo_egdb, monkeypatch):
     decoded = _count_calls(monkeypatch, engine, "pow_x")
     # no Cancer B record is Cancer A: the first token misses on every tuple
     misses = probe_tokens(demo_keys, "Cancer B", 3, "Cancer A")
-    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN, 3, 0)
+    core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_BOOLEAN, n_pos=3))
     core.feed(_pack([miss, OFF_CURVE, OFF_CURVE] for miss in misses))
-    assert core.finish().enc_ids == ()
+    assert core.finish() == b""
     assert [args[1] for args in decoded] == misses  # one decode per tuple
 
 
 def test_match_early_exits_leave_tokens_undecoded(demo_keys, demo_egdb, monkeypatch):
     decoded = _count_calls(monkeypatch, engine, "pow_x")
-    stag = TSet.tag(demo_keys.k_t, "Cancer B")
     misses = probe_tokens(demo_keys, "Cancer B", 3, "Cancer A")
     hits = probe_tokens(demo_keys, "Cancer B", 3, "Cancer B")
     # k' = 3 of 3: the first miss already decides
-    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 3, 0, 3)
+    core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_MATCH, n_pos=3, k_prime=3))
     core.feed(_pack([m, OFF_CURVE, OFF_CURVE] for m in misses))
-    assert core.finish().enc_ids == ()
+    assert core.finish() == b""
     # k' = 1: the first hit already decides
-    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 2, 0, 1)
+    core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_MATCH, n_pos=2, k_prime=1))
     core.feed(_pack([h, OFF_CURVE] for h in hits))
-    assert len(core.finish().enc_ids) == 3
+    assert len(core.finish()) == 3 * ENC_ID_LEN
     assert len(decoded) == 6
     # k' above the token count: decided before any key or decode
-    core = SearchCore(demo_egdb, stag, GAMMA_MATCH, 1, 0, 2)
+    core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_MATCH, k_prime=2))
     core.feed(OFF_CURVE * 3)
-    assert core.finish().enc_ids == () and len(decoded) == 6
+    assert core.finish() == b"" and len(decoded) == 6
 
 
 @pytest.mark.parametrize("bad,detail", [
@@ -288,7 +277,7 @@ def test_match_early_exits_leave_tokens_undecoded(demo_keys, demo_egdb, monkeypa
     (IDENTITY.encode(), "group element at counter 1: prefix 0x00"),
 ], ids=["off-curve", "identity"])
 def test_core_rejects_a_used_non_point(demo_keys, demo_egdb, bad, detail):
-    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN, 1, 0)
+    core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_BOOLEAN))
     with pytest.raises(WireError, match=detail):
         core.feed(bad)
 
@@ -311,7 +300,7 @@ def test_feed_refuses_a_body_before_evaluating_any_row(demo_keys, demo_egdb, mon
     n_pos, make_body, error = _REFUSED_BODIES[case]
     keys_made = _count_calls(monkeypatch, engine, "exponent_key")
     hits = probe_tokens(demo_keys, "Cancer B", 3, "Cancer B")
-    core = SearchCore(demo_egdb, TSet.tag(demo_keys.k_t, "Cancer B"), GAMMA_BOOLEAN, n_pos, 0)
+    core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_BOOLEAN, n_pos=n_pos))
     with pytest.raises(WireError, match=error):
         core.feed(make_body(hits))
     assert keys_made == []
@@ -319,22 +308,25 @@ def test_feed_refuses_a_body_before_evaluating_any_row(demo_keys, demo_egdb, mon
 
 def test_decrypt_ids_detects_tampering(demo_keys, demo_egdb):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC", "boolean"))
-    res = search(demo_egdb, eq, demo_keys, generate_token(eq, demo_keys, 3))
-    assert len(res.enc_ids) == 2
-    assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == [2, 5]
-    evil = bytearray(res.enc_ids[0])
+    res = search(demo_egdb, search_init(eq, demo_keys), generate_token(eq, demo_keys, 3))
+    assert len(res) == 2 * ENC_ID_LEN
+    assert decrypt_ids(res, eq.sterm, demo_keys) == [2, 5]
+    evil = bytearray(res)
     evil[20] ^= 0x01
-    with pytest.raises(TamperingError):
-        decrypt_ids((bytes(evil), res.enc_ids[1]), eq.sterm, demo_keys)
+    with pytest.raises(TamperingError, match="ciphertext 0"):
+        decrypt_ids(bytes(evil), eq.sterm, demo_keys)
     # decryption under the wrong anchor keyword must also fail loudly
     with pytest.raises(TamperingError):
-        decrypt_ids(res.enc_ids, "Cancer A", demo_keys)
+        decrypt_ids(res, "Cancer A", demo_keys)
+    # and so must a result cut inside its last ciphertext
+    with pytest.raises(TamperingError, match="ciphertext 1"):
+        decrypt_ids(res[:-1], eq.sterm, demo_keys)
 
 
 def test_decrypt_ids_sorts_and_dedupes(demo_keys, demo_egdb):
     eq = encode_query(parse_query("SNP2=CC", "boolean"))
-    res = search(demo_egdb, eq, demo_keys, generate_token(eq, demo_keys, 5))
-    doubled = res.enc_ids + res.enc_ids[:2]
+    res = search(demo_egdb, search_init(eq, demo_keys), generate_token(eq, demo_keys, 5))
+    doubled = res + res[:2 * ENC_ID_LEN]
     assert decrypt_ids(doubled, eq.sterm, demo_keys) == [1, 2, 4, 5, 6]
 
 

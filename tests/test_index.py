@@ -50,6 +50,7 @@ from privgendb.index import (
     load_egdb,
     serialize_egdb,
 )
+from privgendb.wire import COUNT, INIT_FIELDS
 
 from conftest import GOLDEN_COUNTS, GOLDEN_IDS, egdb_to_bytes, random_cohort, scalar_inverse
 from oracle import SyntheticSpec, gen_synthetic
@@ -602,9 +603,10 @@ def test_count_refuses_bad_y_in_a_later_batch(monkeypatch):
     for payloads in (good, bad):
         ts = tset_setup({"kw": payloads}, k_t, TUPLE_LEN)
         egdb = index_mod.Egdb(ts, BloomFilter(64, 1), None)
-        open_count = lambda: SearchCore(egdb, TSet.tag(k_t, "kw"), GAMMA_COUNT, 0, 0)
+        init = TSet.tag(k_t, "kw") + INIT_FIELDS.pack(GAMMA_COUNT, 0, 0, 0)
+        open_count = lambda: SearchCore(egdb, init)
         if payloads is good:
-            assert open_count().finish().count == 2500
+            assert open_count().finish() == COUNT.pack(2500)
         else:
             with pytest.raises(CorruptIndexError, match="out of range"):
                 open_count()

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from privgendb.encoding import encode_query, parse_gdb, parse_query
-from privgendb.crypto import IDENTITY, SeededRng, keygen
+from privgendb.crypto import ENC_ID_LEN, IDENTITY, SeededRng, keygen
 from privgendb.engine import Policy, SearchCore, decrypt_ids, generate_token, run_query
 from privgendb.index import (
     TSet,
@@ -28,7 +28,7 @@ from privgendb.index import (
     keyword_frequencies,
     serialize_egdb,
 )
-from privgendb import services, wire
+from privgendb import engine, services, wire
 from privgendb.services import (
     DataServer,
     ServiceError,
@@ -56,7 +56,7 @@ from privgendb.wire import (
     send_frame,
 )
 
-from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, _pack, probe_tokens
+from conftest import GOLDEN_COUNTS, GOLDEN_IDS, OFF_CURVE, _pack, init_body, probe_tokens
 from oracle import SyntheticSpec, evaluate_plain, gen_synthetic
 
 
@@ -108,6 +108,10 @@ def test_parse_hostport():
         parse_hostport("9000")
     with pytest.raises(ValueError):
         parse_hostport("host:notaport")
+    assert parse_hostport("h:0") == ("h", 0) and parse_hostport("h:65535") == ("h", 65535)
+    for port in ("65536", "70000", "-1"):
+        with pytest.raises(ValueError, match="port must be 0-65535"):
+            parse_hostport(f"127.0.0.1:{port}")
 
 
 _SERVE_AND_REPORT = """
@@ -140,7 +144,7 @@ def test_serving_data_server_never_loads_cryptography(tmp_path, demo_egdb, demo_
         res = execute_search((start[1], int(start[2])), demo_keys, eq,
                              on_frame=lambda d, t, b: frames.append(t))
         assert frames == [MSG_SEARCH_INIT, MSG_STERM_COUNT, MSG_XTOKENS, MSG_RESULT]
-        assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == [2, 5]
+        assert decrypt_ids(res, eq.sterm, demo_keys) == [2, 5]
         if sys.platform.startswith("linux"):
             maps = pathlib.Path(f"/proc/{proc.pid}/maps").read_text()
             assert "cryptography" not in maps
@@ -232,9 +236,9 @@ def test_networked_search_matches_in_process_goldens(data_server, demo_keys, dem
         eq = encode_query(query, demo_freq)
         res = execute_search(data_server.server_address, demo_keys, eq)
         if qtype == "count":
-            networked = res.count
+            networked = COUNT.unpack(res)[0]
         else:
-            networked = decrypt_ids(res.enc_ids, eq.sterm, demo_keys)
+            networked = decrypt_ids(res, eq.sterm, demo_keys)
         assert networked == run_query(demo_keys, demo_egdb, query, demo_freq) == expected
 
 
@@ -262,8 +266,8 @@ def test_streamed_search_is_the_same_for_any_frame_size(monkeypatch):
             for frame_counters in (1, 3, 8, chain, 64):
                 monkeypatch.setattr(services, "FRAME_COUNTERS", frame_counters)
                 res = execute_search(srv.server_address, keys, eq, timeout=10)
-                networked = res.count if qtype == "count" else decrypt_ids(
-                    res.enc_ids, eq.sterm, keys)
+                networked = COUNT.unpack(res)[0] if qtype == "count" else decrypt_ids(
+                    res, eq.sterm, keys)
                 assert networked == expected, (where, frame_counters)
     finally:
         srv.shutdown()
@@ -388,7 +392,7 @@ def test_transcript_shape_and_leakage(data_server, demo_keys, demo_freq):
     assert len(tokens) == 3 * 2 * 33
     assert set(tokens[::33]) <= {2, 3}
     # the result is its two ciphertexts back to back
-    assert frames[3][2] == b"".join(res.enc_ids) and len(res.enc_ids) == 2
+    assert frames[3][2] == res and len(res) == 2 * ENC_ID_LEN
     assert b"Cancer B" not in b"".join(b for _, _, b in frames)
 
 
@@ -421,9 +425,9 @@ def test_cross_term_free_search_ends_in_round_one(data_server, demo_keys, demo_f
     assert len(upstream_writes) == 1
     assert INIT_FIELDS.unpack(frames[0][2][16:])[1:3] == (0, 0)  # n_pos, n_neg
     if qtype == "count":
-        assert frames[1][2] == COUNT.pack(expected) and res.count == expected
+        assert frames[1][2] == res == COUNT.pack(expected)
     else:
-        assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == expected
+        assert decrypt_ids(res, eq.sterm, demo_keys) == expected
 
 
 def _joined_token_frames(writes) -> list:
@@ -450,7 +454,7 @@ def test_small_batches_equal_one_shot(monkeypatch, data_server, demo_keys, demo_
     trickle_frames = []
     trickle = execute_search(data_server.server_address, demo_keys, eq,
                              on_frame=lambda d, t, b: trickle_frames.append(t))
-    assert one.enc_ids == trickle.enc_ids
+    assert one == trickle
     assert trickle_frames.count(MSG_XTOKENS) == 5  # 5 tuples, one per frame
     # one write for round one, then one per token frame as it is made
     assert len(one_writes) == 2 and len(upstream_writes) == 1 + 5
@@ -488,7 +492,7 @@ def test_server_answers_after_the_last_counter(monkeypatch, data_server, demo_ke
                          on_frame=lambda d, t, b: frames.append((d, t)))
     assert frames == [("send", MSG_SEARCH_INIT), ("recv", MSG_STERM_COUNT)] \
         + [("send", MSG_XTOKENS)] * 5 + [("recv", MSG_RESULT)]
-    assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == run_query(
+    assert decrypt_ids(res, eq.sterm, demo_keys) == run_query(
         demo_keys, demo_egdb, query, demo_freq) == [6]
     # by hand: tokens that hit on every tuple, one counter per frame. The
     # count after the fifth frame takes all five, and the connection is then
@@ -519,7 +523,7 @@ def test_empty_chain_search_ends_in_round_one(data_server, demo_keys, demo_egdb,
     # declared, as for any chain
     assert INIT_FIELDS.unpack(frames[0][2][16:])[1:3] == (1, 0)
     assert frames[1][2] == expected
-    networked = res.count if qtype == "count" else decrypt_ids(res.enc_ids, eq.sterm,
+    networked = COUNT.unpack(res)[0] if qtype == "count" else decrypt_ids(res, eq.sterm,
                                                                  demo_keys)
     assert networked == run_query(demo_keys, demo_egdb, query, demo_freq) == (
         0 if qtype == "count" else [])
@@ -683,7 +687,7 @@ def test_round_two_streams_each_frame_as_it_is_made(monkeypatch, data_server, de
     eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"), demo_freq)
     res = execute_search(data_server.server_address, demo_keys, eq, timeout=30)
     assert waited == [True]
-    assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == [6]
+    assert decrypt_ids(res, eq.sterm, demo_keys) == [6]
 
 
 def _pump(src, dst):
@@ -736,7 +740,7 @@ def _frame_gaps_through_a_nagle_relay(monkeypatch, demo_egdb, demo_keys, demo_fr
         for _ in range(searches):
             reads.append([])
             res = execute_search(listener.getsockname(), demo_keys, eq, timeout=10)
-            assert decrypt_ids(res.enc_ids, eq.sterm, demo_keys) == [6]
+            assert decrypt_ids(res, eq.sterm, demo_keys) == [6]
         thread.join(timeout=10)
         assert not thread.is_alive()
     finally:
@@ -820,7 +824,7 @@ def test_rejected_first_batch_of_a_coalesced_stream_fails_cleanly(
         assert "outcome=error:upstream ms_total=" in audit.read_text()
         # the refused searches took nothing with them: a new one is answered
         eq = encode_query(parse_query("SNP2=CC", "count"))
-        assert execute_search(srv.server_address, demo_keys, eq, timeout=10).count == 5
+        assert execute_search(srv.server_address, demo_keys, eq, timeout=10) == COUNT.pack(5)
     finally:
         vet.shutdown()
         vet.server_close()
@@ -831,7 +835,7 @@ def test_rejected_first_batch_of_a_coalesced_stream_fails_cleanly(
 def test_count_zero_still_answers(data_server, demo_keys):
     eq = encode_query(parse_query("phenotype=Nothing Here", "count"))
     res = execute_search(data_server.server_address, demo_keys, eq)
-    assert res.count == 0
+    assert res == COUNT.pack(0)
 
 
 def test_concurrent_searches(monkeypatch, demo_egdb, demo_keys, demo_freq):
@@ -849,7 +853,7 @@ def test_concurrent_searches(monkeypatch, demo_egdb, demo_keys, demo_freq):
         def work(i, qtype, where, k):
             eq = encode_query(parse_query(where, qtype, k), demo_freq)
             res = execute_search(srv.server_address, demo_keys, eq)
-            results[i] = res.count if qtype == "count" else len(res.enc_ids)
+            results[i] = COUNT.unpack(res)[0] if qtype == "count" else len(res) // ENC_ID_LEN
 
         threads = [threading.Thread(target=work, args=(i, q, w, k))
                    for i, (q, w, k, _) in enumerate(queries)]
@@ -866,14 +870,8 @@ def test_concurrent_searches(monkeypatch, demo_egdb, demo_keys, demo_freq):
 
 # --- data-server protocol robustness ---------------------------------------------------
 
-def _init_body(demo_keys, sterm="Cancer B", gamma=1, n_pos=1, n_neg=0, k_prime=None):
-    """A search init's body; k_prime None is sent as 0, as for a non-match."""
-    return TSet.tag(demo_keys.k_t, sterm) + INIT_FIELDS.pack(gamma, n_pos, n_neg,
-                                                             k_prime or 0)
-
-
 def _init_frame(demo_keys, **fields):
-    return encode_frame(MSG_SEARCH_INIT, _init_body(demo_keys, **fields))
+    return encode_frame(MSG_SEARCH_INIT, init_body(demo_keys, **fields))
 
 
 def _hits(demo_keys, counters=3):
@@ -899,7 +897,7 @@ def test_server_rejects_bad_gamma(data_server, demo_keys):
 ], ids=["match-missing", "match-zero", "boolean-with-k"])
 def test_server_rejects_bad_k_prime(data_server, demo_keys, gamma, k_prime, why):
     """A k' field cut off leaves the init short, refused by its length."""
-    body = _init_body(demo_keys, gamma=gamma, k_prime=k_prime)
+    body = init_body(demo_keys, gamma=gamma, k_prime=k_prime)
     if k_prime is None:
         body = body[:-4]
     [(mtype, obj)] = _raw(data_server.server_address, encode_frame(MSG_SEARCH_INIT, body))
@@ -926,7 +924,7 @@ def test_server_rejects_unequal_token_arrays(data_server, demo_keys):
 def test_server_rejects_bad_cross_term_counts(data_server, demo_keys, cut):
     """An init that ends before its n_pos or n_neg field is refused by its
     length; the unsigned fields themselves hold any count."""
-    body = _init_body(demo_keys)[:-cut]
+    body = init_body(demo_keys)[:-cut]
     [(mtype, obj)] = _raw(data_server.server_address, encode_frame(MSG_SEARCH_INIT, body))
     assert mtype == MSG_ERROR and "16- or 32-byte tag" in obj["error"]
 
@@ -935,7 +933,7 @@ def test_server_refuses_an_init_by_its_length(data_server, demo_keys):
     """Only a 16- or 32-byte tag and the fields make an init. An older
     vetter's JSON init is refused by its length too."""
     addr = data_server.server_address
-    good = _init_body(demo_keys)
+    good = init_body(demo_keys)
     legacy = json.dumps({"stag": base64.b64encode(good[:16]).decode(), "gamma": 1,
                          "n_pos": 1, "n_neg": 0}).encode()
     for body in (b"", good[:13], good[1:], b"\0" + good, bytes(17) + good, legacy):
@@ -1375,8 +1373,8 @@ def _token_frames(draw, pool):
 
 def _expected_token_answer(egdb, keys, gamma, n_pos, n_neg, k_prime, body):
     """The answer a frame must get: "error", "open" (valid rows short of the
-    chain's end), or the ResultSet of the same rows fed in process."""
-    core = SearchCore(egdb, TSet.tag(keys.k_t, "Cancer B"), gamma, n_pos, n_neg, k_prime)
+    chain's end), or the result body of the same rows fed in process."""
+    core = SearchCore(egdb, init_body(keys, "Cancer B", gamma, n_pos, n_neg, k_prime))
     n_rows, rest = divmod(len(body), (n_pos + n_neg) * 33)
     if rest or not 0 < n_rows <= len(core.tuples) or not set(body[::33]) <= {2, 3}:
         return "error"
@@ -1417,10 +1415,8 @@ def test_data_server_token_path_fuzz(fuzz_server, demo_egdb, demo_keys):
             assert mtype == MSG_ERROR, obj
         elif expected == "open":
             assert mtype == 0  # the search waited for more rows until the close
-        elif gamma == 2:
-            assert (mtype, obj) == (MSG_RESULT, COUNT.pack(expected.count))
         else:
-            assert (mtype, obj) == (MSG_RESULT, b"".join(expected.enc_ids))
+            assert (mtype, obj) == (MSG_RESULT, expected)
         seen.add(expected if isinstance(expected, str) else "result")
 
     check()
@@ -1458,8 +1454,8 @@ def test_data_server_init_fuzz(fuzz_server, demo_keys):
     @settings(max_examples=200, deadline=None)
     @given(_init_bodies())
     # one of each answer on every run, whatever the strategy draws
-    @example(_init_body(demo_keys))
-    @example(_init_body(demo_keys, n_pos=0))
+    @example(init_body(demo_keys))
+    @example(init_body(demo_keys, n_pos=0))
     @example(b"")
     def check(body):
         with socket.create_connection(fuzz_server.server_address, timeout=10) as sock:
@@ -1479,9 +1475,61 @@ def test_data_server_init_fuzz(fuzz_server, demo_keys):
     assert seen == {MSG_STERM_COUNT, MSG_RESULT, MSG_ERROR}
 
 
+@settings(max_examples=300, deadline=None)
+@given(_init_bodies())
+@example(b"")
+def test_search_core_init_fuzz(demo_egdb, body):
+    """In process, the core opens on any init or raises WireError, and
+    nothing else: exactly when the init breaks a rule of its layout. An
+    open core holds the init's fields."""
+    try:
+        core = SearchCore(demo_egdb, body)
+    except WireError:
+        assert not _valid_init(body)
+        return
+    assert _valid_init(body)
+    gamma, n_pos, n_neg, k_prime = INIT_FIELDS.unpack(body[-INIT_FIELDS.size:])
+    assert (core.gamma, core.n_pos, core.n_neg, core.k_prime) == (gamma, n_pos, n_neg, k_prime)
+
+
+_SAME_BODY_CASES = [("count", "SNP2=CC", None), ("count", "phenotype=Cancer B, SNP2!=CC", None),
+                    ("boolean", "phenotype=Cancer B, SNP2=CC, SNP4=AG", None),
+                    ("boolean", "phenotype=Cancer Z, SNP2=CC", None),
+                    ("match", "id=7, SNP2=CC, SNP3=CT, SNP4=AG", 2)]
+
+
+@pytest.mark.parametrize("qtype,where,k_prime", _SAME_BODY_CASES)
+def test_run_query_opens_and_finishes_on_the_wire_bodies(monkeypatch, data_server, demo_gdb,
+                                                          demo_keys, demo_egdb, demo_freq,
+                                                          qtype, where, k_prime):
+    """The in-process pipeline's core opens on the init the vetter sends and
+    finishes into the result the data server sends, byte for byte."""
+    opened, finished = [], []
+
+    class RecordingCore(SearchCore):
+        def __init__(self, egdb, init):
+            opened.append(init)
+            super().__init__(egdb, init)
+
+        def finish(self):
+            finished.append(super().finish())
+            return finished[-1]
+
+    monkeypatch.setattr(engine, "SearchCore", RecordingCore)  # not the data server's
+    query = parse_query(where, qtype, k_prime)
+    answer = run_query(demo_keys, demo_egdb, query, demo_freq)
+    frames = []
+    execute_search(data_server.server_address, demo_keys, encode_query(query, demo_freq),
+                   on_frame=lambda d, t, b: frames.append((t, b)))
+    assert opened == [b for t, b in frames if t == MSG_SEARCH_INIT]
+    assert finished == [b for t, b in frames if t == MSG_RESULT]
+    assert answer == evaluate_plain(demo_gdb, query, demo_freq)
+
+
 def test_a_confused_data_server_gets_a_typed_refusal(demo_keys, demo_freq):
     """Whatever frames a data server answers a search with, the search
-    returns a ResultSet or fails with ServiceError or WireError."""
+    returns a result body of its query's shape or fails with ServiceError or
+    WireError."""
     listener = socket.create_server(("127.0.0.1", 0))
     replies = []
 
@@ -1528,7 +1576,7 @@ def test_a_confused_data_server_gets_a_typed_refusal(demo_keys, demo_freq):
         except (ServiceError, WireError) as exc:
             seen.add(type(exc))
             return
-        assert res.gamma == eq.gamma
+        assert len(res) == COUNT.size if eq is count else len(res) % ENC_ID_LEN == 0
         seen.add(type(res))
 
     try:
