@@ -5,11 +5,15 @@ count, boolean (conjunction with negation), and k'-of-k match queries
 without learning keywords, record ids, or query contents beyond the
 designed leakage: the query type, the anchor tag (stable per keyword), the
 anchor's chain length, the positive and negative cross-term counts (sent in
-round one, so learnt even for an empty chain), k', and the result size.
-The server evaluates the search itself, and every row's tokens reach it, not
-only those its early exit reaches. So it can raise them all and learn, for
-every tuple of the chain, which of the query's cross-terms hold. This is
-within OXT's leakage profile (Cash et al., CRYPTO 2013).
+round one, so learnt even for an empty chain), k', which tuples are still
+undecided after each column round (the server's own bitmap), and the
+result size. The server
+evaluates the search itself. A column round sends a cross-term's tokens
+only to the tuples still undecided; a row round, once fewer than
+``engine.COLUMN_MIN`` are, sends them every cross-term left, not only those
+their early exit reaches. For those tuples the server can raise them all
+and learn which of the query's cross-terms hold. This is within OXT's
+leakage profile (Cash et al., CRYPTO 2013).
 """
 
 __version__ = "0.1.0"

@@ -3,12 +3,16 @@
 The data server holds only the encrypted database and executes the search
 protocol: round one opens a search on the anchor tag and answers the result
 itself when that already decides the search (no cross-terms, or an empty
-chain), and the chain's tuple count otherwise; round two then takes exactly
-one token row per tuple and answers the result after the last. These search
+chain), and the chain's tuple count otherwise. Round two then runs in
+rounds, each over the counters still undecided: a column round takes one
+token per counter, of one cross-term, and the server answers the undecided
+counters' bitmap, or the result once every tuple is decided; a row round
+takes every column left and is answered with the result. These search
 frames have the raw layouts that ``wire`` defines, and the engine writes and
-reads every body: ``search_init`` and ``generate_token`` on the vetter,
-``SearchCore`` on the data server, which opens from the init and finishes
-into the result. This module only moves the bytes. The vetter holds the keys
+reads every body, and sets which round comes next: ``search_init``,
+``generate_token``, ``TokenRounds`` on the vetter, ``SearchCore`` on the
+data server, which opens from the init and finishes into the result. This
+module only moves the bytes. The vetter holds the keys
 and the policy: it admits or denies user queries, drives the search, decrypts
 results, and applies release vetting. Users speak plaintext to the vetter
 only.
@@ -24,13 +28,14 @@ import threading
 import time
 from datetime import datetime, timezone
 
-from .crypto import ENC_ID_LEN, KeySet, load_keys
+from .crypto import ELEMENT_LEN, ENC_ID_LEN, KeySet, load_keys
 from .encoding import QueryError, encode_query, parse_query
 from .engine import (
     GAMMA_COUNT,
     Policy,
     SearchCore,
     TamperingError,
+    TokenRounds,
     decrypt_ids,
     generate_token,
     parse_policy,
@@ -48,6 +53,8 @@ from .wire import (
     MSG_RESULT,
     MSG_SEARCH_INIT,
     MSG_STERM_COUNT,
+    MSG_UNDECIDED,
+    MSG_XCOLUMN,
     MSG_XTOKENS,
     RAW_TYPES,
     WireError,
@@ -59,7 +66,7 @@ log = logging.getLogger("privgendb.services")
 
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
 
-# Counters per token frame. Round two sends each frame as soon as its rows
+# Counters per token frame. Each round sends each frame as soon as its tokens
 # are made, so the data server evaluates one frame while the vetter makes the
 # next. Smaller frames overlap more, but each is one more write, one more
 # read and one more evaluation call at the server: on deploybench's
@@ -75,8 +82,11 @@ class ServiceError(Exception):
 
 
 def parse_hostport(text: str) -> "tuple[str, int]":
-    """``host:port`` as an address tuple; ValueError unless the port is 0-65535."""
+    """``host:port`` or ``[v6 address]:port`` as an address tuple, without
+    the brackets; ValueError unless the port is 0-65535."""
     host, sep, port = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {text!r}")
     if not 0 <= (number := int(port)) <= 65535:
@@ -84,10 +94,17 @@ def parse_hostport(text: str) -> "tuple[str, int]":
     return host, number
 
 
+def format_hostport(addr) -> str:
+    """An address tuple as ``parse_hostport`` reads it back."""
+    host, port = addr[:2]
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
 class _BoundedServer(socketserver.ThreadingTCPServer):
     """One thread per connection, at most ``MAX_CONNECTIONS`` at once.
 
-    A connection over the cap gets ``MSG_ERROR`` and is closed before any
+    It binds IPv6 when the host is an IPv6 address, IPv4 otherwise. A
+    connection over the cap gets ``MSG_ERROR`` and is closed before any
     thread starts for it.
     """
 
@@ -96,6 +113,7 @@ class _BoundedServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, addr, handler):
         self.slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        self.address_family = socket.AF_INET6 if ":" in addr[0] else socket.AF_INET
         super().__init__(addr, handler)
 
     def process_request(self, request, client_address):
@@ -154,11 +172,11 @@ class _DataHandler(socketserver.StreamRequestHandler):
             try:
                 if mtype == MSG_SEARCH_INIT and core is None:
                     core = self._init(obj)
-                elif mtype == MSG_XTOKENS and core is not None:
-                    core = self._tokens(core, obj)
+                elif mtype in (MSG_XTOKENS, MSG_XCOLUMN) and core is not None:
+                    core = self._tokens(core, obj, mtype == MSG_XCOLUMN)
                 elif mtype == MSG_SEARCH_INIT:
                     raise WireError("a search is already open on this connection")
-                elif mtype == MSG_XTOKENS:
+                elif mtype in (MSG_XTOKENS, MSG_XCOLUMN):
                     raise WireError("token frame without an open search")
                 else:
                     raise WireError(f"unexpected message type {mtype}")
@@ -197,19 +215,26 @@ class _DataHandler(socketserver.StreamRequestHandler):
         send_frame(self.connection, MSG_STERM_COUNT, COUNT.pack(len(core.tuples)))
         return core
 
-    def _tokens(self, core: SearchCore, body: bytes) -> "SearchCore | None":
-        """One token frame; returns the core, or None once its last counter answered."""
-        core.feed(body)
-        if not core.done:
+    def _tokens(self, core: SearchCore, body: bytes, column: bool) -> "SearchCore | None":
+        """One row or column frame; returns the core, or None once its result went.
+
+        After a round's last counter it answers the result if every tuple
+        is decided, and the undecided counters' bitmap otherwise.
+        """
+        core.feed(body, column)
+        if core.round_open:
             return core
-        send_frame(self.connection, MSG_RESULT, core.finish())
-        return None
+        if core.done:
+            send_frame(self.connection, MSG_RESULT, core.finish())
+            return None
+        send_frame(self.connection, MSG_UNDECIDED, core.next_round())
+        return core
 
 
 # --- vetter-side search client ------------------------------------------------------
 
 def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
-                   timeout: float = 60.0) -> bytes:
+                   timeout: float = 60.0, stats: "dict | None" = None) -> bytes:
     """Drive the search protocol against a data server; returns the result body.
 
     The body is ``SearchCore.finish``'s: one ``wire.COUNT`` for a count, or
@@ -218,15 +243,19 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
 
     Round one carries the result when it already decides the search (no
     cross-terms, or an empty chain); otherwise it carries the chain length,
-    and round two sends one token row per tuple, ``FRAME_COUNTERS`` rows to
-    a frame. A frame's body is the bytes ``generate_token`` returns for its
-    counters, sent as they are; the row layout is the engine's alone. Each
-    frame goes out as soon as its rows are made, so the server evaluates one
-    frame while the next is being made.
+    and round two runs the rounds ``engine.TokenRounds`` sets: a column
+    round as ``MSG_XCOLUMN`` frames, a row round as ``MSG_XTOKENS`` frames,
+    ``FRAME_COUNTERS`` of the round's counters to a frame. A frame's body is
+    the bytes ``generate_token`` returns for its counters and columns, sent
+    as they are; the layout is the engine's alone. Each frame goes out as
+    soon as its tokens are made, so the server evaluates one frame while the
+    next is being made. After a column round the server answers the result,
+    or a ``MSG_UNDECIDED`` bitmap that sets the next round; a bitmap that
+    ``TokenRounds.advance`` refuses fails the search with ServiceError.
 
     Nagle's algorithm is off at both ends and the data server quick-ACKs,
-    so no frame waits on a delayed ACK: the server answers only after the
-    chain's last counter, and such a wait would stall the search. If the
+    so no frame waits on a delayed ACK: the server answers only after a
+    round's last counter, and such a wait would stall the search. If the
     server refuses a frame and hangs up while later frames are being sent,
     the search fails with the server's reason, not the broken pipe.
 
@@ -238,10 +267,13 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
 
     ``on_frame(direction, msg_type, body_bytes)`` observes every frame; the
     transcript tests use it to audit exactly what a network eavesdropper (or
-    the server itself) gets to see.
+    the server itself) gets to see. ``stats``, if given, gets ``tokens``,
+    the tokens sent, and ``rounds``, the token rounds begun.
     """
     deadline = time.monotonic() + timeout
     late = f"search ran past its {timeout:g} s deadline"
+    stats = {} if stats is None else stats
+    stats.update(tokens=0, rounds=0)
 
     def time_left() -> float:
         left = deadline - time.monotonic()
@@ -281,20 +313,32 @@ def execute_search(server_addr, keys: KeySet, eq, on_frame=None,
         if mtype == MSG_STERM_COUNT:
             if len(body) != COUNT.size or (inv_len := COUNT.unpack(body)[0]) < 1:
                 raise ServiceError("malformed tuple-count response")
-            for first in range(1, inv_len + 1, FRAME_COUNTERS):
-                last = min(first + FRAME_COUNTERS - 1, inv_len)
-                try:
-                    send(MSG_XTOKENS, generate_token(eq, keys, last, first))
-                except ConnectionError:
-                    # the server refused an earlier frame and hung up; its
-                    # MSG_ERROR is then already on the socket, and recv
-                    # raises it as a ServiceError
+            rounds = TokenRounds(eq, inv_len)
+            while True:
+                stats["rounds"] += 1
+                frame_type = MSG_XCOLUMN if rounds.column else MSG_XTOKENS
+                for i in range(0, len(rounds.counters), FRAME_COUNTERS):
+                    tokens = generate_token(eq, keys, rounds.counters[i : i + FRAME_COUNTERS],
+                                            rounds.col, rounds.ncols)
                     try:
-                        recv()
-                    except (OSError, WireError):
-                        pass
-                    raise
-            mtype, body = recv()
+                        send(frame_type, tokens)
+                    except ConnectionError:
+                        # the server refused an earlier frame and hung up;
+                        # its MSG_ERROR is then already on the socket, and
+                        # recv raises it as a ServiceError
+                        try:
+                            recv()
+                        except (OSError, WireError):
+                            pass
+                        raise
+                    stats["tokens"] += len(tokens) // ELEMENT_LEN
+                mtype, body = recv()
+                if mtype != MSG_UNDECIDED:
+                    break
+                try:
+                    rounds.advance(body)
+                except ValueError as exc:
+                    raise ServiceError(f"malformed undecided bitmap: {exc}") from None
         if mtype != MSG_RESULT:
             raise ServiceError(f"expected result, got message type {mtype}")
         if eq.gamma == GAMMA_COUNT:
@@ -383,8 +427,9 @@ class _VetterHandler(socketserver.StreamRequestHandler):
             self._send(MSG_DENIED, {"reason": "parse", "detail": str(exc)})
             return
         t_upstream = time.perf_counter()
+        stats = {}
         try:
-            result = execute_search(srv.server_addr, srv.keys, eq)
+            result = execute_search(srv.server_addr, srv.keys, eq, stats=stats)
             failure = None
         except (OSError, WireError, ServiceError) as exc:
             failure = exc
@@ -393,7 +438,8 @@ class _VetterHandler(socketserver.StreamRequestHandler):
         def audit(outcome: str) -> None:
             ms_total = (time.perf_counter() - t_request) * 1e3
             srv.audit(user, qtype, where,
-                      f"{outcome} ms_total={ms_total:.3f} ms_upstream={ms_upstream:.3f}")
+                      f"{outcome} tokens={stats['tokens']} rounds={stats['rounds']} "
+                      f"ms_total={ms_total:.3f} ms_upstream={ms_upstream:.3f}")
 
         if failure is not None:
             audit("error:upstream")
@@ -451,8 +497,8 @@ def serve_data(egdb_path, listen: str) -> None:
     load_ms = (time.perf_counter() - t0) * 1e3
     nbytes = os.path.getsize(egdb_path)
     with DataServer(addr, egdb) as srv:
-        log.info("data server on %s:%d (%d entries, %d bytes, loaded in %.1f ms)",
-                 *srv.server_address, egdb.params.n_entries, nbytes, load_ms)
+        log.info("data server on %s (%d entries, %d bytes, loaded in %.1f ms)",
+                 format_hostport(srv.server_address), egdb.params.n_entries, nbytes, load_ms)
         srv.serve_forever()
 
 
@@ -463,5 +509,6 @@ def serve_vetter(keys_path, policy_path, server: str, listen: str,
         policy = parse_policy(fh.read())
     addr = parse_hostport(listen)
     with Vetter(addr, keys, policy, parse_hostport(server), audit_path) as srv:
-        log.info("vetter on %s:%d (%d users)", *srv.server_address, len(policy.roles))
+        log.info("vetter on %s (%d users)", format_hostport(srv.server_address),
+                 len(policy.roles))
         srv.serve_forever()

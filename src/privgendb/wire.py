@@ -1,11 +1,11 @@
 """Framed wire protocol shared by the data server and the vetter.
 
 Frame layout, little-endian: u32 length, u8 message type, body; the length
-counts the type byte plus the body. The four search frames of the vetter ↔
+counts the type byte plus the body. The six search frames of the vetter ↔
 data-server hop (``RAW_TYPES``) have raw bodies of the fixed layouts given at
 their types below; the engine writes and reads every one of them
-(``search_init``, ``generate_token`` and ``SearchCore``). This module passes
-raw bodies through unread. Every other body, on the client hop and
+(``search_init``, ``generate_token``, ``read_undecided`` and ``SearchCore``).
+This module passes raw bodies through unread. Every other body, on the client hop and
 ``MSG_ERROR`` on both hops, is a UTF-8 JSON object.
 """
 
@@ -18,21 +18,30 @@ MAX_PAYLOAD = 64 * 1024 * 1024
 
 MSG_SEARCH_INIT = 1   # vetter -> server: stag (16 or 32 B), then INIT_FIELDS
 MSG_STERM_COUNT = 2   # server -> vetter: chain length, one COUNT
-MSG_XTOKENS = 3       # vetter -> server: token rows, one per counter
+MSG_XTOKENS = 3       # vetter -> server: a row round's token rows, one per
+                      # counter of the round, each every column left, 33 B a
+                      # token
 MSG_RESULT = 4        # server -> vetter: one COUNT, or the ciphertexts back to
-                      # back, 36 B each; after the chain's last counter, or in
-                      # round one for a search without cross-terms or over an
-                      # empty chain
+                      # back, 36 B each; after a round's last counter once
+                      # every tuple is decided, or in round one for a search
+                      # without cross-terms or over an empty chain
 MSG_QUERY = 5         # user -> vetter: plaintext query
 MSG_ANSWER = 6        # vetter -> user: count or id list
 MSG_DENIED = 7        # vetter -> user: policy rejection
 MSG_ERROR = 8         # either direction: protocol/internal failure
+MSG_XCOLUMN = 9       # vetter -> server: a column round's tokens, one 33-byte
+                      # token of the round's column per counter of the round
+MSG_UNDECIDED = 10    # server -> vetter: after a column round's last counter,
+                      # while some tuple is undecided; ceil(r / 8) bytes over
+                      # the round's r counters, bit i (bit i % 8 of byte i // 8)
+                      # set when the i-th is undecided, zero-padded
 
-RAW_TYPES = frozenset({MSG_SEARCH_INIT, MSG_STERM_COUNT, MSG_XTOKENS, MSG_RESULT})
+RAW_TYPES = frozenset({MSG_SEARCH_INIT, MSG_STERM_COUNT, MSG_XTOKENS, MSG_RESULT,
+                       MSG_XCOLUMN, MSG_UNDECIDED})
 INIT_FIELDS = struct.Struct("<BIII")  # gamma, n_pos, n_neg, k' (0 unless a match)
 COUNT = struct.Struct("<Q")
 
-_KNOWN_TYPES = frozenset(range(1, 9))
+_KNOWN_TYPES = frozenset(range(1, 11))
 _HEADER = struct.Struct("<IB")
 
 

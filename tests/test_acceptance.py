@@ -35,7 +35,8 @@ from privgendb.encoding import (
     parse_gdb,
     parse_query,
 )
-from privgendb.engine import decrypt_ids, generate_token, run_query, search_init
+from privgendb import engine
+from privgendb.engine import COLUMN_MIN, decrypt_ids, generate_token, run_query, search_init
 from privgendb.fixtures import load_demo_cohort
 from privgendb.index import (
     BloomFilter,
@@ -50,6 +51,8 @@ from privgendb.wire import (
     MSG_RESULT,
     MSG_SEARCH_INIT,
     MSG_STERM_COUNT,
+    MSG_UNDECIDED,
+    MSG_XCOLUMN,
     MSG_XTOKENS,
 )
 
@@ -250,7 +253,7 @@ def _anchored_search_setup(r, l, alpha, n_terms, seed):
     eq = encode_query(Query(tuple(preds), "count"))
     inv_len = len(egdb.tset.retrieve(TSet.tag(keys.k_t, eq.sterm)))
     assert inv_len == alpha
-    return egdb, search_init(eq, keys), generate_token(eq, keys, inv_len)
+    return egdb, search_init(eq, keys), generate_token(eq, keys, range(1, inv_len + 1))
 
 
 def _interleaved_medians(setup_a, setup_b, alpha, runs=5):
@@ -347,7 +350,7 @@ def _timed_stages(query_type, seed=81, runs=3):
     tokgen, searching = [], []
     for _ in range(runs):
         t0 = time.perf_counter()
-        rows = generate_token(eq, keys, inv_len)
+        rows = generate_token(eq, keys, range(1, inv_len + 1))
         t1 = time.perf_counter()
         res = search(egdb, search_init(eq, keys), rows)
         tokgen.append(t1 - t0)
@@ -376,10 +379,12 @@ def test_criterion_8_bench_records_absolute_numbers():
 
 # --- criterion 9: transcript exposes structure only ----------------------------------------
 # It checks the wire, the frames an eavesdropper or the server receives, not
-# what the server learns by computing the search. Every row's tokens reach
-# the server, and it can raise all of them, so it can learn, for every tuple
-# of the chain, which of the query's cross-terms hold; that is within OXT's
-# leakage profile (README, "Deployment assumptions").
+# what the server learns by computing the search. A column round sends a
+# column's tokens only to the counters still undecided, and its bitmap tells
+# the vetter which ones are; a row round sends every column left, and the
+# server can raise all of them, so it can learn, for every tuple of that
+# round, which of the query's cross-terms hold; that is within OXT's leakage
+# profile (README, "Deployment assumptions").
 
 def _session_transcript(addr, keys, where, qtype, k_prime=None):
     eq = encode_query(parse_query(where, qtype, k_prime))
@@ -388,26 +393,71 @@ def _session_transcript(addr, keys, where, qtype, k_prime=None):
     return eq, frames
 
 
-def test_criterion_9_transcript_privacy_shape(demo_keys, demo_egdb):
+def _round_sizes(types, bodies, chain, n_xterms) -> list:
+    """Check round two's frames and return (frame type, counters) per round.
+
+    Each round's token frames are of one type: a column frame holds 33
+    bytes per counter of the round, a row frame 33 per counter and column
+    left, and every token starts with a compressed point's 0x02 or 0x03. A
+    column round ends in the result or a bitmap of ceil(r / 8) bytes over
+    its r counters, zero-padded, whose set bits are the next round's
+    counters; a row round ends in the result.
+    """
+    rounds, r, col, i = [], chain, 0, 2
+    while True:
+        kind = types[i]
+        assert kind in (MSG_XCOLUMN, MSG_XTOKENS)
+        tokens = b""
+        while types[i] == kind:
+            tokens += bodies[i]
+            i += 1
+        ncols = 1 if kind == MSG_XCOLUMN else n_xterms - col
+        assert len(tokens) == r * ncols * 33
+        assert set(tokens[::33]) <= {2, 3}
+        rounds.append((kind, r))
+        if types[i] == MSG_RESULT:
+            assert i == len(types) - 1
+            return rounds
+        assert (kind, types[i]) == (MSG_XCOLUMN, MSG_UNDECIDED)
+        assert len(bodies[i]) == -(-r // 8)
+        bits = int.from_bytes(bodies[i], "little")
+        assert bits and bits >> r == 0
+        r, col, i = bin(bits).count("1"), col + 1, i + 1
+
+
+def test_criterion_9_transcript_privacy_shape(demo_keys, demo_egdb, monkeypatch):
     srv = DataServer(("127.0.0.1", 0), demo_egdb)
     threading.Thread(target=srv.serve_forever, daemon=True).start()
     try:
-        # (type, where, k', cross-terms, rounds): round one answers a search
-        # without cross-terms or over an empty chain
+        # (type, where, k', cross-terms, COLUMN_MIN, rounds after round one):
+        # round one answers a search without cross-terms or over an empty
+        # chain; the demo's chains are shorter than the default COLUMN_MIN,
+        # so at 1 they run column rounds
         sessions = [
-            ("count", "phenotype=Cancer B, SNP2=CC, SNP4=AG", None, 2, 2),
-            ("boolean", "phenotype=Cancer B, SNP2!=CC, SNP4=AG", None, 2, 2),
-            ("match", "phenotype=Cancer B, SNP2=CC, SNP3=CT, SNP4=AG", 2, 3, 2),
-            ("boolean", "phenotype=Cancer B", None, 0, 1),
-            ("count", "phenotype=Cancer Z, SNP2=CC", None, 1, 1),
+            ("count", "phenotype=Cancer B, SNP2=CC, SNP4=AG", None, 2, COLUMN_MIN,
+             [(MSG_XTOKENS, 3)]),
+            ("boolean", "phenotype=Cancer B, SNP2!=CC, SNP4=AG", None, 2, COLUMN_MIN,
+             [(MSG_XTOKENS, 3)]),
+            ("match", "phenotype=Cancer B, SNP2=CC, SNP3=CT, SNP4=AG", 2, 3, COLUMN_MIN,
+             [(MSG_XTOKENS, 3)]),
+            ("boolean", "phenotype=Cancer B", None, 0, COLUMN_MIN, []),
+            ("count", "phenotype=Cancer Z, SNP2=CC", None, 1, COLUMN_MIN, []),
+            ("count", "phenotype=Cancer B, SNP2=CC, SNP4=AG", None, 2, 1,
+             [(MSG_XCOLUMN, 3), (MSG_XTOKENS, 2)]),
+            ("boolean", "SNP4=AG, SNP1!=AA, SNP3=TT", None, 2, 1,
+             [(MSG_XCOLUMN, 4), (MSG_XTOKENS, 3)]),
+            ("match", "phenotype=Cancer B, SNP2=CC, SNP3=CT, SNP4=AG", 2, 3, 1,
+             [(MSG_XCOLUMN, 3), (MSG_XCOLUMN, 3), (MSG_XTOKENS, 2)]),
         ]
-        for qtype, where, k_prime, n_xterms, rounds in sessions:
+        for qtype, where, k_prime, n_xterms, column_min, rounds in sessions:
+            monkeypatch.setattr(engine, "COLUMN_MIN", column_min)
             eq, frames = _session_transcript(
                 srv.server_address, demo_keys, where, qtype, k_prime)
             types = [t for _, t, _ in frames]
             bodies = [b for _, _, b in frames]
-            assert types == ([MSG_SEARCH_INIT, MSG_STERM_COUNT, MSG_XTOKENS, MSG_RESULT]
-                             if rounds == 2 else [MSG_SEARCH_INIT, MSG_RESULT])
+            assert types[0] == MSG_SEARCH_INIT
+            if not rounds:
+                assert types == [MSG_SEARCH_INIT, MSG_RESULT]
 
             # every byte of the init: the anchor tag, then exactly the
             # predicate counts and the threshold; round one declares the
@@ -420,15 +470,12 @@ def test_criterion_9_transcript_privacy_shape(demo_keys, demo_egdb):
             assert len(init) == 16 + INIT_FIELDS.size
             assert INIT_FIELDS.unpack(init[16:]) == (eq.gamma, n_pos, n_neg, k_prime or 0)
             chain = None
-            if rounds == 2:
-                # the chain length is one count, and the token frame is raw
-                # rows and nothing else: one row per tuple of exactly the
-                # declared tokens, 33 bytes each, and every token starts
-                # with a compressed point's 0x02 or 0x03
-                assert len(bodies[1]) == COUNT.size
+            if rounds:
+                # the chain length is one count, and the rounds carry raw
+                # tokens and bitmaps and nothing else
+                assert types[1] == MSG_STERM_COUNT and len(bodies[1]) == COUNT.size
                 (chain,) = COUNT.unpack(bodies[1])
-                assert len(bodies[2]) == chain * n_xterms * 33
-                assert set(bodies[2][::33]) <= {2, 3}
+                assert _round_sizes(types, bodies, chain, n_xterms) == rounds
             # the result is one count, or whole 36-byte ciphertexts, no
             # more of them than the chain has tuples
             result = bodies[-1]
@@ -448,4 +495,4 @@ def test_criterion_9_transcript_privacy_shape(demo_keys, demo_egdb):
     finally:
         srv.shutdown()
         srv.server_close()
-    _report(9, "5 session transcripts carry fixed-layout opaque fields only")
+    _report(9, f"{len(sessions)} session transcripts carry fixed-layout opaque fields only")

@@ -55,7 +55,7 @@ from oracle import evaluate_plain
 def test_token_shape_and_values(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"))
     assert eq.sterm == "Cancer B"
-    body = generate_token(eq, demo_keys, 3)
+    body = generate_token(eq, demo_keys, range(1, 4))
     # 3 rows of 2 positive tokens and no negative one, 33 bytes each
     assert type(body) is bytes and len(body) == 3 * 2 * 33
     assert set(body[::33]) <= {2, 3}
@@ -67,7 +67,7 @@ def test_token_shape_and_values(demo_keys):
 
 def test_token_negation_split(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2!=CC, SNP4=AG", "count"))
-    body = generate_token(eq, demo_keys, 3)
+    body = generate_token(eq, demo_keys, range(1, 4))
     assert len(body) == 3 * 2 * 33  # each row: 1 positive token, then 1 negative
     # counter 1's row: the positive term's token, then the negated term's
     z1 = prf_fp(demo_keys.k_z, keyword_counter("Cancer B", 1))
@@ -80,27 +80,45 @@ def test_token_without_cross_terms_skips_blinding(demo_keys, monkeypatch):
     calls = []
     real = engine.prf_fp
     monkeypatch.setattr(engine, "prf_fp", lambda k, d: calls.append(k) or real(k, d))
-    assert generate_token(eq, demo_keys, 5) == b""  # 5 empty rows
+    assert generate_token(eq, demo_keys, range(1, 6)) == b""  # 5 empty rows
     assert demo_keys.k_z not in calls  # no z_c derived for an empty token list
 
 
 def test_token_zero_counters(demo_keys):
     eq = encode_query(parse_query("phenotype=Cancer Z, SNP2=CC", "count"))
-    assert generate_token(eq, demo_keys, 0) == b""
-    with pytest.raises(ValueError):
-        generate_token(eq, demo_keys, -1)
+    assert generate_token(eq, demo_keys, []) == b""
+    for bad in ([-1], [0], [2, 0]):
+        with pytest.raises(ValueError, match="bad counter"):
+            generate_token(eq, demo_keys, bad)
 
 
 def test_token_counter_range_is_a_slice_of_the_chain(demo_keys):
     eq = encode_query(parse_query("SNP2=CC, SNP4!=AG", "boolean"))
-    body = generate_token(eq, demo_keys, 5)
+    body = generate_token(eq, demo_keys, range(1, 6))
     assert (eq.positive_xterms, eq.negative_xterms) == ((), ("4AG",))
     row = 33  # the negative token alone
     for first, last in [(1, 1), (2, 4), (5, 5), (3, 2)]:
-        assert generate_token(eq, demo_keys, last, first) == body[(first - 1) * row : last * row]
-    for first, last in [(0, 3), (4, 2)]:
-        with pytest.raises(ValueError, match="counter range"):
-            generate_token(eq, demo_keys, last, first)
+        assert generate_token(eq, demo_keys, range(first, last + 1)) == \
+            body[(first - 1) * row : last * row]
+    # any counters, in the order given
+    assert generate_token(eq, demo_keys, [5, 2]) == body[4 * row :] + body[row : 2 * row]
+
+
+def test_token_columns_are_a_slice_of_the_rows(demo_keys):
+    """Any run of columns of any counters: the same tokens the whole rows
+    hold, and no others."""
+    eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP3!=CT, SNP4=AG", "count"))
+    width = 3
+    rows = generate_token(eq, demo_keys, range(1, 4))
+    token = lambda c, g: rows[((c - 1) * width + g) * 33 : ((c - 1) * width + g + 1) * 33]
+    for counters, col, ncols in [([1, 2, 3], 0, 1), ([3, 1], 1, 1), ([2], 1, 2), ([1, 3], 2, 1),
+                                 ([2, 3], 1, None), ([1], 0, 3), ([1, 2], 3, 0)]:
+        stop = width if ncols is None else col + ncols
+        assert generate_token(eq, demo_keys, counters, col, ncols) == b"".join(
+            token(c, g) for c in counters for g in range(col, stop))
+    for col, ncols in [(-1, 1), (2, 2), (4, None), (0, 4)]:
+        with pytest.raises(ValueError, match="column range"):
+            generate_token(eq, demo_keys, [1], col, ncols)
 
 
 # --- golden query answers over the encrypted pipeline -------------------------------
@@ -189,7 +207,7 @@ def test_search_refuses_rows_past_the_chain(demo_keys, demo_egdb):
 
 def test_search_unknown_anchor_is_empty(demo_keys, demo_egdb):
     eq = encode_query(parse_query("phenotype=Nope, SNP2=CC", "boolean"))
-    assert search(demo_egdb, search_init(eq, demo_keys), generate_token(eq, demo_keys, 0)) == b""
+    assert search(demo_egdb, search_init(eq, demo_keys), generate_token(eq, demo_keys, [])) == b""
 
 
 # --- the search core ----------------------------------------------------------------
@@ -212,7 +230,7 @@ def test_tokenless_chain_builds_no_key(demo_keys, demo_egdb, monkeypatch):
     assert keys_made == []
     # with cross-terms: one key per tuple, however many tokens it has
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC, SNP4=AG", "boolean"))
-    rows = generate_token(eq, demo_keys, 3)
+    rows = generate_token(eq, demo_keys, range(1, 4))
     keys_made.clear()
     assert len(search(demo_egdb, search_init(eq, demo_keys), rows)) == 2 * ENC_ID_LEN
     assert len(keys_made) == 3
@@ -233,7 +251,7 @@ def test_tokenless_search_is_decided_in_round_one(demo_keys, demo_egdb, monkeypa
     core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_COUNT, n_pos=0))
     assert core.done and core.finish() == COUNT.pack(3)
     core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_BOOLEAN, n_pos=0))
-    assert core.done and core.next_counter == 4
+    assert core.done and not core.round_open and len(core.counters) == 0
     assert core.finish() == b"".join(bytes(row[Y_LEN:]) for row in core.tuples)
     core = SearchCore(demo_egdb, init_body(demo_keys, gamma=GAMMA_MATCH, n_pos=0, k_prime=1))
     assert core.done and core.finish() == b""
@@ -308,7 +326,7 @@ def test_feed_refuses_a_body_before_evaluating_any_row(demo_keys, demo_egdb, mon
 
 def test_decrypt_ids_detects_tampering(demo_keys, demo_egdb):
     eq = encode_query(parse_query("phenotype=Cancer B, SNP2=CC", "boolean"))
-    res = search(demo_egdb, search_init(eq, demo_keys), generate_token(eq, demo_keys, 3))
+    res = search(demo_egdb, search_init(eq, demo_keys), generate_token(eq, demo_keys, range(1, 4)))
     assert len(res) == 2 * ENC_ID_LEN
     assert decrypt_ids(res, eq.sterm, demo_keys) == [2, 5]
     evil = bytearray(res)
@@ -325,7 +343,7 @@ def test_decrypt_ids_detects_tampering(demo_keys, demo_egdb):
 
 def test_decrypt_ids_sorts_and_dedupes(demo_keys, demo_egdb):
     eq = encode_query(parse_query("SNP2=CC", "boolean"))
-    res = search(demo_egdb, search_init(eq, demo_keys), generate_token(eq, demo_keys, 5))
+    res = search(demo_egdb, search_init(eq, demo_keys), generate_token(eq, demo_keys, range(1, 6)))
     doubled = res + res[:2 * ENC_ID_LEN]
     assert decrypt_ids(doubled, eq.sterm, demo_keys) == [1, 2, 4, 5, 6]
 

@@ -34,6 +34,7 @@ from privgendb.services import (
     ServiceError,
     Vetter,
     execute_search,
+    format_hostport,
     parse_hostport,
     submit_query,
 )
@@ -48,6 +49,8 @@ from privgendb.wire import (
     MSG_RESULT,
     MSG_SEARCH_INIT,
     MSG_STERM_COUNT,
+    MSG_UNDECIDED,
+    MSG_XCOLUMN,
     MSG_XTOKENS,
     RAW_TYPES,
     WireError,
@@ -63,7 +66,7 @@ from oracle import SyntheticSpec, evaluate_plain, gen_synthetic
 # --- frame codec ----------------------------------------------------------------------
 
 def test_frame_roundtrip():
-    for mtype in range(1, 9):
+    for mtype in range(1, 11):
         obj = {"n": mtype, "text": "é" * mtype}
         if mtype in RAW_TYPES:  # the search frames, whose bodies are raw bytes
             obj = b"\xff\x00{" * (mtype + 10)
@@ -84,7 +87,7 @@ def test_frame_eof_and_garbage(monkeypatch):
     with pytest.raises(WireError):
         read_frame(io.BytesIO(struct.pack("<IB", MAX_PAYLOAD + 1, 1)))
     with pytest.raises(WireError):
-        read_frame(io.BytesIO(struct.pack("<IB", 3, 9) + b"{}"))  # unknown type
+        read_frame(io.BytesIO(struct.pack("<IB", 3, 11) + b"{}"))  # unknown type
     with pytest.raises(WireError):
         read_frame(io.BytesIO(struct.pack("<IB", 3, 1) + b"{"))  # truncated body
     with pytest.raises(WireError):
@@ -103,9 +106,11 @@ def test_frame_eof_and_garbage(monkeypatch):
 
 def test_parse_hostport():
     assert parse_hostport("127.0.0.1:9000") == ("127.0.0.1", 9000)
-    assert parse_hostport("[::1]:80") == ("[::1]", 80)
-    with pytest.raises(ValueError):
-        parse_hostport("9000")
+    assert parse_hostport("[::1]:80") == ("::1", 80)  # as getaddrinfo takes it
+    assert parse_hostport("[fe80::1%eth0]:80") == ("fe80::1%eth0", 80)
+    for bad in ("9000", "[]:80", ":80"):
+        with pytest.raises(ValueError, match="host:port"):
+            parse_hostport(bad)
     with pytest.raises(ValueError):
         parse_hostport("host:notaport")
     assert parse_hostport("h:0") == ("h", 0) and parse_hostport("h:65535") == ("h", 65535)
@@ -330,7 +335,9 @@ def test_audit_log_written(vetter, audit_file):
     (MSG_STERM_COUNT, COUNT.pack(5)),
     (MSG_XTOKENS, b"\x02" * 33),
     (MSG_RESULT, COUNT.pack(5)),
-], ids=["init", "chain-length", "tokens", "result"])
+    (MSG_XCOLUMN, b"\x02" * 33),
+    (MSG_UNDECIDED, b"\x01"),
+], ids=["init", "chain-length", "tokens", "result", "column", "undecided"])
 def test_client_refuses_a_token_frame_from_the_vetter(mtype, body):
     """A data-server hop frame's body is raw bytes, so it is no reply a
     client can read."""
@@ -351,6 +358,39 @@ def test_client_refuses_a_token_frame_from_the_vetter(mtype, body):
         assert not thread.is_alive()
     finally:
         listener.close()
+
+
+def _binds_ipv6_loopback() -> bool:
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _binds_ipv6_loopback(), reason="the IPv6 loopback cannot be bound")
+def test_servers_answer_on_the_ipv6_loopback(demo_egdb, demo_keys):
+    """A data server and a vetter given ``[::1]:0`` bind it, and a query
+    through addresses written and read as host:port is answered."""
+    data = DataServer(parse_hostport("[::1]:0"), demo_egdb)
+    threads = [threading.Thread(target=data.serve_forever, daemon=True)]
+    threads[0].start()
+    upstream = format_hostport(data.server_address)
+    assert re.fullmatch(r"\[::1\]:\d+", upstream)
+    vet = Vetter(parse_hostport("[::1]:0"), demo_keys, POLICY, parse_hostport(upstream))
+    threads.append(threading.Thread(target=vet.serve_forever, daemon=True))
+    threads[1].start()
+    try:
+        assert data.socket.family == vet.socket.family == socket.AF_INET6
+        mtype, body = submit_query(parse_hostport(format_hostport(vet.server_address)),
+                                   "alice", "boolean", "phenotype=Cancer B, SNP2=CC", timeout=10)
+        assert (mtype, body) == (MSG_ANSWER, {"ids": [2, 5]})
+    finally:
+        for srv in (vet, data):
+            srv.shutdown()
+            srv.server_close()
+        for thread in threads:
+            thread.join(timeout=10)
 
 
 def test_vetter_upstream_unavailable(demo_keys, tmp_path):
@@ -476,7 +516,7 @@ def test_token_frames_hold_only_rows(monkeypatch, data_server, demo_keys, demo_f
     # the frames carry generate_token's rows in counter order, each row its
     # positive token, then its negative one
     tokens = b"".join(bodies)
-    assert tokens == services.generate_token(eq, demo_keys, 5)
+    assert tokens == services.generate_token(eq, demo_keys, range(1, 6))
     assert tokens == _pack(zip(probe_tokens(demo_keys, "2CC", 5, "4AG"),
                                probe_tokens(demo_keys, "2CC", 5, "3CT")))
 
@@ -600,7 +640,7 @@ def test_a_lying_chain_length_cannot_outlast_the_deadline(demo_keys):
     assert 0 < len(bodies) < 5000
     n = services.FRAME_COUNTERS
     for i in (0, 1, len(bodies) - 1):
-        assert bodies[i] == generate_token(eq, demo_keys, (i + 1) * n, i * n + 1)
+        assert bodies[i] == generate_token(eq, demo_keys, range(i * n + 1, (i + 1) * n + 1))
 
 
 # SHA-256 of the bytes the vetter side wrote, and of the on_frame transcript
@@ -669,18 +709,18 @@ def test_round_two_streams_each_frame_as_it_is_made(monkeypatch, data_server, de
     fed = threading.Event()
     real_feed = services.SearchCore.feed
 
-    def feed(core, body):
-        real_feed(core, body)
-        if core.next_counter > 1:
+    def feed(core, body, column=False):
+        real_feed(core, body, column)
+        if core.fed:
             fed.set()
 
     waited = []
     real_generate = services.generate_token
 
-    def generate_token(eq, keys, last, first=1):
-        if first == 2:
+    def generate_token(eq, keys, counters, col=0, ncols=None):
+        if counters[0] == 2:
             waited.append(fed.wait(timeout=10))
-        return real_generate(eq, keys, last, first)
+        return real_generate(eq, keys, counters, col, ncols)
 
     monkeypatch.setattr(services.SearchCore, "feed", feed)
     monkeypatch.setattr(services, "generate_token", generate_token)
@@ -713,9 +753,9 @@ def _frame_gaps_through_a_nagle_relay(monkeypatch, demo_egdb, demo_keys, demo_fr
     reads = []
     real_tokens = services._DataHandler._tokens
 
-    def tokens(handler, core, obj):
+    def tokens(handler, core, obj, column):
         reads[-1].append(time.perf_counter())
-        return real_tokens(handler, core, obj)
+        return real_tokens(handler, core, obj, column)
 
     monkeypatch.setattr(services._DataHandler, "_tokens", tokens)
     srv = DataServer(("127.0.0.1", 0), demo_egdb)
@@ -783,9 +823,9 @@ def test_rejected_first_batch_of_a_coalesced_stream_fails_cleanly(
         real_close(server, request)
         hung_up.set()
 
-    def off_curve_at_counter_1(eq, keys, last, first=1):
-        body = real(eq, keys, last, first)
-        if first == 1:  # the query's one token: a negative one
+    def off_curve_at_counter_1(eq, keys, counters, col=0, ncols=None):
+        body = real(eq, keys, counters, col, ncols)
+        if counters[0] == 1:  # the query's one token: a negative one
             return OFF_CURVE + body[33:]
         hung_up.wait(timeout=10)  # later frames go to a server that hung up
         return body
@@ -821,7 +861,8 @@ def test_rejected_first_batch_of_a_coalesced_stream_fails_cleanly(
         mtype, body = submit_query(vet.server_address, "alice", "boolean",
                                    "SNP2=CC, SNP4!=AG", timeout=10)
         assert mtype == MSG_ERROR and "unavailable" in body["error"]
-        assert "outcome=error:upstream ms_total=" in audit.read_text()
+        assert re.search(r"outcome=error:upstream tokens=\d+ rounds=1 ms_total=",
+                         audit.read_text())
         # the refused searches took nothing with them: a new one is answered
         eq = encode_query(parse_query("SNP2=CC", "count"))
         assert execute_search(srv.server_address, demo_keys, eq, timeout=10) == COUNT.pack(5)
@@ -1306,7 +1347,7 @@ def _frame_streams(draw):
         return draw(st.binary(max_size=300))
     out = b""
     for _ in range(draw(st.integers(1, 3))):
-        mtype = draw(st.sampled_from(sorted(RAW_TYPES) * 2 + list(range(0, 11))))
+        mtype = draw(st.sampled_from(sorted(RAW_TYPES) * 2 + list(range(0, 13))))
         body = draw(st.binary(max_size=200))
         length = draw(st.one_of(st.just(len(body) + 1), st.integers(0, 400),
                                 st.integers(0, 2**32 - 1)))
@@ -1316,6 +1357,8 @@ def _frame_streams(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_frame_streams())
+@example(encode_frame(MSG_XCOLUMN, b"\x02" * 66) + encode_frame(MSG_UNDECIDED, b"\x05"))
+@example(struct.pack("<IB", 3, MSG_UNDECIDED) + b"\x01")  # cut short
 def test_read_frame_fuzz(data):
     rd = io.BytesIO(data)
     t0 = time.perf_counter()
@@ -1350,13 +1393,16 @@ def fuzz_server(demo_egdb):
 
 @st.composite
 def _token_frames(draw, pool):
-    """A search over the 3-tuple Cancer B chain, and a token frame body for
-    it: arbitrary bytes, or rows drawn from hits, misses, non-points, bad
-    prefixes and random tokens, possibly cut or extended."""
+    """A search over the 3-tuple Cancer B chain, and a frame for it: a row
+    frame, a column frame or a bitmap, whose body is arbitrary bytes, or
+    rows drawn from hits, misses, non-points, bad prefixes and random
+    tokens, possibly cut or extended."""
     gamma = draw(st.sampled_from([1, 2, 3]))
     n_pos = draw(st.integers(1 if gamma == 3 else 0, 2))
     n_neg = 0 if gamma == 3 else draw(st.integers(0 if n_pos else 1, 2))
     k_prime = draw(st.integers(1, n_pos + 1)) if gamma == 3 else None
+    mtype = draw(st.sampled_from([MSG_XTOKENS, MSG_XTOKENS, MSG_XCOLUMN, MSG_XCOLUMN,
+                                  MSG_UNDECIDED]))
     if draw(st.integers(0, 3)) == 0:
         body = draw(st.binary(max_size=300))
     else:
@@ -1364,25 +1410,33 @@ def _token_frames(draw, pool):
                           st.binary(min_size=33, max_size=33),
                           st.binary(min_size=32, max_size=32).map(lambda x: b"\x02" + x))
         rows = draw(st.sampled_from([0, 1, 2, 3, 3, 3, 4]))  # the chain has 3 tuples
-        body = b"".join(draw(st.lists(token, min_size=rows * (n_pos + n_neg),
-                                      max_size=rows * (n_pos + n_neg))))
+        width = 1 if mtype == MSG_XCOLUMN else n_pos + n_neg
+        body = b"".join(draw(st.lists(token, min_size=rows * width, max_size=rows * width)))
         if draw(st.integers(0, 3)) == 0:
             body = body[:draw(st.integers(0, len(body)))] + draw(st.binary(max_size=40))
-    return gamma, n_pos, n_neg, k_prime, body
+    return gamma, n_pos, n_neg, k_prime, mtype, body
 
 
-def _expected_token_answer(egdb, keys, gamma, n_pos, n_neg, k_prime, body):
+def _expected_token_answer(egdb, keys, gamma, n_pos, n_neg, k_prime, mtype, body):
     """The answer a frame must get: "error", "open" (valid rows short of the
-    chain's end), or the result body of the same rows fed in process."""
+    chain's end), or the (type, body) reply of the same frame fed in
+    process: the result, or after a column frame that leaves some tuple
+    undecided, the bitmap."""
     core = SearchCore(egdb, init_body(keys, "Cancer B", gamma, n_pos, n_neg, k_prime))
-    n_rows, rest = divmod(len(body), (n_pos + n_neg) * 33)
+    column = mtype == MSG_XCOLUMN
+    width = n_pos + n_neg
+    if mtype == MSG_UNDECIDED or (column and width < 2):
+        return "error"
+    n_rows, rest = divmod(len(body), (1 if column else width) * 33)
     if rest or not 0 < n_rows <= len(core.tuples) or not set(body[::33]) <= {2, 3}:
         return "error"
     try:
-        core.feed(body)
+        core.feed(body, column)
     except WireError:
         return "error"
-    return core.finish() if core.done else "open"
+    if core.round_open:
+        return "open"
+    return (MSG_RESULT, core.finish()) if core.done else (MSG_UNDECIDED, core.next_round())
 
 
 def test_data_server_token_path_fuzz(fuzz_server, demo_egdb, demo_keys):
@@ -1392,36 +1446,40 @@ def test_data_server_token_path_fuzz(fuzz_server, demo_egdb, demo_keys):
     hits = probe_tokens(demo_keys, "Cancer B", 3, "Cancer B")
     seen = set()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_token_frames(pool))
     # one of each outcome on every run, whatever the strategy draws
-    @example((1, 1, 0, None, b"".join(hits)))
-    @example((2, 1, 0, None, hits[0]))
-    @example((2, 1, 0, None, b""))
+    @example((1, 1, 0, None, MSG_XTOKENS, b"".join(hits)))
+    @example((2, 1, 0, None, MSG_XTOKENS, hits[0]))
+    @example((2, 1, 0, None, MSG_XTOKENS, b""))
+    @example((2, 2, 0, None, MSG_XCOLUMN, b"".join(hits)))
+    @example((2, 1, 1, None, MSG_XCOLUMN, hits[0]))
+    @example((1, 2, 0, None, MSG_UNDECIDED, b"\x07"))
     def check(frame):
-        gamma, n_pos, n_neg, k_prime, body = frame
+        gamma, n_pos, n_neg, k_prime, mtype, body = frame
         expected = _expected_token_answer(demo_egdb, demo_keys, *frame)
         with socket.create_connection(fuzz_server.server_address, timeout=10) as sock:
             rd = sock.makefile("rb")
             sock.sendall(_init_frame(demo_keys, gamma=gamma, n_pos=n_pos, n_neg=n_neg,
                                      k_prime=k_prime)
-                         + encode_frame(MSG_XTOKENS, body))
+                         + encode_frame(mtype, body))
             sock.shutdown(socket.SHUT_WR)
             assert read_frame(rd)[:2] == (MSG_STERM_COUNT, COUNT.pack(3))
-            mtype, obj, _ = read_frame(rd)
-            assert read_frame(rd)[0] == 0  # then the server hangs up
+            got = read_frame(rd)[:2]
+            # then the server hangs up, an open round waiting for rows
+            # until the close
+            assert got[0] == 0 or read_frame(rd)[0] == 0
         assert not fuzz_server.errors
         if expected == "error":
-            assert mtype == MSG_ERROR, obj
+            assert got[0] == MSG_ERROR, got
         elif expected == "open":
-            assert mtype == 0  # the search waited for more rows until the close
+            assert got[0] == 0
         else:
-            assert (mtype, obj) == (MSG_RESULT, expected)
-        seen.add(expected if isinstance(expected, str) else "result")
+            assert got == expected
+        seen.add(expected if isinstance(expected, str) else expected[0])
 
     check()
-    assert seen == {"error", "open", "result"}
-
+    assert seen == {"error", "open", MSG_RESULT, MSG_UNDECIDED}
 
 
 @st.composite
@@ -1532,13 +1590,14 @@ def test_a_confused_data_server_gets_a_typed_refusal(demo_keys, demo_freq):
     WireError."""
     listener = socket.create_server(("127.0.0.1", 0))
     replies = []
+    stop = threading.Event()
 
     def fake_server():
         while True:
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                return  # the listener closed
+            conn, _ = listener.accept()
+            if stop.is_set():
+                conn.close()
+                return
             with conn:
                 try:
                     rd = conn.makefile("rb")
@@ -1551,7 +1610,8 @@ def test_a_confused_data_server_gets_a_typed_refusal(demo_keys, demo_freq):
                 except OSError:
                     pass  # the vetter gave up and reset the connection
 
-    threading.Thread(target=fake_server, daemon=True).start()
+    thread = threading.Thread(target=fake_server, daemon=True)
+    thread.start()
     count, boolean, match = (
         encode_query(parse_query(where, qtype, k), demo_freq) for qtype, where, k in (
             ("count", "SNP2=CC, SNP4=AG", None), ("boolean", "SNP2=CC, SNP4!=AG", None),
@@ -1560,7 +1620,7 @@ def test_a_confused_data_server_gets_a_typed_refusal(demo_keys, demo_freq):
                      st.binary(max_size=120).filter(lambda b: len(b) != COUNT.size),
                      st.integers(0, 3).map(lambda n: bytes(36 * n)))
     reply = st.tuples(st.sampled_from([MSG_STERM_COUNT, MSG_RESULT, MSG_RESULT, MSG_ERROR,
-                                       MSG_XTOKENS, MSG_ANSWER]), body)
+                                       MSG_XTOKENS, MSG_ANSWER, MSG_UNDECIDED]), body)
     seen = set()
 
     @settings(max_examples=200, deadline=None)
@@ -1582,5 +1642,12 @@ def test_a_confused_data_server_gets_a_typed_refusal(demo_keys, demo_freq):
     try:
         check()
     finally:
+        # accept() does not wake when its socket closes: wake it, so that
+        # no thread outlives the test (a later build forks only when this
+        # process runs one thread)
+        stop.set()
+        socket.create_connection(listener.getsockname(), timeout=10).close()
+        thread.join(timeout=10)
         listener.close()
+    assert not thread.is_alive()
     assert len(seen) == 3, seen
